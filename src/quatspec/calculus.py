@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztrtrs
 
 from .errors import NumericalError, PreconditionError
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, chi_embed,
@@ -49,26 +50,29 @@ _DEGENERACY_TOL = 1e-7  # absolute-on-lambda clustering for measure weights
 
 
 def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
-                        ) -> tuple[np.ndarray, np.ndarray, QMatrix]:
+                        ) -> tuple[np.ndarray, np.ndarray, QMatrix, float]:
     """Eigenvalues (folded to Im >= 0) and a quaternionic orthonormal
     eigenbasis of a normal operator.
 
-    Returns (lambdas, is_real, columns): T u_m = u_m lambda_m with lambda_m
-    read as alpha + iota*beta in C_iota, is_real flags the eigenvectors of the
-    real eigenspheres (the kernel of T - T*), and the u_m are the columns of
-    the returned matrix.
+    Returns (lambdas, is_real, columns, tnorm): T u_m = u_m lambda_m with
+    lambda_m read as alpha + iota*beta in C_iota, is_real flags the
+    eigenvectors of the real eigenspheres (the kernel of T - T*), the u_m are
+    the columns of the returned matrix, and tnorm = ||T||.
 
     Route: complex Schur of chi(T) (diagonal for normal input), conjugate
     pairs folded into the upper half-plane. Eigenspaces of real eigenvalues
     carry the quaternionic structure v -> Omega conj(v); half of each such
     eigenspace is selected so that the symplectic form vanishes on the
     selection, which makes the extracted quaternionic vectors orthonormal.
+    One Newton-Schulz step Z <- Z (3I - Z*Z) / 2 then squares the remaining
+    Gram deviation of the basis down to rounding level.
     """
     if not is_normal(t, tol):
         raise PreconditionError("operator is not normal")
     n = t.n
     c = chi_embed(t)
-    scale = max(1.0, float(np.linalg.norm(c, 2)))
+    tnorm = float(np.linalg.norm(c, 2))
+    scale = max(1.0, tnorm)
     try:
         s, q = scipy.linalg.schur(c, output="complex")
     except Exception as exc:  # pragma: no cover - schur rarely fails
@@ -110,7 +114,9 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
     lambdas = np.array([lam for lam, _, _ in selected])
     is_real = np.array([flag for _, flag, _ in selected])
     columns = QMatrix.from_columns([chi_vec_extract(w) for _, _, w in selected])
-    return lambdas, is_real, columns
+    gram = columns.adjoint() @ columns
+    columns = columns @ (QMatrix.identity(n) * 3.0 - gram) * 0.5
+    return lambdas, is_real, columns, tnorm
 
 
 def _assign_clusters(points: np.ndarray, tol: float) -> list[list[int]]:
@@ -181,6 +187,7 @@ class CalculusContext:
     lambdas: np.ndarray            # (n,) complex, Im >= 0
     kernel_flags: np.ndarray       # (n,) bool: eigenvector of Ker(T - T*)
     basis: LeftMultiplication      # simultaneous real-diagonalizing basis
+    tnorm: float                   # ||T||, the largest singular value of chi(T)
 
     @property
     def n(self) -> int:
@@ -220,13 +227,13 @@ def construct_J(t: QMatrix) -> QMatrix:
     eigenbasis of A, a deterministic completion (any valid completion yields
     the same calculi).
     """
-    _, _, columns = _normal_eigensystem(t)
+    _, _, columns, _ = _normal_eigensystem(t)
     return LeftMultiplication(columns).matrix(IOTA)
 
 
 def build_context(t: QMatrix) -> CalculusContext:
     """Assemble the full decomposition bundle for a normal operator."""
-    lambdas, kernel_flags, columns = _normal_eigensystem(t)
+    lambdas, kernel_flags, columns, tnorm = _normal_eigensystem(t)
     try:
         basis = LeftMultiplication(columns)
     except PreconditionError as exc:
@@ -237,8 +244,9 @@ def build_context(t: QMatrix) -> CalculusContext:
     d = t - t.adjoint()
     b = polar_decompose(d)[1] * 0.5  # |T - T*| via SVD, no squaring
     ctx = CalculusContext(t=t, a=a, b=b, j=j, k=k, iota=IOTA, kappa=KAPPA,
-                          lambdas=lambdas, kernel_flags=kernel_flags, basis=basis)
-    scale = max(1.0, op_norm(t))
+                          lambdas=lambdas, kernel_flags=kernel_flags, basis=basis,
+                          tnorm=tnorm)
+    scale = max(1.0, tnorm)
     if op_norm(t - (a + j @ b)) > 1e-10 * scale:
         raise NumericalError("decomposition residual too large; diagonalization failed")
     return ctx
@@ -387,11 +395,22 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     polynomial f).
 
     The kernel at s is -Delta_s(T)^(-1) (T - L_conj(s)); each node
-    contributes kernel composed with L_{w f(s)}, w the quadrature weight
-    R e^{iota theta} / nodes. Matches the algebraic calculus within
-    quadrature error for slice functions induced by holomorphic stems.
+    contributes kernel composed with L_c1, c1 = w f(s), w the quadrature
+    weight R e^{iota theta} / nodes. Since q -> L_q is multiplicative, that
+    term is -Delta_s(T)^(-1) (T L_c1 - L_c2) with c2 = conj(s) c1.
+
+    The route is independent of the eigendecomposition in the context: it
+    reads only T, ||T|| and the basis inducing L. It takes one complex
+    Schur form chi(T) = U S U^H, so Delta_s(T) = U (S^2 - 2Re(s) S + |s|^2)
+    U^H is triangular in the Schur basis. With [P Q] = U^H chi(Z), Z the
+    basis columns, chi(L_c) = chi(Z) C(c) chi(Z)^H where
+    C(c) = [[z1, z2], [-conj z2, conj z1]] (times I) for c = z1 + z2 j, so
+    every node costs one triangular solve of S [P Q] C(c1) - [P Q] C(c2),
+    assembled from the fixed blocks SP, SQ, P, Q. Matches the algebraic
+    calculus within quadrature error for slice functions induced by
+    holomorphic stems.
     """
-    tnorm = op_norm(ctx.t)
+    tnorm = ctx.tnorm
     if radius is None:
         radius = 1.25 * tnorm + 1.0
     if radius <= tnorm:
@@ -399,49 +418,40 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
             f"radius {radius:.6g} does not enclose the spectrum (||T|| = {tnorm:.6g})")
     if nodes < 16:
         raise PreconditionError("at least 16 quadrature nodes are required")
-    chi_t = chi_embed(ctx.t)
-    chi_t2 = chi_t @ chi_t
-    eye = np.eye(2 * ctx.n)
-    chi_left = _ChiLeft(ctx)
-    acc = np.zeros_like(chi_t)
+    n = ctx.n
+    try:
+        tri, u = scipy.linalg.schur(chi_embed(ctx.t), output="complex")
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError(f"Schur factorization of chi(T) failed: {exc}") from exc
+    # every per-node array is column-major, as LAPACK takes it without a copy
+    shifted = np.asfortranarray(tri @ tri)  # Delta_s(T) without its -2Re(s) S term
+    shifted[np.diag_indices(2 * n)] += radius * radius
+    zc = chi_embed(ctx.basis.columns)
+    pq = np.asfortranarray(u.conj().T @ zc)
+    spq = np.asfortranarray(tri @ pq)
+    p, q, sp, sq = pq[:, :n], pq[:, n:], spq[:, :n], spq[:, n:]
+    delta = np.empty_like(tri, order="F")
+    rhs = np.empty_like(tri, order="F")
+    acc = np.zeros_like(tri)
     for m in range(nodes):
         theta = 2.0 * math.pi * m / nodes
         ct, st = math.cos(theta), math.sin(theta)
         s_quat = Quaternion(radius * ct) + ctx.iota * (radius * st)
-        f_val = f.eval(s_quat)
-        delta_c = chi_t2 - chi_t * (2.0 * s_quat.a) + eye * (radius * radius)
-        rhs = chi_t - chi_left(s_quat.conjugate())
-        try:
-            psi = np.linalg.solve(delta_c, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"quadrature node {m} hit the spectrum: {exc}") from exc
         weight = Quaternion(radius / nodes * ct) + ctx.iota * (radius / nodes * st)
-        acc -= psi @ chi_left(weight * f_val)
-    return chi_extract(acc, tol=1e-8)
-
-
-class _ChiLeft:
-    """chi image of the context's left multiplication, L_c as a 2n x 2n
-    complex matrix in O(n^2) per call.
-
-    With [P Q] the column blocks of chi(basis columns) and c = z1 + z2 j,
-    chi(L_c) = z1 P P^H + conj(z1) Q Q^H + z2 P Q^H - conj(z2) Q P^H.
-    """
-
-    def __init__(self, ctx: CalculusContext):
-        zc = chi_embed(ctx.basis.columns)
-        n = ctx.n
-        p, q = zc[:, :n], zc[:, n:]
-        self.pph = p @ p.conj().T
-        self.qqh = q @ q.conj().T
-        self.pqh = p @ q.conj().T
-        self.qph = q @ p.conj().T
-
-    def __call__(self, c: Quaternion) -> np.ndarray:
-        z1 = complex(c.a, c.b)
-        z2 = complex(c.c, c.d)
-        return (z1 * self.pph + z1.conjugate() * self.qqh
-                + z2 * self.pqh - z2.conjugate() * self.qph)
+        c1 = weight * f.eval(s_quat)
+        c2 = s_quat.conjugate() * c1
+        a1, b1 = complex(c1.a, c1.b), complex(c1.c, c1.d)
+        a2, b2 = complex(c2.a, c2.b), complex(c2.c, c2.d)
+        np.multiply(tri, -2.0 * s_quat.a, out=delta)
+        delta += shifted
+        rhs[:, :n] = a1 * sp - b1.conjugate() * sq - a2 * p + b2.conjugate() * q
+        rhs[:, n:] = b1 * sp + a1.conjugate() * sq - b2 * p - a2.conjugate() * q
+        x, info = ztrtrs(delta, rhs, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(
+                f"quadrature node {m} hit the spectrum (triangular solve info {info})")
+        acc += x
+    return chi_extract(-(u @ acc) @ zc.conj().T, tol=1e-8)
 
 
 def spectral_measure_weights(t: QMatrix, u: QVector,
@@ -451,8 +461,8 @@ def spectral_measure_weights(t: QMatrix, u: QVector,
     clusters, so they sum to ||u||^2 and ||f(T)u||^2 = sum f(lambda)^2 w."""
     if not is_self_adjoint(t):
         raise PreconditionError("operator is not self-adjoint")
-    lambdas, _, columns = _normal_eigensystem(t)
-    tol = _DEGENERACY_TOL * max(1.0, op_norm(t))
+    lambdas, _, columns, tnorm = _normal_eigensystem(t)
+    tol = _DEGENERACY_TOL * max(1.0, tnorm)
     clusters = _assign_clusters(
         np.column_stack([lambdas.real, np.zeros(t.n)]), tol)
     out = []

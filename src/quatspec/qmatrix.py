@@ -137,7 +137,7 @@ class QVector:
         return float(np.linalg.norm(self.data))
 
     def to_json(self) -> dict:
-        return {"v": [[float(x) for x in row] for row in self.data]}
+        return {"v": self.data.tolist()}
 
     @classmethod
     def from_json(cls, data) -> "QVector":
@@ -269,11 +269,7 @@ class QMatrix:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [[[float(x) for x in self.data[k, l]] for l in range(self.n)]
-                     for k in range(self.n)],
-        }
+        return {"n": self.n, "rows": self.data.tolist()}
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":

@@ -293,7 +293,7 @@ def verify_spectral(report: VerificationReport, t: QMatrix,
 def verify_calculus(report: VerificationReport, t: QMatrix,
                     rng: np.random.Generator) -> None:
     ctx = build_context(t)
-    scale = max(1.0, op_norm(t))
+    scale = max(1.0, ctx.tnorm)
     eye = QMatrix.identity(t.n)
 
     report.worst("decomposition", "T = A + JB",
@@ -316,7 +316,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
                  max(0.0, -float(ctx.lambdas.imag.min(initial=0.0))), 1e-10)
 
     spec_set = ctx.spectrum_set()
-    sq_scale = max(1.0, op_norm(t)) ** 2
+    sq_scale = scale ** 2
 
     # polynomial cross-check: two routes to T^2
     f_sq = SliceFunction.builtin("square")

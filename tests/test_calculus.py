@@ -1,5 +1,7 @@
 """Tests for the decomposition T = A + JB and the five functional calculi."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from quatspec.quaternion import I, J, Quaternion, fold
 from quatspec.slicefn import (SliceFunction, decompose_components, hausdorff,
                               one_sided_hausdorff, slice_product, sup_norm)
 from quatspec.spectral import spherical_spectrum
+from quatspec.verify import _KINDS
 
 RNG = np.random.default_rng(2024)
 
@@ -461,16 +464,44 @@ def test_contour_matches_algebraic_route():
         assert (con - alg).norm() <= 1e-7 * max(1.0, op_norm(alg))
 
 
+def right_coefficient_polynomial() -> SliceFunction:
+    """f(q) = q a + b with quaternionic a, b: slice regular, not intrinsic."""
+    a, b = Quaternion(0.5, 1, -2, 0.25), Quaternion(1, 0, 1, -1)
+    return slice_product(SliceFunction.builtin("id"), SliceFunction.constant(a)) \
+        + SliceFunction.constant(b)
+
+
 def test_contour_non_intrinsic_polynomial():
     """Right quaternionic coefficients: f(q) = q a + b stays slice regular."""
     t, _ = random_normal(4, RNG)
     ctx = build_context(t)
-    a, b = Quaternion(0.5, 1, -2, 0.25), Quaternion(1, 0, 1, -1)
-    f = slice_product(SliceFunction.builtin("id"), SliceFunction.constant(a)) \
-        + SliceFunction.constant(b)
+    f = right_coefficient_polynomial()
     alg = general_calculus(ctx, f)
     con = slice_regular_contour(ctx, f, nodes=256)
     assert (con - alg).norm() <= 1e-7 * max(1.0, op_norm(alg))
+
+
+def test_contour_matches_algebraic_route_n32():
+    """n = 32 with real eigenspheres; f = q a + b has z2 != 0 blocks."""
+    t, _ = random_normal(32, np.random.default_rng(32))
+    ctx = build_context(t)
+    assert ctx.kernel_flags.any()
+    for f in (SliceFunction.builtin("exp"), right_coefficient_polynomial()):
+        alg = general_calculus(ctx, f)
+        con = slice_regular_contour(ctx, f)
+        assert (con - alg).norm() <= 1e-7 * max(1.0, op_norm(alg))
+
+
+def test_contour_ignores_the_eigenvalue_route():
+    """The contour is an independent cross-check: corrupting the context's
+    eigendata moves general_calculus but leaves the contour unchanged."""
+    t, _ = random_normal(6, np.random.default_rng(6))
+    ctx = build_context(t)
+    bent = dataclasses.replace(ctx, lambdas=ctx.lambdas + 1.0,
+                               kernel_flags=~ctx.kernel_flags)
+    f = SliceFunction.builtin("exp")
+    assert (slice_regular_contour(bent, f) - slice_regular_contour(ctx, f)).norm() <= 1e-12
+    assert (general_calculus(bent, f) - general_calculus(ctx, f)).norm() > 1e-3
 
 
 def test_contour_radius_and_node_validation():
@@ -511,6 +542,24 @@ def test_contour_kernel_equals_resolvent_series():
         series -= chi_embed(power) @ chi_embed(ctx.left(Quaternion(c.real) + I * c.imag))
         power = power @ t
     assert np.linalg.norm(psi - series, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("seed, index", [(0, 11), (5, 1), (20, 6), (81, 11), (206, 6)])
+def test_eigenbasis_orthonormal_on_verify_matrices(seed, index):
+    """Matrix `index` of `verify --random 8,20,seed` is self-adjoint; its
+    symplectic half basis once kept a 1.2e-12 - 3.8e-12 Gram deviation,
+    which failed the 1e-12 identities unity-recovered, cslice-constant-J and
+    circular-constant-K."""
+    rng = np.random.default_rng(seed)
+    for m in range(index + 1):
+        t, _ = random_normal(8, rng, kind=_KINDS[m % len(_KINDS)])
+    ctx = build_context(t)
+    eye = QMatrix.identity(8)
+    z = ctx.basis.columns
+    assert (z.adjoint() @ z - eye).norm() <= 1e-14
+    assert (intrinsic_calculus(ctx, SliceFunction.builtin("one")) - eye).norm() <= 1e-12
+    assert (cslice_calculus(ctx, SliceFunction.constant(ctx.iota)) - ctx.j).norm() <= 1e-12
+    assert (circular_calculus(ctx, SliceFunction.constant(ctx.kappa)) - ctx.k).norm() <= 1e-12
 
 
 # -- degenerate and tiny inputs ----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for quaternionic matrices, the complex embedding and the operator
 machinery (square root, polar, splitting, extension, left multiplications)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -415,3 +417,18 @@ def test_matrix_json_roundtrip():
     assert (again - m).frobenius() == 0.0
     u = random_qvector(3, RNG)
     assert (QVector.from_json(u.to_json()) - u).norm() == 0.0
+
+
+def test_matrix_json_matches_entrywise_floats():
+    """to_json gives the same floats, hence the same JSON text, as
+    converting entry by entry."""
+    rng = np.random.default_rng(11)
+    m = random_qmatrix(3, rng)
+    m.data[0, 0] = [-0.0, 1e-310, 1.0 / 3.0, 2.0 ** 60]
+    entrywise = {"n": 3, "rows": [[[float(x) for x in m.data[k, l]] for l in range(3)]
+                                  for k in range(3)]}
+    assert m.to_json() == entrywise
+    assert json.dumps(m.to_json()) == json.dumps(entrywise)
+    u = random_qvector(3, rng)
+    entrywise = {"v": [[float(x) for x in row] for row in u.data]}
+    assert json.dumps(u.to_json()) == json.dumps(entrywise)
