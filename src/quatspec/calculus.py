@@ -4,7 +4,7 @@ Every normal T decomposes as T = A + JB with A = (T+T*)/2 self-adjoint,
 B = |T-T*|/2 positive, and J an anti-self-adjoint unitary commuting with
 both. J extends to a full left scalar multiplication L commuting with A and
 B; fixing iota = i, kappa = j gives the operators J = L_i, K = L_j used by
-the four calculi:
+the calculi:
 
 - polynomial:  g(T) = Q1(A,B) + J Q2(A,B)
 - intrinsic:   f(T) from the eigendecomposition of T on H+ (isometric
@@ -12,8 +12,14 @@ the four calculi:
 - C_iota:      f(T) = f0(T) + f1(T) J
 - circular / general: f(T) = f0(T) + f1(T) J + f2(T) K + f3(T) JK
 
-plus the contour realization over a circle in C_iota and the spectral-measure
-weights of a self-adjoint operator.
+The four eigenvalue calculi (intrinsic, C_iota, circular, general) are one
+operator: with Z the eigenbasis of H+ and lambda_m read in C_iota,
+f(T) = Z diag(F1(lambda_m) + iota F2(lambda_m)) Z*, since
+f_l(T) E_l = Z diag(f_l(lambda_m) e_l) Z* for E_l = L_{e_l}. Each calculus
+checks its class of f and keeps the components l it covers. The polynomial
+route and the contour realization over a circle in C_iota stay independent
+cross-checks; the module also gives the spectral-measure weights of a
+self-adjoint operator.
 
 The decomposition data is bundled in an immutable `CalculusContext`; all
 calculi are pure functions of it and may run concurrently on a shared
@@ -30,15 +36,15 @@ import scipy.linalg
 from scipy.linalg.lapack import ztrtrs
 
 from .errors import NumericalError, PreconditionError
-from .qmatrix import (LeftMultiplication, QMatrix, QVector, chi_embed,
-                      chi_extract, chi_vec_extract, extend_complex_operator,
-                      is_normal, is_self_adjoint, op_norm, polar_decompose)
+from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qmul,
+                      chi_embed, chi_extract, chi_vec_extract, is_normal,
+                      is_self_adjoint, op_norm, polar_decompose)
 from .quaternion import I as QI
 from .quaternion import J as QJ
 from .quaternion import Quaternion, SpherePoint
-from .slicefn import (CircularSet, SliceFunction, decompose_components,
-                      is_circular, is_cslice, is_intrinsic)
-from .spectral import SphericalSpectrum, cluster_points
+from .slicefn import (CircularSet, SliceFunction, cluster_points, is_circular,
+                      is_cslice, is_intrinsic)
+from .spectral import SphericalSpectrum
 
 # global slice convention: iota = i, kappa = j, so {1, iota, kappa,
 # iota*kappa} is the standard basis {1, i, j, k}
@@ -87,11 +93,9 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
     omega[n:, :n] = -np.eye(n)
 
     folded = np.column_stack([evals.real, np.abs(evals.imag)])
-    cluster_of = _assign_clusters(folded, _EIG_CLUSTER_TOL * scale)
-
     real_tol = _EIG_CLUSTER_TOL * scale
     selected: list[tuple[complex, bool, np.ndarray]] = []
-    for cluster in cluster_of:
+    for cluster in cluster_points(folded, real_tol)[1]:
         idx = np.array(cluster, dtype=int)
         vals = evals[idx]
         if np.abs(vals.imag).max() <= real_tol:
@@ -117,24 +121,6 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
     gram = columns.adjoint() @ columns
     columns = columns @ (QMatrix.identity(n) * 3.0 - gram) * 0.5
     return lambdas, is_real, columns, tnorm
-
-
-def _assign_clusters(points: np.ndarray, tol: float) -> list[list[int]]:
-    """Greedy clustering (indices) of folded eigenvalues."""
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    clusters: list[list[int]] = []
-    centroids: list[np.ndarray] = []
-    for idx in order:
-        p = points[idx]
-        for c_i, c in enumerate(centroids):
-            if np.hypot(*(p - c)) <= tol:
-                clusters[c_i].append(int(idx))
-                centroids[c_i] = c + (p - c) / len(clusters[c_i])
-                break
-        else:
-            clusters.append([int(idx)])
-            centroids.append(p.copy())
-    return clusters
 
 
 def _symplectic_half_basis(v: np.ndarray, omega: np.ndarray) -> list[np.ndarray]:
@@ -202,8 +188,8 @@ class CalculusContext:
         if tol is None:
             tol = _EIG_CLUSTER_TOL * scale
         pts = np.column_stack([self.lambdas.real, self.lambdas.imag])
-        reps, counts = cluster_points(pts, tol)
-        return SphericalSpectrum(reps, counts)
+        reps, members = cluster_points(pts, tol)
+        return SphericalSpectrum(reps, [len(cluster) for cluster in members])
 
     def spectrum_set(self) -> CircularSet:
         return self.spectrum().circular_set()
@@ -259,9 +245,9 @@ def alternate_kernel_J(ctx: CalculusContext) -> QMatrix:
     kernel = np.flatnonzero(ctx.kernel_flags)
     if kernel.size == 0:
         raise PreconditionError("T - T* has trivial kernel; J is unique")
-    entries = [IOTA if m != kernel[0] else -IOTA for m in range(ctx.n)]
-    z = ctx.basis.columns
-    return z @ QMatrix.diag(entries) @ z.adjoint()
+    values = np.tile(_as_qarray(IOTA), (ctx.n, 1))
+    values[kernel[0]] *= -1.0
+    return ctx.basis.diagonal(values)
 
 
 # -- polynomial route ---------------------------------------------------------
@@ -335,6 +321,25 @@ def _check_spectrum_in_domain(ctx: CalculusContext, f: SliceFunction,
                 f"spectrum point {lam:.6g} lies outside the function domain")
 
 
+def _eigen_sandwich(ctx: CalculusContext, f: SliceFunction,
+                    components: int) -> QMatrix:
+    """Z diag(F1(lambda_m) + iota F2(lambda_m)) Z* on the context eigenbasis Z.
+
+    With iota = i and kappa = j, quaternion component l of F1 and F2 is the
+    stem of the intrinsic component f_l of f = f0 + f1 iota + f2 kappa +
+    f3 iota kappa; only the first `components` of them are kept.
+    """
+    _check_spectrum_in_domain(ctx, f)
+    f1 = np.empty((ctx.n, 4))
+    f2 = np.empty((ctx.n, 4))
+    for m, lam in enumerate(ctx.lambdas):
+        v1, v2 = f.stem.eval(complex(lam))
+        f1[m], f2[m] = v1.components(), v2.components()
+    f1[:, components:] = 0.0
+    f2[:, components:] = 0.0
+    return ctx.basis.diagonal(f1 + _qmul(_as_qarray(ctx.iota), f2))
+
+
 def intrinsic_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
     """The isometric *-homomorphism on intrinsic slice functions.
 
@@ -344,12 +349,7 @@ def intrinsic_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
     """
     if not is_intrinsic(f):
         raise PreconditionError("function is not an intrinsic slice function")
-    _check_spectrum_in_domain(ctx, f)
-    mu = np.empty(ctx.n, dtype=complex)
-    for m, lam in enumerate(ctx.lambdas):
-        f1, f2 = f.stem.eval(complex(lam))
-        mu[m] = complex(f1.a, f2.a)
-    return extend_complex_operator(np.diag(mu), ctx.basis, ctx.iota)
+    return _eigen_sandwich(ctx, f, 1)
 
 
 def cslice_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
@@ -357,9 +357,7 @@ def cslice_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
     f = f0 + f1*iota with intrinsic components."""
     if not is_cslice(f, ctx.iota):
         raise PreconditionError("function does not take values in the context slice")
-    _check_spectrum_in_domain(ctx, f)
-    f0, f1, _, _ = decompose_components(f, ctx.iota, ctx.kappa)
-    return intrinsic_calculus(ctx, f0) + intrinsic_calculus(ctx, f1) @ ctx.j
+    return _eigen_sandwich(ctx, f, 2)
 
 
 def circular_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
@@ -373,13 +371,7 @@ def circular_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
 def general_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
     """R-linear continuous extension to every continuous slice function:
     f(T) = f0(T) + f1(T) J + f2(T) K + f3(T) JK."""
-    _check_spectrum_in_domain(ctx, f)
-    f0, f1, f2, f3 = decompose_components(f, ctx.iota, ctx.kappa)
-    jk = ctx.j @ ctx.k
-    return (intrinsic_calculus(ctx, f0)
-            + intrinsic_calculus(ctx, f1) @ ctx.j
-            + intrinsic_calculus(ctx, f2) @ ctx.k
-            + intrinsic_calculus(ctx, f3) @ jk)
+    return _eigen_sandwich(ctx, f, 4)
 
 
 def adjoint_similarity(ctx: CalculusContext) -> QMatrix:
@@ -463,10 +455,8 @@ def spectral_measure_weights(t: QMatrix, u: QVector,
         raise PreconditionError("operator is not self-adjoint")
     lambdas, _, columns, tnorm = _normal_eigensystem(t)
     tol = _DEGENERACY_TOL * max(1.0, tnorm)
-    clusters = _assign_clusters(
-        np.column_stack([lambdas.real, np.zeros(t.n)]), tol)
     out = []
-    for cluster in clusters:
+    for cluster in cluster_points(np.column_stack([lambdas.real, np.zeros(t.n)]), tol)[1]:
         lam = float(np.mean([lambdas[m].real for m in cluster]))
         weight = 0.0
         for m in cluster:

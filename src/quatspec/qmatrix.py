@@ -15,7 +15,8 @@ Main contents:
 - `polar_decompose` - M = W P with P = |M|, W isometric on Ker(P)^perp
 - `split_plus_minus` - the splitting H = H+ (+) H- attached to (J, iota)
 - `LeftMultiplication`, `left_mult_from_basis` - basis-induced left scalar
-  multiplication L_q u = sum_z z q <z|u>
+  multiplication L_q u = sum_z z q <z|u>, and the diagonal sandwich
+  Z diag(q_m) Z* on the basis columns Z
 - `extend_complex_operator` - unique right-H-linear, J-commuting extension of
   a complex operator given on an orthonormal basis of H+
 - `gram_schmidt` - quaternionic modified Gram-Schmidt
@@ -277,6 +278,11 @@ class QMatrix:
         rows = np.asarray(data["rows"], dtype=float)
         if rows.shape != (n, n, 4):
             raise PreconditionError(f"rows shape {rows.shape} inconsistent with n={n}")
+        bad = np.argwhere(~np.isfinite(rows))
+        if bad.size:
+            k, l, comp = bad[0]
+            raise PreconditionError(
+                f"entry ({k}, {l}) component {comp} is not finite: {rows[k, l, comp]}")
         return cls(rows)
 
     def __repr__(self) -> str:
@@ -315,11 +321,11 @@ def chi_extract(c: np.ndarray, tol: float = 1e-10) -> QMatrix:
     n = c.shape[0] // 2
     c11, c12 = c[:n, :n], c[:n, n:]
     c21, c22 = c[n:, :n], c[n:, n:]
-    scale = max(1.0, float(np.linalg.norm(c, 2)))
-    defect = max(
-        float(np.linalg.norm(c21 + c12.conj(), 2)),
-        float(np.linalg.norm(c22 - c11.conj(), 2)),
-    )
+    # Frobenius norms: the defect is >= its 2-norm and the scale <= ||c||_2,
+    # so the test is at least as strict as a 2-norm one, without an SVD
+    scale = max(1.0, float(np.linalg.norm(c)) / np.sqrt(2 * n))
+    defect = max(float(np.linalg.norm(c21 + c12.conj())),
+                 float(np.linalg.norm(c22 - c11.conj())))
     if defect > tol * scale:
         raise PreconditionError(
             f"matrix is not in the image of the embedding (defect {defect:.3e})")
@@ -464,10 +470,15 @@ class LeftMultiplication:
     def vector(self, m: int) -> QVector:
         return self.columns.column(m)
 
+    def diagonal(self, values: np.ndarray) -> QMatrix:
+        """Z diag(q_m) Z* for the basis columns Z and an (n, 4) array of
+        quaternions q_m: one column scaling and one quaternion matmul."""
+        z = self.columns.data
+        return QMatrix(_qmatmul(_qmul(z, values), _qconj(np.swapaxes(z, 0, 1))))
+
     def matrix(self, q: Quaternion) -> QMatrix:
         """The operator L_q as a quaternionic matrix."""
-        z = self.columns
-        return z @ QMatrix.diag([q] * self.n) @ z.adjoint()
+        return self.diagonal(np.tile(_as_qarray(q), (self.n, 1)))
 
     def apply(self, q: Quaternion, u: QVector) -> QVector:
         return self.matrix(q) @ u

@@ -9,6 +9,7 @@ of stems in H(x)C, which differs from the pointwise product in general.
 Contents:
 
 - `CircularSet` - finite set of upper-half-plane representatives (alpha, beta)
+- `cluster_points` - the greedy point merge behind every spectrum clustering
 - `StemFunction` - polynomial / builtin / tabulated stem with its domain
 - `SliceFunction` - the induced function, with evaluation and classification
 - `slice_eval`, `slice_product`, `slice_star`, `classify_slice`,
@@ -44,7 +45,7 @@ class CircularSet:
         arr = arr.copy()
         if arr.size:
             arr[:, 1] = np.maximum(arr[:, 1], 0.0)
-            arr = _merge_points(arr, tol)
+            arr = cluster_points(arr, tol)[0]
         self.reps = arr
         self.tol = float(tol)
 
@@ -82,26 +83,30 @@ class CircularSet:
         return f"CircularSet({self.points()!r})"
 
 
-def _merge_points(arr: np.ndarray, tol: float) -> np.ndarray:
-    """Greedy single-linkage merge of nearby points, then lexicographic sort."""
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    centroids: list[np.ndarray] = []
-    counts: list[int] = []
-    for idx in order:
-        p = arr[idx]
-        placed = False
-        for c_i, c in enumerate(centroids):
-            if np.hypot(*(p - c)) <= tol:
-                counts[c_i] += 1
-                centroids[c_i] = c + (p - c) / counts[c_i]
-                placed = True
-                break
-        if not placed:
-            centroids.append(p.copy())
-            counts.append(1)
-    out = np.array(centroids).reshape(-1, 2)
-    out = out[np.lexsort((out[:, 1], out[:, 0]))]
-    return out
+def cluster_points(points, tol: float) -> tuple[np.ndarray, list[list[int]]]:
+    """Greedy merge of nearby 2D points.
+
+    Points are visited in lexicographic order; each joins the first centroid
+    within `tol`, which moves to the running mean of its members. Returns the
+    lexicographically sorted centroids and, in the same order, the indices of
+    the points each centroid merged.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    centroids = np.empty_like(points)
+    members: list[list[int]] = []
+    for idx in np.lexsort((points[:, 1], points[:, 0])):
+        p = points[idx]
+        near = np.flatnonzero(np.hypot(*(centroids[:len(members)] - p).T) <= tol)
+        if near.size:
+            c_i = near[0]
+            members[c_i].append(int(idx))
+            centroids[c_i] += (p - centroids[c_i]) / len(members[c_i])
+        else:
+            centroids[len(members)] = p
+            members.append([int(idx)])
+    cent = centroids[:len(members)]
+    order = np.lexsort((cent[:, 1], cent[:, 0]))
+    return cent[order], [members[i] for i in order]
 
 
 def hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from .errors import NumericalError, PreconditionError
 from .qmatrix import QMatrix, chi_embed, is_normal, is_unitary, op_norm
 from .quaternion import Quaternion
 from .reporting import VerificationReport
-from .slicefn import CircularSet, hausdorff
+from .slicefn import CircularSet, cluster_points, hausdorff
 
 CLUSTER_TOL = 1e-8  # conjugate-pair folding tolerance, scaled by max(1, ||T||)
 
@@ -75,27 +75,6 @@ class SphericalSpectrum:
         return f"SphericalSpectrum[{pts}]"
 
 
-def cluster_points(points: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
-    """Greedy merge of nearby 2D points; returns sorted centroids and counts."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    centroids: list[np.ndarray] = []
-    counts: list[int] = []
-    for idx in order:
-        p = points[idx]
-        for c_i, c in enumerate(centroids):
-            if np.hypot(*(p - c)) <= tol:
-                counts[c_i] += 1
-                centroids[c_i] = c + (p - c) / counts[c_i]
-                break
-        else:
-            centroids.append(p.copy())
-            counts.append(1)
-    cent = np.array(centroids).reshape(-1, 2)
-    order = np.lexsort((cent[:, 1], cent[:, 0]))
-    return cent[order], [counts[i] for i in order]
-
-
 def delta_q(t: QMatrix, q: Quaternion) -> QMatrix:
     """Delta_q(T) = T^2 - T (q + conj q) + I |q|^2; constant on eigenspheres."""
     trace = 2.0 * q.a
@@ -114,13 +93,11 @@ def spherical_spectrum(t: QMatrix, tol: float | None = None) -> SphericalSpectru
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvals rarely fails
         raise NumericalError(f"eigensolver failure: {exc}") from exc
     folded = np.column_stack([eigs.real, np.abs(eigs.imag)])
-    reps, counts = cluster_points(folded, tol)
-    mult = []
-    for c in counts:
-        if c % 2:
-            raise NumericalError(
-                "folded eigenvalues did not pair up; conjugate symmetry lost")
-        mult.append(c // 2)
+    reps, members = cluster_points(folded, tol)
+    if any(len(cluster) % 2 for cluster in members):
+        raise NumericalError(
+            "folded eigenvalues did not pair up; conjugate symmetry lost")
+    mult = [len(cluster) // 2 for cluster in members]
     if sum(mult) != t.n:
         raise NumericalError("spectrum multiplicities do not sum to the dimension")
     # tidy tiny negative-zero betas produced by folding

@@ -13,8 +13,8 @@ from .calculus import (alternate_kernel_J, build_context, circular_calculus,
                        cslice_calculus, general_calculus, intrinsic_calculus,
                        polynomial_calculus, slice_regular_contour,
                        spectral_measure_weights)
-from .qmatrix import (QMatrix, chi_embed, is_normal, is_self_adjoint, op_norm,
-                      random_normal, random_qvector)
+from .qmatrix import (QMatrix, _qmul, chi_embed, is_normal, is_self_adjoint,
+                      op_norm, random_normal, random_qvector)
 from .quaternion import (ComplexifiedQuaternion, Quaternion, SpherePoint,
                          fold, random_sphere_point, sphere_grid)
 from .reporting import VerificationReport
@@ -43,15 +43,7 @@ def verify_algebra(report: VerificationReport, rng: np.random.Generator,
     p = rng.normal(size=(pairs, 4)) * 2.0
     q = rng.normal(size=(pairs, 4)) * 2.0
     # vectorized |pq| = |p||q|
-    a1, b1, c1, d1 = p.T
-    a2, b2, c2, d2 = q.T
-    prod = np.stack([
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    ], axis=1)
-    lhs = np.linalg.norm(prod, axis=1)
+    lhs = np.linalg.norm(_qmul(p, q), axis=1)
     rhs = np.linalg.norm(p, axis=1) * np.linalg.norm(q, axis=1)
     report.worst("quat-norm-multiplicative", "|pq| = |p||q|",
                  float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-30))), 1e-13)
@@ -98,14 +90,9 @@ def _hc_dist(a: ComplexifiedQuaternion, b: ComplexifiedQuaternion) -> float:
 def _sampled_sup(w: ComplexifiedQuaternion, grid: np.ndarray) -> float:
     q = np.array(w.q.components())
     p = np.array(w.p.components())
-    # |q + iota p| for iota = (0, g): compute componentwise product iota*p
-    g = grid
-    iota_p = np.empty((g.shape[0], 4))
-    iota_p[:, 0] = -(g[:, 0] * p[1] + g[:, 1] * p[2] + g[:, 2] * p[3])
-    iota_p[:, 1] = g[:, 0] * p[0] + g[:, 1] * p[3] - g[:, 2] * p[2]
-    iota_p[:, 2] = -g[:, 0] * p[3] + g[:, 1] * p[0] + g[:, 2] * p[1]
-    iota_p[:, 3] = g[:, 0] * p[2] - g[:, 1] * p[1] + g[:, 2] * p[0]
-    return float(np.linalg.norm(q[None, :] + iota_p, axis=1).max())
+    # |q + iota p| for the unit imaginary quaternions iota = (0, g)
+    iotas = np.column_stack([np.zeros(len(grid)), grid])
+    return float(np.linalg.norm(q + _qmul(iotas, p), axis=1).max())
 
 
 def _random_poly_slice(rng, quaternionic=True, max_deg=2) -> SliceFunction:

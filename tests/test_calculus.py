@@ -1,6 +1,7 @@
 """Tests for the decomposition T = A + JB and the five functional calculi."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -643,3 +644,42 @@ def test_spectral_measure_rejects_non_self_adjoint():
     t, _ = random_normal(3, RNG, kind="antiselfadjoint")
     with pytest.raises(PreconditionError):
         spectral_measure_weights(t, random_qvector(3, RNG))
+
+
+# -- the eigenvalue calculi against their component definitions ---------------------------
+
+def tabulated_general() -> SliceFunction:
+    """A continuous, non-polynomial stem with quaternionic values."""
+    c, d, e = Quaternion(0.3, -1, 0.5, 2), Quaternion(1, 0.2, -0.4, 0.7), \
+        Quaternion(-0.5, 1, 1, -0.3)
+
+    def stem(z: complex):
+        ea = math.exp(z.real)
+        return (c * (ea * math.cos(z.imag)) + d * abs(z.imag),
+                c * (ea * math.sin(z.imag)) + e * z.imag)
+
+    return SliceFunction.tabulated(stem)
+
+
+def test_eigenvalue_calculi_are_their_component_definitions():
+    """The single eigenbasis sandwich equals the paper's definitions
+    f(T) = f0(T) + f1(T) J + f2(T) K + f3(T) JK and, for C_iota-slice g,
+    g(T) = g0(T) + g1(T) J, with f_l(T) the intrinsic calculus."""
+    t, _ = random_normal(6, np.random.default_rng(6))
+    ctx = build_context(t)
+    assert ctx.kernel_flags.any()
+    units = (QMatrix.identity(6), ctx.j, ctx.k, ctx.j @ ctx.k)
+    for f in (random_general(), tabulated_general()):
+        ft = general_calculus(ctx, f)
+        parts = decompose_components(f, ctx.iota, ctx.kappa)
+        expect = QMatrix.zeros(6)
+        for f_l, unit in zip(parts, units):
+            expect = expect + intrinsic_calculus(ctx, f_l) @ unit
+        assert (ft - expect).norm() <= 1e-10 * max(1.0, op_norm(ft))
+    tabulated_cslice = slice_product(SliceFunction.builtin("exp"),
+                                     SliceFunction.constant(I)) + SliceFunction.builtin("square")
+    for g in (random_cslice(I), tabulated_cslice):
+        gt = cslice_calculus(ctx, g)
+        g0, g1, _, _ = decompose_components(g, ctx.iota, ctx.kappa)
+        expect = intrinsic_calculus(ctx, g0) + intrinsic_calculus(ctx, g1) @ ctx.j
+        assert (gt - expect).norm() <= 1e-10 * max(1.0, op_norm(gt))

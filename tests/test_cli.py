@@ -148,6 +148,18 @@ def test_exit_code_bad_json(tmp_path, capsys):
     assert main(["spectrum", "--input", str(malformed)]) == 2
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_exit_code_non_finite_matrix(tmp_path, capsys, value):
+    data = random_normal(3, np.random.default_rng(3))[0].to_json()
+    data["rows"][1][2][3] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["spectrum", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "entry (1, 2) component 3 is not finite" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_precondition(matrix_file, capsys):
     # |q| inside the spectral bound
     assert main(["resolvent", "--input", matrix_file, "--q", "0.1,0,0,0",

@@ -329,6 +329,15 @@ def test_standard_left_mult_is_diagonal():
     assert (std.matrix(q) - QMatrix.diag([q, q, q])).frobenius() <= 1e-14
 
 
+def test_left_mult_diagonal_is_the_basis_sandwich():
+    rng = np.random.default_rng(5)
+    basis = LeftMultiplication(random_unitary(5, rng))
+    values = rng.normal(size=(5, 4))
+    z = basis.columns
+    expect = z @ QMatrix.diag([Quaternion(*v) for v in values]) @ z.adjoint()
+    assert (basis.diagonal(values) - expect).norm() <= 1e-12 * np.abs(values).max()
+
+
 def test_plus_subspace_basis_recovers_j():
     j, _ = make_j(4, RNG)
     basis = plus_subspace_basis(j, I, np.random.default_rng(5))

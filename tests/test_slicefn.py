@@ -7,7 +7,8 @@ from quatspec.errors import PreconditionError
 from quatspec.quaternion import (I, J, K, ONE, Quaternion,
                                  random_sphere_point)
 from quatspec.slicefn import (CircularSet, SliceFunction, StemFunction,
-                              classify_slice, decompose_components, hausdorff,
+                              classify_slice, cluster_points,
+                              decompose_components, hausdorff,
                               is_circular, is_cslice, is_intrinsic,
                               one_sided_hausdorff, slice_add, slice_eval,
                               slice_product, slice_star, sup_norm)
@@ -35,6 +36,47 @@ def test_circular_set_merges_and_sorts():
     assert k.contains(1.0, 0.5)
     assert k.contains(1.0, -0.5)  # folded
     assert not k.contains(0.0, 0.0)
+
+
+def test_cluster_points_reports_members():
+    pts = [[1.0, 0.5], [-1.0, 0.0], [1.0 + 1e-10, 0.5], [1.0 - 2e-10, 0.5]]
+    centroids, members = cluster_points(pts, 1e-8)
+    assert members == [[1], [3, 0, 2]]
+    assert centroids[0].tolist() == [-1.0, 0.0]
+    assert abs(centroids[1, 0] - (1.0 - 1e-10 / 3)) <= 1e-15
+    assert cluster_points(np.empty((0, 2)), 1e-8)[0].shape == (0, 2)
+
+
+def greedy_merge_reference(points, tol):
+    """Point-by-point, centroid-by-centroid form of the greedy merge."""
+    points = np.asarray(points, dtype=float)
+    centroids, members = [], []
+    for idx in np.lexsort((points[:, 1], points[:, 0])):
+        p = points[idx]
+        for c_i, c in enumerate(centroids):
+            if np.hypot(*(p - c)) <= tol:
+                members[c_i].append(int(idx))
+                centroids[c_i] = c + (p - c) / len(members[c_i])
+                break
+        else:
+            centroids.append(p.copy())
+            members.append([int(idx)])
+    cent = np.array(centroids)
+    order = np.lexsort((cent[:, 1], cent[:, 0]))
+    return cent[order], [members[i] for i in order]
+
+
+def test_cluster_points_equals_the_greedy_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        sites = rng.normal(size=(rng.integers(1, 20), 2))
+        pts = sites[rng.integers(0, len(sites), size=rng.integers(1, 60))]
+        pts = pts + rng.normal(scale=10.0 ** rng.uniform(-12, -7), size=pts.shape)
+        tol = 10.0 ** rng.uniform(-11, -6)
+        centroids, members = cluster_points(pts, tol)
+        expect_centroids, expect_members = greedy_merge_reference(pts, tol)
+        assert np.array_equal(centroids, expect_centroids)
+        assert members == expect_members
 
 
 def test_circular_set_rejects_negative_beta():
