@@ -3,20 +3,18 @@ slice functional calculus on H^n."""
 
 from .errors import NumericalError, PreconditionError
 from .quaternion import (ComplexifiedQuaternion, Quaternion, SpherePoint,
-                         fold, hc_mul, hc_norm, hc_star, quat_mul,
-                         random_sphere_point, sphere_decompose, sphere_grid)
+                         fold, random_sphere_point, sphere_decompose,
+                         sphere_grid)
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, chi_embed,
                       chi_extract, extend_complex_operator, gram_schmidt,
                       is_anti_self_adjoint, is_normal, is_self_adjoint,
-                      is_unitary, left_mult_from_basis, op_norm,
-                      polar_decompose, qmat_adjoint, qmat_mul, random_normal,
+                      is_unitary, op_norm, polar_decompose, random_normal,
                       random_qmatrix, random_qvector, random_unitary,
                       split_plus_minus, sqrt_positive)
 from .slicefn import (CircularSet, SliceClass, SliceFunction, StemFunction,
                       classify_slice, decompose_components, hausdorff,
                       is_circular, is_cslice, is_intrinsic, one_sided_hausdorff,
-                      slice_add, slice_eval, slice_product, slice_star,
-                      sup_norm)
+                      slice_add, slice_product, slice_star, sup_norm)
 from .spectral import (SphericalSpectrum, delta_q, gelfand_check,
                        resolvent_series, spectral_radius, spherical_spectrum,
                        verify_spectral_classes)

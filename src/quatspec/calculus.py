@@ -36,8 +36,8 @@ import scipy.linalg
 from scipy.linalg.lapack import ztrtrs
 
 from .errors import NumericalError, PreconditionError
-from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qmul,
-                      chi_embed, chi_extract, chi_vec_extract, is_normal,
+from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
+                      _qmul, chi_embed, chi_extract, chi_vec_extract, is_normal,
                       is_self_adjoint, op_norm, polar_decompose)
 from .quaternion import I as QI
 from .quaternion import J as QJ
@@ -313,31 +313,22 @@ def polynomial_calculus(ctx: CalculusContext, q1_terms, q2_terms,
 # -- eigenvalue route ----------------------------------------------------------
 
 
-def _check_spectrum_in_domain(ctx: CalculusContext, f: SliceFunction,
-                              tol: float = 1e-8) -> None:
-    for lam in ctx.lambdas:
-        if not f.stem.accepts(float(lam.real), float(lam.imag), tol):
-            raise PreconditionError(
-                f"spectrum point {lam:.6g} lies outside the function domain")
-
-
 def _eigen_sandwich(ctx: CalculusContext, f: SliceFunction,
                     components: int) -> QMatrix:
     """Z diag(F1(lambda_m) + iota F2(lambda_m)) Z* on the context eigenbasis Z.
 
     With iota = i and kappa = j, quaternion component l of F1 and F2 is the
     stem of the intrinsic component f_l of f = f0 + f1 iota + f2 kappa +
-    f3 iota kappa; only the first `components` of them are kept.
+    f3 iota kappa; only the first `components` of them are kept. Every
+    lambda_m must lie in the domain of f (within 1e-8).
     """
-    _check_spectrum_in_domain(ctx, f)
-    f1 = np.empty((ctx.n, 4))
-    f2 = np.empty((ctx.n, 4))
-    for m, lam in enumerate(ctx.lambdas):
-        v1, v2 = f.stem.eval(complex(lam))
-        f1[m], f2[m] = v1.components(), v2.components()
-    f1[:, components:] = 0.0
-    f2[:, components:] = 0.0
-    return ctx.basis.diagonal(f1 + _qmul(_as_qarray(ctx.iota), f2))
+    inside = f.stem.accepts(ctx.lambdas.real, ctx.lambdas.imag, 1e-8)
+    if not inside.all():
+        raise PreconditionError(f"spectrum point {ctx.lambdas[np.argmin(inside)]:.6g} "
+                                "lies outside the function domain")
+    vals = f.stem.values(ctx.lambdas)
+    vals[:, :, components:] = 0.0
+    return ctx.basis.diagonal(vals[:, 0] + _qmul(_as_qarray(ctx.iota), vals[:, 1]))
 
 
 def intrinsic_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
@@ -389,7 +380,9 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     The kernel at s is -Delta_s(T)^(-1) (T - L_conj(s)); each node
     contributes kernel composed with L_c1, c1 = w f(s), w the quadrature
     weight R e^{iota theta} / nodes. Since q -> L_q is multiplicative, that
-    term is -Delta_s(T)^(-1) (T L_c1 - L_c2) with c2 = conj(s) c1.
+    term is -Delta_s(T)^(-1) (T L_c1 - L_c2) with c2 = conj(s) c1. The stem
+    is read at every node in one call, at (alpha, |beta|) for
+    s = alpha + iota beta, with f(s) = F1 + sign(beta) iota F2.
 
     The route is independent of the eigendecomposition in the context: it
     reads only T, ||T|| and the basis inducing L. It takes one complex
@@ -405,11 +398,29 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     tnorm = ctx.tnorm
     if radius is None:
         radius = 1.25 * tnorm + 1.0
+    if not math.isfinite(radius):
+        raise PreconditionError(f"radius {radius} is not finite")
     if radius <= tnorm:
         raise PreconditionError(
             f"radius {radius:.6g} does not enclose the spectrum (||T|| = {tnorm:.6g})")
     if nodes < 16:
         raise PreconditionError("at least 16 quadrature nodes are required")
+    # nodes s = alpha + iota beta as a (nodes, 4) array; weights w = s / nodes
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    alpha, beta = radius * np.cos(theta), radius * np.sin(theta)
+    folded = np.abs(beta)
+    inside = f.stem.accepts(alpha, folded)
+    if not inside.all():
+        raise PreconditionError(
+            f"quadrature node {np.argmin(inside)} lies outside the function domain")
+    iota = _as_qarray(ctx.iota)
+    s = np.outer(beta, iota)
+    s[:, 0] = alpha
+    vals = f.stem.values(alpha + 1j * folded)
+    c1 = _qmul(s / nodes, vals[:, 0] + _qmul(np.outer(np.sign(beta), iota), vals[:, 1]))
+    c2 = _qmul(_qconj(s), c1)
+    # c = z1 + z2 j with z1, z2 in C
+    coefs = np.concatenate([c1.view(complex), c2.view(complex)], axis=1).tolist()
     n = ctx.n
     try:
         tri, u = scipy.linalg.schur(chi_embed(ctx.t), output="complex")
@@ -425,16 +436,8 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     delta = np.empty_like(tri, order="F")
     rhs = np.empty_like(tri, order="F")
     acc = np.zeros_like(tri)
-    for m in range(nodes):
-        theta = 2.0 * math.pi * m / nodes
-        ct, st = math.cos(theta), math.sin(theta)
-        s_quat = Quaternion(radius * ct) + ctx.iota * (radius * st)
-        weight = Quaternion(radius / nodes * ct) + ctx.iota * (radius / nodes * st)
-        c1 = weight * f.eval(s_quat)
-        c2 = s_quat.conjugate() * c1
-        a1, b1 = complex(c1.a, c1.b), complex(c1.c, c1.d)
-        a2, b2 = complex(c2.a, c2.b), complex(c2.c, c2.d)
-        np.multiply(tri, -2.0 * s_quat.a, out=delta)
+    for m, (a1, b1, a2, b2) in enumerate(coefs):
+        np.multiply(tri, -2.0 * alpha[m], out=delta)
         delta += shifted
         rhs[:, :n] = a1 * sp - b1.conjugate() * sq - a2 * p + b2.conjugate() * q
         rhs[:, n:] = b1 * sp + a1.conjugate() * sq - b2 * p - a2.conjugate() * q

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,8 +66,14 @@ def _load_function(spec: str) -> SliceFunction:
     data = _load_json(spec)
     try:
         return SliceFunction.from_json(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"malformed function JSON in {spec}: {exc}") from exc
+
+
+def _finite(option: str, *values: float | None) -> None:
+    for value in values:
+        if value is not None and not math.isfinite(value):
+            raise _InputError(f"{option} must be finite, got {value}")
 
 
 def _emit(data) -> None:
@@ -134,6 +141,7 @@ _MODES = {
 
 
 def _cmd_apply(args) -> int:
+    _finite("--radius", args.radius)
     t = _load_matrix(args.input)
     f = _load_function(args.fn)
     ctx = build_context(t)
@@ -146,6 +154,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_resolvent(args) -> int:
+    _finite("--tol", args.tol)
     t = _load_matrix(args.input)
     try:
         comps = [float(x) for x in args.q.split(",")]
@@ -153,6 +162,7 @@ def _cmd_resolvent(args) -> int:
             raise ValueError("expected four components")
     except ValueError as exc:
         raise _InputError(f"malformed quaternion {args.q!r}: {exc}") from exc
+    _finite("--q", *comps)
     result = resolvent_series(t, Quaternion(*comps), args.tol)
     _emit(result.to_json())
     return EXIT_OK

@@ -14,7 +14,7 @@ Main contents:
 - `sqrt_positive` - square root of a positive operator
 - `polar_decompose` - M = W P with P = |M|, W isometric on Ker(P)^perp
 - `split_plus_minus` - the splitting H = H+ (+) H- attached to (J, iota)
-- `LeftMultiplication`, `left_mult_from_basis` - basis-induced left scalar
+- `LeftMultiplication` - basis-induced left scalar
   multiplication L_q u = sum_z z q <z|u>, and the diagonal sandwich
   Z diag(q_m) Z* on the basis columns Z
 - `extend_complex_operator` - unique right-H-linear, J-commuting extension of
@@ -289,15 +289,6 @@ class QMatrix:
         return f"QMatrix(n={self.n})"
 
 
-def qmat_mul(m: QMatrix, n: QMatrix) -> QMatrix:
-    """Operator composition, computed from the quaternion multiplication table."""
-    return m @ n
-
-
-def qmat_adjoint(m: QMatrix) -> QMatrix:
-    return m.adjoint()
-
-
 # -- complex adjoint representation -------------------------------------------
 
 
@@ -482,10 +473,6 @@ class LeftMultiplication:
 
     def apply(self, q: Quaternion, u: QVector) -> QVector:
         return self.matrix(q) @ u
-
-
-def left_mult_from_basis(basis: LeftMultiplication, q: Quaternion) -> QMatrix:
-    return basis.matrix(q)
 
 
 def extend_complex_operator(s: np.ndarray, basis: LeftMultiplication,

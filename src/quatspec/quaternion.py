@@ -5,9 +5,8 @@ This module contains:
 - `Quaternion` - an element a + b*i + c*j + d*k of the real quaternion algebra
 - `SpherePoint` - a unit imaginary quaternion (a square root of -1)
 - `ComplexifiedQuaternion` - an element q + I*p of H(x)C with central I, I^2 = -1
-- `quat_mul(p, q)` - quaternion product
 - `sphere_decompose(q)` - split q = alpha + iota*beta with beta >= 0
-- `hc_mul`, `hc_star`, `hc_norm` - product, involution and C*-norm on H(x)C
+- `_cstar_norm` - the C*-norm on H(x)C, on floats or on arrays of elements
 - `sphere_grid(count)` - deterministic quasi-uniform sample of S
 - `random_sphere_point(rng)` - uniform random element of S
 """
@@ -183,16 +182,27 @@ class SpherePoint(Quaternion):
         return cls(q.b, q.c, q.d)
 
 
+def _cstar_norm(q, p):
+    """C*-norm (|q|^2 + |p|^2 + 2|Im(p conj(q))|)^(1/2) of q + I*p in H(x)C.
+
+    q and p are the four components of each part: floats, or arrays of one
+    shape for many elements at once.
+    """
+    qa, qb, qc, qd = q
+    pa, pb, pc, pd = p
+    # Im(p conj(q)) = qa Im(p) - pa Im(q) - Im(p) x Im(q)
+    vb = qa * pb - pa * qb - (pc * qd - pd * qc)
+    vc = qa * pc - pa * qc - (pd * qb - pb * qd)
+    vd = qa * pd - pa * qd - (pb * qc - pc * qb)
+    return np.sqrt(qa * qa + qb * qb + qc * qc + qd * qd + pa * pa + pb * pb
+                   + pc * pc + pd * pd + 2.0 * np.sqrt(vb * vb + vc * vc + vd * vd))
+
+
 ZERO = Quaternion()
 ONE = Quaternion(1.0)
 I = SpherePoint(1.0, 0.0, 0.0)
 J = SpherePoint(0.0, 1.0, 0.0)
 K = SpherePoint(0.0, 0.0, 1.0)
-
-
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Product in H, per the multiplication table ij = -ji = k (cyclic)."""
-    return _coerce(p) * _coerce(q)
 
 
 def sphere_decompose(q: Quaternion) -> tuple[float, float, SpherePoint | None]:
@@ -246,12 +256,8 @@ class ComplexifiedQuaternion:
         return ComplexifiedQuaternion(self.q, -self.p)
 
     def norm(self) -> float:
-        """C*-norm (|q|^2 + |p|^2 + 2|Im(p conj(q))|)^(1/2).
-
-        Equals sup over iota in S of |q + iota*p|.
-        """
-        v = self.p * self.q.conjugate()
-        return math.sqrt(self.q.norm() ** 2 + self.p.norm() ** 2 + 2.0 * v.im_norm())
+        """C*-norm; equals sup over iota in S of |q + iota*p|."""
+        return float(_cstar_norm(self.q.components(), self.p.components()))
 
     def isclose(self, other: "ComplexifiedQuaternion", tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol
@@ -262,18 +268,6 @@ class ComplexifiedQuaternion:
     @classmethod
     def from_json(cls, data) -> "ComplexifiedQuaternion":
         return cls(Quaternion.from_json(data["q"]), Quaternion.from_json(data["p"]))
-
-
-def hc_mul(w: ComplexifiedQuaternion, y: ComplexifiedQuaternion) -> ComplexifiedQuaternion:
-    return w * y
-
-
-def hc_star(w: ComplexifiedQuaternion) -> ComplexifiedQuaternion:
-    return w.star()
-
-
-def hc_norm(w: ComplexifiedQuaternion) -> float:
-    return w.norm()
 
 
 def sphere_grid(count: int) -> np.ndarray:

@@ -6,13 +6,17 @@ in Im(z); it induces the slice function f(alpha + iota*beta) =
 F1(alpha + i beta) + iota F2(alpha + i beta). The slice product is the product
 of stems in H(x)C, which differs from the pointwise product in general.
 
+A stem has one evaluator, `StemFunction.values(zs)`: the components of F1 and
+F2 at m points as one (m, 2, 4) array. Every calculus, the sup norm and the
+class tests read F through it; `StemFunction.eval` is `values` of one point.
+
 Contents:
 
 - `CircularSet` - finite set of upper-half-plane representatives (alpha, beta)
 - `cluster_points` - the greedy point merge behind every spectrum clustering
-- `StemFunction` - polynomial / builtin / tabulated stem with its domain
+- `StemFunction` - poly / builtin / tabulated / derived stem with its domain
 - `SliceFunction` - the induced function, with evaluation and classification
-- `slice_eval`, `slice_product`, `slice_star`, `classify_slice`,
+- `slice_product`, `slice_star`, `classify_slice`,
   `decompose_components`, `sup_norm`
 - predicates `is_intrinsic`, `is_circular`, `is_cslice`
 """
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .quaternion import (ComplexifiedQuaternion, Quaternion, SpherePoint,
+from .qmatrix import _qconj, _qmul
+from .quaternion import (Quaternion, SpherePoint, _cstar_norm,
                          sphere_decompose)
 
 MERGE_TOL = 1e-8  # default merge tolerance, matched to eigensolver accuracy
@@ -59,14 +64,14 @@ class CircularSet:
     def as_complex(self) -> np.ndarray:
         return self.reps[:, 0] + 1j * self.reps[:, 1]
 
-    def distance(self, alpha: float, beta: float) -> float:
-        """Distance from the folded point (alpha, |beta|) to the set."""
-        if self.size == 0:
-            return math.inf
-        d = np.hypot(self.reps[:, 0] - alpha, self.reps[:, 1] - abs(beta))
-        return float(d.min())
+    def distance(self, alpha, beta) -> np.ndarray:
+        """Distance from each folded point (alpha, |beta|) to the set;
+        alpha and beta are scalars or arrays of one shape."""
+        d = np.hypot(self.reps[:, 0] - np.expand_dims(alpha, -1),
+                     self.reps[:, 1] - np.abs(np.expand_dims(beta, -1)))
+        return d.min(axis=-1, initial=math.inf)
 
-    def contains(self, alpha: float, beta: float, tol: float | None = None) -> bool:
+    def contains(self, alpha, beta, tol: float | None = None) -> np.ndarray:
         return self.distance(alpha, beta) <= (DOMAIN_TOL if tol is None else tol)
 
     def matches(self, other: "CircularSet", tol: float = MERGE_TOL) -> bool:
@@ -118,39 +123,33 @@ def one_sided_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     """sup over a of the distance to b (0 if a is empty, inf if only b is)."""
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
-    if a.size == 0:
-        return 0.0
-    if b.size == 0:
-        return math.inf
     d = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
-    return float(d.min(axis=1).max())
+    return float(d.min(axis=1, initial=math.inf).max(initial=0.0))
 
 
 # -- stems --------------------------------------------------------------------
 
 _POLY_SYM_TOL = 1e-12
 
-# builtin stems: name -> (F1(alpha, beta), F2(alpha, beta), domain predicate)
-# All builtins have real-valued components, hence induce intrinsic functions.
+# builtin stems: name -> (F1(alpha, beta), F2(alpha, beta), domain predicate),
+# each evaluated on arrays. All builtins have real-valued components, hence
+# induce intrinsic functions.
 _BUILTINS = {
     "id": (lambda a, b: a, lambda a, b: b, None),
     "conj": (lambda a, b: a, lambda a, b: -b, None),
     "re": (lambda a, b: a, lambda a, b: 0.0, None),
-    "im": (lambda a, b: abs(b), lambda a, b: 0.0, None),
+    "im": (lambda a, b: np.abs(b), lambda a, b: 0.0, None),
     "square": (lambda a, b: a * a - b * b, lambda a, b: 2.0 * a * b, None),
-    "exp": (lambda a, b: math.exp(a) * math.cos(b),
-            lambda a, b: math.exp(a) * math.sin(b), None),
-    "sqrt": (lambda a, b: math.sqrt(max(a, 0.0)), lambda a, b: 0.0,
-             lambda a, b, tol: abs(b) <= tol and a >= -tol),
+    "exp": (lambda a, b: np.exp(a) * np.cos(b),
+            lambda a, b: np.exp(a) * np.sin(b), None),
+    "sqrt": (lambda a, b: np.sqrt(np.maximum(a, 0.0)), lambda a, b: 0.0,
+             lambda a, b, tol: (np.abs(b) <= tol) & (a >= -tol)),
     "one": (lambda a, b: 1.0, lambda a, b: 0.0, None),
 }
 
 # builtins whose star is again a named builtin
 _BUILTIN_STAR = {"id": "conj", "conj": "id", "re": "re", "im": "im",
                  "sqrt": "sqrt", "one": "one"}
-
-# F2 identically zero (circular) builtins
-_BUILTIN_CIRCULAR = {"re", "im", "sqrt", "one"}
 
 
 def _as_quat_coef(c) -> Quaternion:
@@ -162,12 +161,16 @@ def _as_quat_coef(c) -> Quaternion:
 
 
 def _symmetrize(terms, odd: bool) -> dict[tuple[int, int], Quaternion]:
-    """Keep the monomials of the required Y-parity; reject if that changes
-    the polynomial beyond the 1e-12 structural tolerance."""
+    """Keep the monomials of the required Y-parity; reject non-finite
+    coefficients, and reject if dropping the other parity changes the
+    polynomial beyond the 1e-12 structural tolerance."""
     coefs: dict[tuple[int, int], Quaternion] = {}
     for h, k, c in terms:
         key = (int(h), int(k))
         q = _as_quat_coef(c)
+        if not np.isfinite(q.components()).all():
+            raise PreconditionError(
+                f"monomial X^{h} Y^{k} has a non-finite coefficient {q.to_json()}")
         coefs[key] = coefs.get(key, Quaternion()) + q
     scale = max([q.norm() for q in coefs.values()], default=0.0)
     kept: dict[tuple[int, int], Quaternion] = {}
@@ -181,20 +184,15 @@ def _symmetrize(terms, odd: bool) -> dict[tuple[int, int], Quaternion]:
     return kept
 
 
-def _poly_eval(coefs: dict[tuple[int, int], Quaternion], a: float, b: float) -> Quaternion:
-    out = Quaternion()
-    for (h, k), q in coefs.items():
-        out = out + q * (a ** h * b ** k)
-    return out
-
-
 class StemFunction:
     """Map z -> (F1(z), F2(z)) with the even/odd pair symmetry.
 
     kind is one of "poly" (sparse quaternion-coefficient monomials in the real
-    variables X = Re z, Y = Im z), "builtin" (named evaluator) or "tabulated"
-    (opaque callable, validated by sampling conjugate pairs). Evaluators must
-    be pure; instances are immutable and safe to share.
+    variables X = Re z, Y = Im z), "builtin" (named evaluator), "tabulated"
+    (opaque callable of one point, validated by sampling conjugate pairs) or
+    "derived" (`fn` maps the points to their (m, 2, 4) values, computed from
+    the values of other stems). Evaluators must be pure; instances are
+    immutable and safe to share.
     """
 
     __slots__ = ("kind", "q1", "q2", "name", "fn", "domain")
@@ -234,38 +232,60 @@ class StemFunction:
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval(self, z: complex) -> tuple[Quaternion, Quaternion]:
-        a, b = float(z.real), float(z.imag)
+    def values(self, zs) -> np.ndarray:
+        """(m, 2, 4) array: row m holds the quaternion components of F1 and
+        F2 at the m-th of the points zs (complex, any shape)."""
+        zs = np.asarray(zs, dtype=complex).reshape(-1)
+        if self.kind == "derived":
+            return self.fn(zs)
+        a, b = zs.real, zs.imag
+        out = np.zeros((zs.size, 2, 4))
         if self.kind == "poly":
-            return _poly_eval(self.q1, a, b), _poly_eval(self.q2, a, b)
-        if self.kind == "builtin":
+            for part, coefs in ((0, self.q1), (1, self.q2)):
+                for (h, k), q in coefs.items():
+                    out[:, part] += np.outer(a ** h * b ** k, q.components())
+        elif self.kind == "builtin":
             f1, f2, _ = _BUILTINS[self.name]
-            return Quaternion(f1(a, b)), Quaternion(f2(a, b))
-        v1, v2 = self.fn(complex(a, b))
-        return _as_quat_coef(v1), _as_quat_coef(v2)
+            out[:, 0, 0] = f1(a, b)
+            out[:, 1, 0] = f2(a, b)
+        else:
+            for m, z in enumerate(zs.tolist()):
+                v1, v2 = self.fn(z)
+                out[m] = _as_quat_coef(v1).components(), _as_quat_coef(v2).components()
+        return out
 
-    def accepts(self, alpha: float, beta: float, tol: float = DOMAIN_TOL) -> bool:
-        if self.kind == "builtin":
-            pred = _BUILTINS[self.name][2]
-            if pred is not None and not pred(alpha, beta, tol):
-                return False
+    def eval(self, z: complex) -> tuple[Quaternion, Quaternion]:
+        (v1, v2), = self.values(z)
+        return Quaternion(*v1), Quaternion(*v2)
+
+    def accepts(self, alpha, beta, tol: float = DOMAIN_TOL) -> np.ndarray:
+        """Mask of the points (alpha, beta), scalars or arrays of one shape,
+        that lie in the domain."""
+        ok = np.ones(np.broadcast(alpha, beta).shape, dtype=bool)
+        pred = _BUILTINS[self.name][2] if self.kind == "builtin" else None
+        if pred is not None:
+            ok &= pred(alpha, beta, tol)
         if self.domain is not None:
-            return self.domain.contains(alpha, beta, tol)
-        return True
+            ok &= self.domain.contains(alpha, beta, tol)
+        return ok
 
-    def _sample_zs(self) -> list[complex]:
+    def _sample_zs(self) -> np.ndarray:
+        """The domain points, else 64 points with beta > 0 (classification
+        pairs them with their conjugates) and four real points."""
         if self.domain is not None and self.domain.size:
-            return [complex(a, b) for a, b in self.domain.points()]
-        return _default_grid()
+            return self.domain.as_complex()
+        grid = np.linspace(-1.5, 1.5, 8)[:, None] + 1j * np.linspace(0.15, 1.6, 8)
+        return np.concatenate([grid.ravel(), [-1.0, -0.25, 0.5, 1.25]])
 
     def _validate_symmetry(self, tol: float = 1e-10) -> None:
-        for z in self._sample_zs():
-            f1p, f2p = self.eval(z)
-            f1m, f2m = self.eval(z.conjugate())
-            scale = max(1.0, f1p.norm(), f2p.norm())
-            if (f1p - f1m).norm() > tol * scale or (f2p + f2m).norm() > tol * scale:
-                raise PreconditionError(
-                    f"stem components are not an even/odd pair at z = {z}")
+        zs = self._sample_zs()
+        plus, minus = self.values(zs), self.values(zs.conj())
+        scale = tol * np.maximum(1.0, np.linalg.norm(plus, axis=2).max(axis=1))
+        bad = ((np.linalg.norm(plus[:, 0] - minus[:, 0], axis=1) > scale)
+               | (np.linalg.norm(plus[:, 1] + minus[:, 1], axis=1) > scale))
+        if bad.any():
+            raise PreconditionError(
+                f"stem components are not an even/odd pair at z = {zs[np.argmax(bad)]}")
 
     # -- serialization ------------------------------------------------------------
 
@@ -279,7 +299,7 @@ class StemFunction:
         elif self.kind == "builtin":
             out = {"kind": "builtin", "name": self.name}
         else:
-            raise PreconditionError("tabulated stems cannot be serialized")
+            raise PreconditionError(f"{self.kind} stems cannot be serialized")
         if self.domain is not None:
             out["domain"] = self.domain.to_json()
         return out
@@ -294,16 +314,6 @@ class StemFunction:
         if data["kind"] == "builtin":
             return cls.builtin(data["name"], domain=domain)
         raise PreconditionError(f"unknown stem kind {data['kind']!r}")
-
-
-def _default_grid() -> list[complex]:
-    """64 sample points with beta > 0 (classification pairs them with their
-    conjugates) plus a few real points."""
-    alphas = np.linspace(-1.5, 1.5, 8)
-    betas = np.linspace(0.15, 1.6, 8)
-    zs = [complex(a, b) for a in alphas for b in betas]
-    zs += [complex(a, 0.0) for a in (-1.0, -0.25, 0.5, 1.25)]
-    return zs
 
 
 # -- slice class tags -------------------------------------------------------------
@@ -396,10 +406,6 @@ class SliceFunction:
         return cls(StemFunction.from_json(data))
 
 
-def slice_eval(f: SliceFunction, q: Quaternion) -> Quaternion:
-    return f.eval(q)
-
-
 def _merged_domain(f: SliceFunction, g: SliceFunction) -> CircularSet | None:
     a, b = f.domain, g.domain
     if a is None:
@@ -430,12 +436,12 @@ def slice_product(f: SliceFunction, g: SliceFunction) -> SliceFunction:
         q2 = _poly_mul(fs.q1, gs.q2) + _poly_mul(fs.q2, gs.q1)
         return SliceFunction(StemFunction.polynomial(q1, q2, domain))
 
-    def stem_fn(z: complex):
-        f1, f2 = fs.eval(z)
-        g1, g2 = gs.eval(z)
-        return f1 * g1 - f2 * g2, f1 * g2 + f2 * g1
+    def stem_fn(zs):
+        f, g = fs.values(zs), gs.values(zs)
+        return np.stack([_qmul(f[:, 0], g[:, 0]) - _qmul(f[:, 1], g[:, 1]),
+                         _qmul(f[:, 0], g[:, 1]) + _qmul(f[:, 1], g[:, 0])], axis=1)
 
-    return SliceFunction(StemFunction.tabulated(stem_fn, domain, validate=False))
+    return SliceFunction(StemFunction("derived", fn=stem_fn, domain=domain))
 
 
 def slice_add(f: SliceFunction, g: SliceFunction) -> SliceFunction:
@@ -449,12 +455,8 @@ def slice_add(f: SliceFunction, g: SliceFunction) -> SliceFunction:
              [(h, k, c) for (h, k), c in gs.q2.items()]
         return SliceFunction(StemFunction.polynomial(q1, q2, domain))
 
-    def stem_fn(z: complex):
-        f1, f2 = fs.eval(z)
-        g1, g2 = gs.eval(z)
-        return f1 + g1, f2 + g2
-
-    return SliceFunction(StemFunction.tabulated(stem_fn, domain, validate=False))
+    return SliceFunction(StemFunction(
+        "derived", fn=lambda zs: fs.values(zs) + gs.values(zs), domain=domain))
 
 
 def slice_star(f: SliceFunction) -> SliceFunction:
@@ -467,51 +469,52 @@ def slice_star(f: SliceFunction) -> SliceFunction:
     if fs.kind == "builtin" and fs.name in _BUILTIN_STAR:
         return SliceFunction(StemFunction.builtin(_BUILTIN_STAR[fs.name], fs.domain))
 
-    def stem_fn(z: complex):
-        f1, f2 = fs.eval(z)
-        return f1.conjugate(), -f2.conjugate()
-
-    return SliceFunction(StemFunction.tabulated(stem_fn, fs.domain, validate=False))
+    return SliceFunction(StemFunction(
+        "derived", fn=lambda zs: _qconj(fs.values(zs)) * [[1.0], [-1.0]], domain=fs.domain))
 
 
 # -- classification ---------------------------------------------------------------
 
 
-def _sampled_values(f: SliceFunction) -> list[Quaternion]:
-    vals: list[Quaternion] = []
-    for z in f.stem._sample_zs():
-        f1, f2 = f.stem.eval(z)
-        vals.extend((f1, f2))
-    return vals
+def _class_values(f: SliceFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 4) arrays of F1 and F2 values that decide the class of f: the
+    coefficients of a polynomial stem (which decide it exactly), else the
+    values on the stem's sample points."""
+    fs = f.stem
+    if fs.kind == "poly":
+        return tuple(np.array([q.components() for q in coefs.values()]).reshape(-1, 4)
+                     for coefs in (fs.q1, fs.q2))
+    vals = fs.values(fs._sample_zs())
+    return vals[:, 0], vals[:, 1]
+
+
+def _within(resid: np.ndarray, values: np.ndarray, tol: float) -> bool:
+    """Every row of resid is below tol relative to max(1, |its value|)."""
+    scale = np.maximum(1.0, np.linalg.norm(values, axis=-1))
+    return bool((np.linalg.norm(resid, axis=-1) <= tol * scale).all())
 
 
 def is_intrinsic(f: SliceFunction, tol: float = 1e-9) -> bool:
     """F1 and F2 real-valued; equivalently f(conj q) = conj(f(q))."""
-    if f.stem.kind == "builtin":
-        return True
-    return all(v.im_norm() <= tol * max(1.0, v.norm()) for v in _sampled_values(f))
+    vals = np.concatenate(_class_values(f))
+    return _within(vals[:, 1:], vals, tol)
 
 
 def is_circular(f: SliceFunction, tol: float = 1e-9) -> bool:
-    """F2 identically zero; equivalently f(conj q) = f(q)."""
-    fs = f.stem
-    if fs.kind == "builtin":
-        return fs.name in _BUILTIN_CIRCULAR
-    if fs.kind == "poly":
-        return all(c.norm() <= tol for c in fs.q2.values())
-    return all(fs.eval(z)[1].norm() <= tol * max(1.0, fs.eval(z)[0].norm())
-               for z in fs._sample_zs())
+    """F2 identically zero; equivalently f(conj q) = f(q). Coefficients are
+    tested against tol, sampled values against tol * max(1, |F1|)."""
+    f1, f2 = _class_values(f)
+    if f.stem.kind == "poly":
+        return bool((np.linalg.norm(f2, axis=1) <= tol).all())
+    return _within(f2, f1, tol)
 
 
 def is_cslice(f: SliceFunction, iota: SpherePoint, tol: float = 1e-9) -> bool:
     """F1 and F2 take values in the slice C_iota."""
+    vals = np.concatenate(_class_values(f))
     axis = np.array([iota.b, iota.c, iota.d])
-    for v in _sampled_values(f):
-        im = np.array([v.b, v.c, v.d])
-        resid = im - axis * float(np.dot(axis, im))
-        if np.linalg.norm(resid) > tol * max(1.0, v.norm()):
-            return False
-    return True
+    ims = vals[:, 1:]
+    return _within(ims - np.outer(ims @ axis, axis), vals, tol)
 
 
 def classify_slice(f: SliceFunction, tol: float = 1e-9) -> SliceClass:
@@ -523,11 +526,9 @@ def classify_slice(f: SliceFunction, tol: float = 1e-9) -> SliceClass:
         return INTRINSIC
     if is_circular(f, tol):
         return CIRCULAR
-    ims = np.array([[v.b, v.c, v.d] for v in _sampled_values(f)])
-    norms = np.linalg.norm(ims, axis=1)
-    lead = ims[int(np.argmax(norms))]
-    axis = lead / np.linalg.norm(lead)
-    iota = SpherePoint(*axis)
+    ims = np.concatenate(_class_values(f))[:, 1:]
+    lead = ims[int(np.argmax(np.linalg.norm(ims, axis=1)))]
+    iota = SpherePoint(*lead / np.linalg.norm(lead))
     if is_cslice(f, iota, tol):
         return SliceClass("cslice", iota)
     return GENERAL
@@ -560,10 +561,11 @@ def decompose_components(f: SliceFunction, iota: SpherePoint, kappa: SpherePoint
         return tuple(comps)
 
     def component(ell: int):
-        def stem_fn(z: complex):
-            f1, f2 = fs.eval(z)
-            return Quaternion(coords(f1)[ell]), Quaternion(coords(f2)[ell])
-        return SliceFunction(StemFunction.tabulated(stem_fn, fs.domain, validate=False))
+        def stem_fn(zs):
+            out = np.zeros((zs.size, 2, 4))
+            out[..., 0] = fs.values(zs) @ np.array(basis[ell].components())
+            return out
+        return SliceFunction(StemFunction("derived", fn=stem_fn, domain=fs.domain))
 
     return tuple(component(ell) for ell in range(4))
 
@@ -572,8 +574,5 @@ def sup_norm(f: SliceFunction, points: CircularSet) -> float:
     """Sup norm over the circular set: max over K of the C*-norm of F(z)."""
     if points.size == 0:
         raise PreconditionError("cannot take a sup over an empty set")
-    best = 0.0
-    for a, b in points.points():
-        f1, f2 = f.stem.eval(complex(a, b))
-        best = max(best, ComplexifiedQuaternion(f1, f2).norm())
-    return best
+    vals = f.stem.values(points.as_complex())
+    return float(_cstar_norm(vals[:, 0].T, vals[:, 1].T).max())

@@ -133,10 +133,15 @@ def resolvent_series(t: QMatrix, q: Quaternion, tol: float,
     """Inverse of Delta_q(T) by the series sum_n T^n a_n with real
     coefficients a_n = |q|^(-2n-2) sum_h q^h conj(q)^(n-h).
 
-    Requires |q| > ||T|| strictly (1e-6 relative margin). The partial sum is
-    extended until the tail is small enough that the returned R satisfies
-    Delta_q(T) R = R Delta_q(T) = I within 10*tol.
+    Requires a finite q with |q| > ||T|| strictly (1e-6 relative margin) and
+    a finite tol > 0. The partial sum is extended until the tail is small
+    enough that the returned R satisfies Delta_q(T) R = R Delta_q(T) = I
+    within 10*tol.
     """
+    if not np.isfinite(q.components()).all():
+        raise PreconditionError(f"q = {q} is not finite")
+    if not (np.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tol = {tol} is not a finite positive number")
     tnorm = op_norm(t)
     modq = q.norm()
     if modq <= tnorm * (1.0 + 1e-6):

@@ -200,7 +200,8 @@ def _verify_slice_algebra(report: VerificationReport, rng: np.random.Generator) 
 def verify_spectral(report: VerificationReport, t: QMatrix,
                     rng: np.random.Generator,
                     truth_reps: np.ndarray | None = None) -> None:
-    scale = max(1.0, op_norm(t))
+    tnorm = op_norm(t)
+    scale = max(1.0, tnorm)
     spec = spherical_spectrum(t)
     if truth_reps is not None:
         report.worst("spectrum-ground-truth",
@@ -215,7 +216,6 @@ def verify_spectral(report: VerificationReport, t: QMatrix,
     normal = is_normal(t)
     if normal:
         seq = gelfand_check(t, 5)
-        tnorm = op_norm(t)
         report.worst("gelfand-constant",
                      "||T^(2^k)||^(1/2^k) is constant for normal T",
                      float(np.max(np.abs(seq - tnorm))) / max(1.0, tnorm), 1e-8)
@@ -228,11 +228,11 @@ def verify_spectral(report: VerificationReport, t: QMatrix,
             report.worst(f"spectral-map-power-{n_pow}",
                          "sigma_S(T^n) = sigma_S(T)^n",
                          hausdorff(power_spec.reps, mapped),
-                         1e-7 * max(1.0, op_norm(t)) ** n_pow)
+                         1e-7 * max(1.0, tnorm) ** n_pow)
 
     # resolvent series against the direct inverse
     qv = random_sphere_point(rng) * rng.normal() + Quaternion(rng.normal())
-    qv = qv * (2.0 * max(op_norm(t), 0.5) / qv.norm())
+    qv = qv * (2.0 * max(tnorm, 0.5) / qv.norm())
     res = resolvent_series(t, qv, 1e-10)
     eye = QMatrix.identity(t.n)
     report.worst("resolvent-series", "series sums to the inverse of Delta_q(T)",
@@ -259,14 +259,14 @@ def verify_spectral(report: VerificationReport, t: QMatrix,
         report.worst("spectral-map-polynomial",
                      "sigma_S(P(T)) = P(sigma_S(T)) for real P, T = T*",
                      hausdorff(p_spec.reps, mapped),
-                     1e-7 * (1.0 + op_norm(t)) ** max(1, len(coefs) - 1))
+                     1e-7 * (1.0 + tnorm) ** max(1, len(coefs) - 1))
 
         # a polynomial vanishing on the spectrum annihilates T
         prod = QMatrix.identity(t.n)
         scale_prod = 1.0
         for a, _ in spec.reps:
             prod = prod @ (t - QMatrix.identity(t.n) * float(a))
-            scale_prod *= (op_norm(t) + abs(a) + 1.0)
+            scale_prod *= (tnorm + abs(a) + 1.0)
         report.worst("vanishing-polynomial",
                      "P = 0 on sigma_S(T) implies P(T) = 0",
                      op_norm(prod) / scale_prod, 1e-7)
@@ -338,34 +338,34 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
 
     fi, gi = _random_poly_slice(rng, quaternionic=False), _random_poly_slice(rng, quaternionic=False)
     fti, gti = intrinsic_calculus(ctx, fi), intrinsic_calculus(ctx, gi)
-    hom_scale = max(1.0, op_norm(fti) * op_norm(gti))
+    nfti = op_norm(fti)
+    hom_scale = max(1.0, nfti * op_norm(gti))
     report.worst("intrinsic-homomorphism", "(f g)(T) = f(T) g(T)",
                  (intrinsic_calculus(ctx, slice_product(fi, gi)) - fti @ gti).norm(),
                  1e-8 * hom_scale)
     report.worst("intrinsic-star", "f*(T) = f(T)*",
                  (intrinsic_calculus(ctx, fi.star()) - fti.adjoint()).norm(),
-                 1e-8 * max(1.0, op_norm(fti)))
+                 1e-8 * max(1.0, nfti))
     report.worst("K-transport", "f(T) K = K f*(T)",
                  (fti @ ctx.k - ctx.k @ intrinsic_calculus(ctx, fi.star())).norm(),
-                 1e-8 * max(1.0, op_norm(fti)))
+                 1e-8 * max(1.0, nfti))
 
     # restriction to H+: matrix elements in the eigenbasis are the stem values
     worst = 0.0
-    for m in range(ctx.n):
-        f1, f2 = fi.stem.eval(complex(ctx.lambdas[m]))
-        mu = Quaternion(f1.a) + ctx.iota * f2.a
+    for m, (f1, f2) in enumerate(fi.stem.values(ctx.lambdas)):
+        mu = Quaternion(f1[0]) + ctx.iota * f2[0]
         um = ctx.basis.vector(m)
         worst = max(worst, (um.inner(fti @ um) - mu).norm())
     report.worst("restriction-identity",
                  "f(T) acts on H+ by the complex functional calculus",
-                 worst, 1e-9 * max(1.0, op_norm(fti)))
+                 worst, 1e-9 * max(1.0, nfti))
 
     # C_iota-slice calculus
     report.worst("cslice-constant-J", "constant iota maps to J",
                  (cslice_calculus(ctx, SliceFunction.constant(ctx.iota)) - ctx.j).norm(),
                  1e-12)
     report.worst("cslice-extends-intrinsic", "slice calculus extends the intrinsic one",
-                 (cslice_calculus(ctx, fi) - fti).norm(), 1e-10 * max(1.0, op_norm(fti)))
+                 (cslice_calculus(ctx, fi) - fti).norm(), 1e-10 * max(1.0, nfti))
     f_lin = SliceFunction.builtin("id") + SliceFunction.constant(ctx.iota)
     report.worst("cslice-linearity", "(id + c_iota)(T) = T + J",
                  (cslice_calculus(ctx, f_lin) - (t + ctx.j)).norm(), 1e-10 * scale)
@@ -398,37 +398,39 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
                  1e-10 * max(1.0, qv.norm()))
     fc, gc = _random_circular_poly(rng), _random_circular_poly(rng)
     fct, gct = circular_calculus(ctx, fc), circular_calculus(ctx, gc)
+    nfct = op_norm(fct)
     report.worst("circular-homomorphism", "(f g)(T) = f(T) g(T) for circular f, g",
                  (circular_calculus(ctx, slice_product(fc, gc)) - fct @ gct).norm(),
-                 1e-8 * max(1.0, op_norm(fct) * op_norm(gct)))
+                 1e-8 * max(1.0, nfct * op_norm(gct)))
     report.worst("circular-star", "f*(T) = f(T)* for circular f",
                  (circular_calculus(ctx, fc.star()) - fct.adjoint()).norm(),
-                 1e-8 * max(1.0, op_norm(fct)))
+                 1e-8 * max(1.0, nfct))
     mapped = np.array([fold(fc.eval(Quaternion(a) + ctx.iota * b)) for a, b in upper])
     report.worst("circular-spectral-containment",
                  "sigma_S(f(T)) inside the circularized image",
                  one_sided_hausdorff(spherical_spectrum(fct).reps, mapped),
-                 1e-7 * max(1.0, op_norm(fct)))
+                 1e-7 * max(1.0, nfct))
     nfc = sup_norm(fc, spec_set)
     report.worst("circular-norm-bound", "||f(T)|| <= sup |f| for circular f",
-                 max(0.0, op_norm(fct) - nfc) / max(1.0, nfc), 1e-8)
+                 max(0.0, nfct - nfc) / max(1.0, nfc), 1e-8)
     report.worst("circular-isometry", "||f(T)|| = sup |f| for circular f",
-                 abs(op_norm(fct) - nfc) / max(1.0, nfc), 1e-8, soft=True)
+                 abs(nfct - nfc) / max(1.0, nfc), 1e-8, soft=True)
 
     # general calculus
     fg = _random_poly_slice(rng)
     fgt = general_calculus(ctx, fg)
+    nfgt = op_norm(fgt)
     report.worst("general-right-scalar", "(f q)(T) = f(T) q",
                  (general_calculus(ctx, slice_product(fg, SliceFunction.constant(qv)))
                   - fgt @ ctx.left(qv)).norm(),
-                 1e-9 * max(1.0, op_norm(fgt) * qv.norm()))
+                 1e-9 * max(1.0, nfgt * qv.norm()))
     f0, f1, f2, f3 = decompose_components(fg, ctx.iota, ctx.kappa)
     twisted = f0 + slice_product(f1, SliceFunction.constant(ctx.iota)) \
         + slice_product(f2.star(), SliceFunction.constant(ctx.kappa)) \
         + slice_product(f3.star(), SliceFunction.constant(ctx.iota * ctx.kappa))
     report.worst("general-adjoint-rule", "f(T)* equals the twisted star image",
                  (fgt.adjoint() - general_calculus(ctx, twisted.star())).norm(),
-                 1e-9 * max(1.0, op_norm(fgt)))
+                 1e-9 * max(1.0, nfgt))
 
     # contour realization
     cubic = SliceFunction.polynomial(

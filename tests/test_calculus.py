@@ -683,3 +683,22 @@ def test_eigenvalue_calculi_are_their_component_definitions():
         g0, g1, _, _ = decompose_components(g, ctx.iota, ctx.kappa)
         expect = intrinsic_calculus(ctx, g0) + intrinsic_calculus(ctx, g1) @ ctx.j
         assert (gt - expect).norm() <= 1e-10 * max(1.0, op_norm(gt))
+
+
+def test_contour_rejects_nodes_outside_the_domain():
+    t, _ = random_normal(3, np.random.default_rng(31))
+    ctx = build_context(t)
+    # node 0 is the real point R > 0, where sqrt is defined; node 1 is not real
+    with pytest.raises(PreconditionError, match="quadrature node 1 lies outside"):
+        slice_regular_contour(ctx, SliceFunction.builtin("sqrt"))
+    ranged = SliceFunction.polynomial(SQUARE_Q1, SQUARE_Q2, domain=ctx.spectrum_set())
+    assert (general_calculus(ctx, ranged) - t @ t).norm() <= 1e-9 * max(1.0, ctx.tnorm) ** 2
+    with pytest.raises(PreconditionError, match="quadrature node 0 lies outside"):
+        slice_regular_contour(ctx, ranged)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_contour_rejects_non_finite_radius(radius):
+    ctx = build_context(random_normal(3, np.random.default_rng(32))[0])
+    with pytest.raises(PreconditionError, match="is not finite"):
+        slice_regular_contour(ctx, SliceFunction.builtin("square"), radius=radius)

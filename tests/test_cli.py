@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -177,3 +178,34 @@ def test_matrix_json_roundtrip_bit_identical(normal_file):
     text2 = json.dumps(second.to_json())
     assert text1 == text2
     assert (first - second).frobenius() == 0.0
+
+
+@pytest.mark.parametrize("coef", [[math.nan, 0, 0, 0], [0, math.inf, 0, 0], [1, 0, 0], "abcd"])
+def test_exit_code_malformed_function(normal_file, tmp_path, capsys, coef):
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"kind": "poly", "Q1": [[0, 0, coef]], "Q2": []}))
+    assert main(["apply", "--input", normal_file, "--fn", str(fn)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed function JSON" in err
+    assert "Traceback" not in err
+    if len(coef) == 4 and coef != "abcd":
+        assert "X^0 Y^0 has a non-finite coefficient" in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["apply", "--fn", "builtin:square", "--mode", "contour", "--radius", "nan"], "nan"),
+    (["apply", "--fn", "builtin:square", "--mode", "contour", "--radius", "inf"], "inf"),
+    (["resolvent", "--q", "nan,0,0,0"], "nan"),
+    (["resolvent", "--q", "0,2,0,0", "--tol", "nan"], "nan"),
+])
+def test_exit_code_non_finite_argument(matrix_file, capsys, argv, value):
+    assert main([argv[0], "--input", matrix_file, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert f"must be finite, got {value}" in err
+    assert "Traceback" not in err
+
+
+def test_exit_code_contour_outside_domain(normal_file, capsys):
+    assert main(["apply", "--input", normal_file, "--fn", "builtin:sqrt",
+                 "--mode", "contour"]) == 3
+    assert "quadrature node 1 lies outside the function domain" in capsys.readouterr().err

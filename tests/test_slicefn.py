@@ -1,17 +1,19 @@
 """Tests for circular sets, stem functions and the slice-function algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
 from quatspec.errors import PreconditionError
-from quatspec.quaternion import (I, J, K, ONE, Quaternion,
+from quatspec.quaternion import (I, J, K, ONE, Quaternion, SpherePoint,
                                  random_sphere_point)
 from quatspec.slicefn import (CircularSet, SliceFunction, StemFunction,
                               classify_slice, cluster_points,
                               decompose_components, hausdorff,
                               is_circular, is_cslice, is_intrinsic,
-                              one_sided_hausdorff, slice_add, slice_eval,
-                              slice_product, slice_star, sup_norm)
+                              one_sided_hausdorff, slice_add, slice_product,
+                              slice_star, sup_norm)
 
 RNG = np.random.default_rng(77)
 
@@ -144,10 +146,10 @@ def test_stem_json_roundtrip():
 def test_slice_eval_examples():
     fid = SliceFunction.builtin("id")
     q = Quaternion(0.5, 1, -1, 2)
-    assert slice_eval(fid, q).isclose(q, 1e-13)
+    assert fid.eval(q).isclose(q, 1e-13)
     # square at j equals quaternion multiplication j*j = -1
     fsq = SliceFunction.builtin("square")
-    assert slice_eval(fsq, J).isclose(Quaternion(-1))
+    assert fsq.eval(J).isclose(Quaternion(-1))
     assert (fsq.eval(q) - q * q).norm() <= 1e-12
     # constants
     p = random_quat()
@@ -357,3 +359,186 @@ def test_sup_norm_is_sup_of_values():
         worst = max(worst, f.eval(Quaternion(0.5) + iota * 1.0).norm())
     assert worst <= bound + 1e-12
     assert bound - worst <= 1e-2 * max(1.0, bound)
+
+
+# -- the array evaluator ----------------------------------------------------------------
+
+# points above, below and on the real axis
+EVAL_POINTS = np.array([0.3 + 0.7j, -1.2 - 0.4j, 2.0 + 0.0j, -0.5 + 0.0j, 0.0 + 1.5j,
+                        1.1 - 2.2j, 0.0 + 0.0j])
+
+
+def tabulated_stems():
+    """Tabulated stems with one of each class (F1 even, F2 odd in Im z)."""
+    q = Quaternion(0.4, -1.0, 0.3, 0.8)
+    return {
+        "intrinsic": SliceFunction.tabulated(
+            lambda z: (Quaternion(z.real ** 2 - z.imag ** 2), Quaternion(2 * z.real * z.imag))),
+        "cslice": SliceFunction.tabulated(
+            lambda z: (Quaternion(z.real) + J * z.imag ** 2, Quaternion(z.imag))),
+        "circular": SliceFunction.tabulated(
+            lambda z: (q * (z.real + z.imag ** 2), Quaternion())),
+        "general": SliceFunction.tabulated(
+            lambda z: (Quaternion(1, 1, 0, 0) * z.real, Quaternion(0, 0, 1, 1) * z.imag)),
+    }
+
+
+def test_values_rows_are_the_scalar_eval():
+    rng = np.random.default_rng(101)
+    coef = lambda: Quaternion(*rng.normal(size=4))
+    poly = SliceFunction.polynomial([(0, 0, coef()), (2, 0, coef()), (1, 2, coef())],
+                                    [(0, 1, coef()), (3, 1, coef())])
+    tab = tabulated_stems()["general"]
+    stems = [SliceFunction.builtin(name).stem
+             for name in ("id", "conj", "re", "im", "square", "exp", "sqrt", "one")]
+    stems += [poly.stem, tab.stem, slice_product(tab, poly).stem,
+              slice_add(poly, tab).stem, slice_star(tab).stem,
+              *(c.stem for c in decompose_components(tab, I, J))]
+    for stem in stems:
+        vals = stem.values(EVAL_POINTS)
+        assert vals.shape == (len(EVAL_POINTS), 2, 4)
+        for row, z in zip(vals, EVAL_POINTS):
+            f1, f2 = stem.eval(z)
+            np.testing.assert_allclose(row, [f1.components(), f2.components()],
+                                       rtol=1e-15, atol=1e-15)
+    # the polynomial against its monomial sum in quaternion arithmetic
+    for row, z in zip(poly.stem.values(EVAL_POINTS), EVAL_POINTS):
+        for part, coefs in zip(row, (poly.stem.q1, poly.stem.q2)):
+            expect = Quaternion()
+            for (h, k), c in coefs.items():
+                expect = expect + c * (z.real ** h * z.imag ** k)
+            np.testing.assert_allclose(part, expect.components(), rtol=1e-14, atol=1e-14)
+
+
+def test_derived_stems_match_their_pointwise_definitions():
+    rng = np.random.default_rng(102)
+    f = tabulated_stems()["general"]
+    g = SliceFunction.polynomial([(1, 0, Quaternion(*rng.normal(size=4)))],
+                                 [(0, 1, Quaternion(*rng.normal(size=4)))])
+    for z in EVAL_POINTS:
+        f1, f2 = f.stem.eval(z)
+        g1, g2 = g.stem.eval(z)
+        p1, p2 = slice_product(f, g).stem.eval(z)
+        assert (p1 - (f1 * g1 - f2 * g2)).norm() <= 1e-14
+        assert (p2 - (f1 * g2 + f2 * g1)).norm() <= 1e-14
+        s1, s2 = slice_star(f).stem.eval(z)
+        assert s1.isclose(f1.conjugate()) and s2.isclose(-f2.conjugate())
+        a1, a2 = slice_add(f, g).stem.eval(z)
+        assert a1.isclose(f1 + g1) and a2.isclose(f2 + g2)
+
+
+def test_accepts_and_distance_on_arrays():
+    alpha = np.array([1.0, -1.0, 4.0, 4.0, 0.0])
+    beta = np.array([0.0, 0.0, 0.0, 1e-12, -0.5])
+    sqrt = StemFunction.builtin("sqrt")
+    assert sqrt.accepts(alpha, beta).tolist() == [True, False, True, True, False]
+    k = CircularSet([[1.0, 0.5], [4.0, 0.0]])
+    ranged = StemFunction.builtin("id", domain=k)
+    mask = ranged.accepts(alpha, beta)
+    assert mask.tolist() == [bool(ranged.accepts(a, b)) for a, b in zip(alpha, beta)]
+    assert mask.tolist() == [False, False, True, True, False]
+    dist = k.distance(alpha, beta)
+    assert dist.tolist() == [float(k.distance(a, b)) for a, b in zip(alpha, beta)]
+    assert k.distance(1.0, -0.5) == 0.0
+    assert CircularSet([]).distance(alpha, beta).tolist() == [math.inf] * 5
+
+
+# The grid-sampled class tests as they were before the array evaluator,
+# kept as a reference for the coefficient/array forms.
+
+BUILTIN_CIRCULAR_REFERENCE = {"re", "im", "sqrt", "one"}
+
+
+def reference_sample_zs(stem):
+    if stem.domain is not None and stem.domain.size:
+        return [complex(a, b) for a, b in stem.domain.points()]
+    zs = [complex(a, b) for a in np.linspace(-1.5, 1.5, 8) for b in np.linspace(0.15, 1.6, 8)]
+    return zs + [complex(a, 0.0) for a in (-1.0, -0.25, 0.5, 1.25)]
+
+
+def reference_sampled_values(f):
+    vals = []
+    for z in reference_sample_zs(f.stem):
+        vals.extend(f.stem.eval(z))
+    return vals
+
+
+def is_intrinsic_reference(f, tol=1e-9):
+    if f.stem.kind == "builtin":
+        return True
+    return all(v.im_norm() <= tol * max(1.0, v.norm()) for v in reference_sampled_values(f))
+
+
+def is_circular_reference(f, tol=1e-9):
+    fs = f.stem
+    if fs.kind == "builtin":
+        return fs.name in BUILTIN_CIRCULAR_REFERENCE
+    if fs.kind == "poly":
+        return all(c.norm() <= tol for c in fs.q2.values())
+    return all(fs.eval(z)[1].norm() <= tol * max(1.0, fs.eval(z)[0].norm())
+               for z in reference_sample_zs(fs))
+
+
+def is_cslice_reference(f, iota, tol=1e-9):
+    axis = np.array([iota.b, iota.c, iota.d])
+    for v in reference_sampled_values(f):
+        im = np.array([v.b, v.c, v.d])
+        resid = im - axis * float(np.dot(axis, im))
+        if np.linalg.norm(resid) > tol * max(1.0, v.norm()):
+            return False
+    return True
+
+
+def classify_reference(f, tol=1e-9):
+    if is_intrinsic_reference(f, tol):
+        return "intrinsic", None
+    if is_circular_reference(f, tol):
+        return "circular", None
+    ims = np.array([[v.b, v.c, v.d] for v in reference_sampled_values(f)])
+    lead = ims[int(np.argmax(np.linalg.norm(ims, axis=1)))]
+    axis = lead / np.linalg.norm(lead)
+    if is_cslice_reference(f, SpherePoint(*axis), tol):
+        return "cslice", axis
+    return "general", None
+
+
+def test_class_tests_agree_with_the_grid_reference():
+    rng = np.random.default_rng(103)
+    real = lambda: Quaternion(rng.normal())
+    quat = lambda: Quaternion(*rng.normal(size=4))
+
+    def poly(coef, odd=True):
+        return SliceFunction.polynomial([(0, 0, coef()), (1, 0, coef()), (0, 2, coef())],
+                                        [(0, 1, coef()), (1, 1, coef())] if odd else [])
+
+    iotas = [random_sphere_point(rng) for _ in range(3)]
+    functions = [SliceFunction.builtin(name)
+                 for name in ("id", "conj", "re", "im", "square", "exp", "sqrt", "one")]
+    functions += list(tabulated_stems().values())
+    for iota in iotas:
+        functions += [poly(real), poly(quat), poly(quat, odd=False),
+                      poly(real) + slice_product(poly(real), SliceFunction.constant(iota))]
+    kinds = set()
+    for f in functions:
+        assert is_intrinsic(f) == is_intrinsic_reference(f)
+        assert is_circular(f) == is_circular_reference(f)
+        for iota in iotas + [I, J]:
+            assert is_cslice(f, iota) == is_cslice_reference(f, iota)
+        kind, axis = classify_reference(f)
+        cls = classify_slice(f)
+        assert cls.kind == kind
+        if kind == "cslice":
+            got = np.array([cls.iota.b, cls.iota.c, cls.iota.d])
+            assert abs(abs(float(got @ axis)) - 1.0) <= 1e-9
+        kinds.add(kind)
+    assert kinds == {"intrinsic", "circular", "cslice", "general"}
+
+
+def test_poly_stem_rejects_non_finite_coefficients():
+    with pytest.raises(PreconditionError, match=r"X\^1 Y\^2 has a non-finite"):
+        StemFunction.polynomial([(0, 0, 1.0), (1, 2, [0.0, math.nan, 0.0, 0.0])], [])
+    with pytest.raises(PreconditionError, match=r"X\^0 Y\^1 has a non-finite"):
+        StemFunction.polynomial([], [(0, 1, math.inf)])
+    # a non-finite coefficient of the wrong parity is named as non-finite too
+    with pytest.raises(PreconditionError, match="non-finite"):
+        StemFunction.polynomial([(0, 1, -math.inf)], [])

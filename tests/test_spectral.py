@@ -1,6 +1,8 @@
 """Tests for the spherical spectrum, spectral radius, resolvent series and
 the spectral-class report."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,17 @@ def test_vanishing_polynomial_annihilates():
     for a, _ in spherical_spectrum(t).reps:
         prod = prod @ (t - QMatrix.identity(5) * float(a))
     assert op_norm(prod) <= 1e-7 * (1.0 + op_norm(t)) ** 5
+
+
+@pytest.mark.parametrize("q, tol", [
+    (Quaternion(math.nan, 0.0, 0.0, 0.0), 1e-10),
+    (Quaternion(0.0, math.inf, 0.0, 0.0), 1e-10),
+    (Quaternion(3.0, 0.0, 0.0, 0.0), math.nan),
+    (Quaternion(3.0, 0.0, 0.0, 0.0), math.inf),
+    (Quaternion(3.0, 0.0, 0.0, 0.0), 0.0),
+    (Quaternion(3.0, 0.0, 0.0, 0.0), -1e-8),
+])
+def test_resolvent_series_rejects_non_finite_input(q, tol):
+    t = QMatrix.diag([Quaternion(1.0), Quaternion(-1.0)])
+    with pytest.raises(PreconditionError, match="q = |tol = "):
+        resolvent_series(t, q, tol)
