@@ -41,9 +41,9 @@ from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
                       is_self_adjoint, op_norm, polar_decompose)
 from .quaternion import I as QI
 from .quaternion import J as QJ
-from .quaternion import Quaternion, SpherePoint
-from .slicefn import (CircularSet, SliceFunction, cluster_points, is_circular,
-                      is_cslice, is_intrinsic)
+from .quaternion import REAL_TOL, Quaternion, SpherePoint
+from .slicefn import (CircularSet, SliceFunction, StemFunction, _within,
+                      cluster_points, is_circular, is_cslice, is_intrinsic)
 from .spectral import SphericalSpectrum
 
 # global slice convention: iota = i, kappa = j, so {1, iota, kappa,
@@ -253,29 +253,6 @@ def alternate_kernel_J(ctx: CalculusContext) -> QMatrix:
 # -- polynomial route ---------------------------------------------------------
 
 
-def _real_poly(terms, odd: bool) -> dict[tuple[int, int], float]:
-    coefs: dict[tuple[int, int], float] = {}
-    scale = 0.0
-    for h, k, r in terms:
-        if isinstance(r, Quaternion):
-            if not r.is_real():
-                raise PreconditionError("polynomial coefficients must be real")
-            r = r.a
-        key = (int(h), int(k))
-        coefs[key] = coefs.get(key, 0.0) + float(r)
-        scale = max(scale, abs(coefs[key]))
-    out: dict[tuple[int, int], float] = {}
-    for (h, k), r in coefs.items():
-        if k % 2 == (1 if odd else 0):
-            if r != 0.0:
-                out[(h, k)] = r
-        elif abs(r) > 1e-12 * max(1.0, scale):
-            parity = "odd" if odd else "even"
-            raise PreconditionError(
-                f"monomial X^{h} Y^{k} violates the required {parity}-in-Y symmetry")
-    return out
-
-
 def _poly_of_operators(coefs: dict[tuple[int, int], float],
                        a: QMatrix, b: QMatrix) -> QMatrix:
     n = a.n
@@ -301,13 +278,20 @@ def polynomial_calculus(ctx: CalculusContext, q1_terms, q2_terms,
     even and Q2 odd in Y.
 
     Computed by direct matrix products of A, B and J (no eigendecomposition),
-    so it cross-checks the spectral route. The optional `j` substitutes an
+    so it cross-checks the spectral route. The terms are read as a stem
+    (`StemFunction.polynomial`, with its exponent, finiteness and parity
+    checks) whose coefficients must be real. The optional `j` substitutes an
     alternative valid J; the result does not depend on that choice.
     """
-    q1 = _real_poly(q1_terms, odd=False)
-    q2 = _real_poly(q2_terms, odd=True)
+    stem = StemFunction.polynomial(q1_terms, q2_terms)
+    if not _within(stem.coefs[..., 1:], stem.coefs, REAL_TOL):
+        raise PreconditionError("polynomial coefficients must be real")
+    parts: tuple[dict, dict] = ({}, {})  # Q1 and Q2, {(h, k): real coefficient}
+    for (h, k), c in zip(stem.exps.tolist(), stem.coefs[..., 0].tolist()):
+        parts[k % 2][(h, k)] = c[k % 2]
     jmat = ctx.j if j is None else j
-    return _poly_of_operators(q1, ctx.a, ctx.b) + jmat @ _poly_of_operators(q2, ctx.a, ctx.b)
+    return (_poly_of_operators(parts[0], ctx.a, ctx.b)
+            + jmat @ _poly_of_operators(parts[1], ctx.a, ctx.b))
 
 
 # -- eigenvalue route ----------------------------------------------------------
@@ -380,9 +364,8 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     The kernel at s is -Delta_s(T)^(-1) (T - L_conj(s)); each node
     contributes kernel composed with L_c1, c1 = w f(s), w the quadrature
     weight R e^{iota theta} / nodes. Since q -> L_q is multiplicative, that
-    term is -Delta_s(T)^(-1) (T L_c1 - L_c2) with c2 = conj(s) c1. The stem
-    is read at every node in one call, at (alpha, |beta|) for
-    s = alpha + iota beta, with f(s) = F1 + sign(beta) iota F2.
+    term is -Delta_s(T)^(-1) (T L_c1 - L_c2) with c2 = conj(s) c1. f is read
+    at every node in one call of `SliceFunction.values`.
 
     The route is independent of the eigendecomposition in the context: it
     reads only T, ||T|| and the basis inducing L. It takes one complex
@@ -408,16 +391,13 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     # nodes s = alpha + iota beta as a (nodes, 4) array; weights w = s / nodes
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     alpha, beta = radius * np.cos(theta), radius * np.sin(theta)
-    folded = np.abs(beta)
-    inside = f.stem.accepts(alpha, folded)
+    inside = f.stem.accepts(alpha, beta)
     if not inside.all():
         raise PreconditionError(
             f"quadrature node {np.argmin(inside)} lies outside the function domain")
-    iota = _as_qarray(ctx.iota)
-    s = np.outer(beta, iota)
+    s = np.outer(beta, _as_qarray(ctx.iota))
     s[:, 0] = alpha
-    vals = f.stem.values(alpha + 1j * folded)
-    c1 = _qmul(s / nodes, vals[:, 0] + _qmul(np.outer(np.sign(beta), iota), vals[:, 1]))
+    c1 = _qmul(s / nodes, f.values(s))
     c2 = _qmul(_qconj(s), c1)
     # c = z1 + z2 j with z1, z2 in C
     coefs = np.concatenate([c1.view(complex), c2.view(complex)], axis=1).tolist()

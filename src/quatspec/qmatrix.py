@@ -8,6 +8,9 @@ Main contents:
 
 - `QVector`, `QMatrix` - vectors/operators on H^n with the product from the
   quaternion multiplication table
+- `_qmul`, `_hc_mul`, `_hc_star`, `_hc_norm` - the products, the involution
+  and the C*-norm of H and H(x)C on arrays of components, shared by the
+  matrices, the stems and the verification suites
 - `chi_embed` / `chi_extract` - the complex adjoint representation
   M = M1 + M2*j  ->  [[M1, M2], [-conj(M2), conj(M1)]]
 - `op_norm` - operator norm sup ||Mu||/||u|| (largest singular value of chi)
@@ -31,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .quaternion import Quaternion, SpherePoint
+from .quaternion import Quaternion, SpherePoint, _cstar_norm
 
 # -- component arithmetic on (..., 4) float arrays ---------------------------
 
@@ -54,6 +57,26 @@ def _qconj(x: np.ndarray) -> np.ndarray:
     out = x.copy()
     out[..., 1:] *= -1.0
     return out
+
+
+# -- H(x)C arithmetic on (..., 2, 4) arrays: row 0 holds q, row 1 p of q + I*p
+
+
+def _hc_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(q + Ip)(q' + Ip') = qq' - pp' + I(qp' + pq') over the leading axes."""
+    (q1, p1), (q2, p2) = np.moveaxis(x, -2, 0), np.moveaxis(y, -2, 0)
+    return np.stack([_qmul(q1, q2) - _qmul(p1, p2), _qmul(q1, p2) + _qmul(p1, q2)],
+                    axis=-2)
+
+
+def _hc_star(x: np.ndarray) -> np.ndarray:
+    """The *-involution q + Ip -> conj(q) - I conj(p)."""
+    return _qconj(x) * [[1.0], [-1.0]]
+
+
+def _hc_norm(x: np.ndarray) -> np.ndarray:
+    """The C*-norm of every element."""
+    return _cstar_norm(*np.moveaxis(x, (-2, -1), (0, 1)))
 
 
 def _as_qarray(q: Quaternion) -> np.ndarray:

@@ -7,8 +7,14 @@ F1(alpha + i beta) + iota F2(alpha + i beta). The slice product is the product
 of stems in H(x)C, which differs from the pointwise product in general.
 
 A stem has one evaluator, `StemFunction.values(zs)`: the components of F1 and
-F2 at m points as one (m, 2, 4) array. Every calculus, the sup norm and the
-class tests read F through it; `StemFunction.eval` is `values` of one point.
+F2 at m points as one (m, 2, 4) array, the layout of H(x)C arrays in
+`qmatrix`. A polynomial stem stores its monomials X^h Y^k sparsely, as (T, 2)
+exponents and (T, 2, 4) coefficients in that layout, so the stem algebra is
+written once on such arrays: the product (`_hc_mul`), the star (`_hc_star`),
+the sum and the component projection act on the coefficients when every
+operand is a polynomial (the product on every pair, exponents added) and on
+the values otherwise. `SliceFunction.values(qs)` gives f at (m, 4) arrays of
+quaternions; `eval` is either evaluator at one point.
 
 Contents:
 
@@ -29,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .qmatrix import _qconj, _qmul
-from .quaternion import (Quaternion, SpherePoint, _cstar_norm,
-                         sphere_decompose)
+from .qmatrix import _hc_mul, _hc_norm, _hc_star, _qmul
+from .quaternion import REAL_TOL, Quaternion, SpherePoint
 
 MERGE_TOL = 1e-8  # default merge tolerance, matched to eigensolver accuracy
 DOMAIN_TOL = 1e-8  # accept a point as inside a finite domain within this
@@ -160,28 +165,35 @@ def _as_quat_coef(c) -> Quaternion:
     return Quaternion.from_json(c)
 
 
-def _symmetrize(terms, odd: bool) -> dict[tuple[int, int], Quaternion]:
-    """Keep the monomials of the required Y-parity; reject non-finite
-    coefficients, and reject if dropping the other parity changes the
-    polynomial beyond the 1e-12 structural tolerance."""
-    coefs: dict[tuple[int, int], Quaternion] = {}
-    for h, k, c in terms:
-        key = (int(h), int(k))
-        q = _as_quat_coef(c)
-        if not np.isfinite(q.components()).all():
-            raise PreconditionError(
-                f"monomial X^{h} Y^{k} has a non-finite coefficient {q.to_json()}")
-        coefs[key] = coefs.get(key, Quaternion()) + q
-    scale = max([q.norm() for q in coefs.values()], default=0.0)
-    kept: dict[tuple[int, int], Quaternion] = {}
-    for (h, k), q in coefs.items():
-        if k % 2 == (1 if odd else 0):
-            if q.norm() > 1e-30:
-                kept[(h, k)] = q
-        elif q.norm() > _POLY_SYM_TOL * max(1.0, scale):
-            raise PreconditionError(
-                f"monomial X^{h} Y^{k} violates the even/odd stem symmetry")
-    return kept
+def _poly_stem(exps, coefs, domain: CircularSet | None = None) -> "StemFunction":
+    """The polynomial stem sum of c X^h Y^k over the rows of the exponents
+    (..., 2) and the coefficients (..., 2, 4): equal exponents summed into
+    one row (rows sorted by (h, k)), a non-finite sum rejected, the F1 part
+    kept even and the F2 part odd in Y (a part of the other parity rejected
+    above the 1e-12 structural tolerance, dropped below it), and rows of
+    norm <= 1e-30 dropped. Exponents below 0 can only come from a product
+    that passed 2^63 and wrapped around; they are rejected."""
+    if np.min(exps, initial=0) < 0:
+        raise PreconditionError("a monomial exponent of the product exceeds 2^63 - 1")
+    exps, inverse = np.unique(np.reshape(exps, (-1, 2)), axis=0, return_inverse=True)
+    merged = np.zeros((len(exps), 2, 4))
+    np.add.at(merged, inverse.reshape(-1), np.reshape(coefs, (-1, 2, 4)))
+    infinite = ~np.isfinite(merged).all(axis=2)
+    if infinite.any():
+        t, part = np.argwhere(infinite)[0]
+        raise PreconditionError(f"monomial X^{exps[t, 0]} Y^{exps[t, 1]} has a non-finite "
+                                f"coefficient {merged[t, part].tolist()}")
+    norms = np.linalg.norm(merged, axis=2)
+    odd = exps[:, 1] % 2 == 1
+    wrong = np.column_stack([odd, ~odd])
+    scale = np.maximum(1.0, norms.max(axis=0, initial=0.0))
+    violates = wrong & (norms > _POLY_SYM_TOL * scale)
+    if violates.any():
+        h, k = exps[np.argwhere(violates)[0, 0]]
+        raise PreconditionError(f"monomial X^{h} Y^{k} violates the even/odd stem symmetry")
+    merged[wrong] = 0.0
+    keep = np.where(wrong, 0.0, norms).max(axis=1) > 1e-30
+    return StemFunction("poly", exps=exps[keep], coefs=merged[keep], domain=domain)
 
 
 class StemFunction:
@@ -191,25 +203,37 @@ class StemFunction:
     variables X = Re z, Y = Im z), "builtin" (named evaluator), "tabulated"
     (opaque callable of one point, validated by sampling conjugate pairs) or
     "derived" (`fn` maps the points to their (m, 2, 4) values, computed from
-    the values of other stems). Evaluators must be pure; instances are
-    immutable and safe to share.
+    the values of other stems). A polynomial stores one row per monomial:
+    `exps` (T, 2) holds (h, k) of X^h Y^k and `coefs` (T, 2, 4) its F1 and F2
+    coefficients, the layout of `values`. Evaluators must be pure; instances
+    are immutable and safe to share.
     """
 
-    __slots__ = ("kind", "q1", "q2", "name", "fn", "domain")
+    __slots__ = ("kind", "exps", "coefs", "name", "fn", "domain")
 
-    def __init__(self, kind, *, q1=None, q2=None, name=None, fn=None, domain=None):
+    def __init__(self, kind, *, exps=None, coefs=None, name=None, fn=None, domain=None):
         self.kind = kind
-        self.q1 = q1
-        self.q2 = q2
+        self.exps = exps
+        self.coefs = coefs
         self.name = name
         self.fn = fn
         self.domain = domain
 
     @classmethod
     def polynomial(cls, q1_terms, q2_terms, domain: CircularSet | None = None) -> "StemFunction":
-        q1 = _symmetrize(q1_terms, odd=False)
-        q2 = _symmetrize(q2_terms, odd=True)
-        return cls("poly", q1=q1, q2=q2, domain=domain)
+        """Q1 + I Q2 from the (h, k, coefficient) monomials of each part."""
+        exps, coefs = [], []
+        for part, terms in enumerate((q1_terms, q2_terms)):
+            for h, k, c in terms:
+                # exponents are non-negative int64 values, and a bool is not one
+                if not all(isinstance(e, (int, np.integer)) and not isinstance(e, bool)
+                           and 0 <= e < 2 ** 63 for e in (h, k)):
+                    raise PreconditionError(f"monomial X^{h!r} Y^{k!r}: exponents must be "
+                                            "non-negative integers below 2^63")
+                exps.append((h, k))
+                coefs.append(np.zeros((2, 4)))
+                coefs[-1][part] = _as_quat_coef(c).components()
+        return _poly_stem(np.array(exps, dtype=np.int64), np.array(coefs), domain)
 
     @classmethod
     def builtin(cls, name: str, domain: CircularSet | None = None) -> "StemFunction":
@@ -220,7 +244,7 @@ class StemFunction:
 
     @classmethod
     def constant(cls, value) -> "StemFunction":
-        return cls.polynomial([(0, 0, _as_quat_coef(value))], [])
+        return cls.polynomial([(0, 0, value)], [])
 
     @classmethod
     def tabulated(cls, fn, domain: CircularSet | None = None,
@@ -239,12 +263,11 @@ class StemFunction:
         if self.kind == "derived":
             return self.fn(zs)
         a, b = zs.real, zs.imag
-        out = np.zeros((zs.size, 2, 4))
         if self.kind == "poly":
-            for part, coefs in ((0, self.q1), (1, self.q2)):
-                for (h, k), q in coefs.items():
-                    out[:, part] += np.outer(a ** h * b ** k, q.components())
-        elif self.kind == "builtin":
+            powers = a[:, None] ** self.exps[:, 0] * b[:, None] ** self.exps[:, 1]
+            return np.einsum("mt,tpc->mpc", powers, self.coefs)
+        out = np.zeros((zs.size, 2, 4))
+        if self.kind == "builtin":
             f1, f2, _ = _BUILTINS[self.name]
             out[:, 0, 0] = f1(a, b)
             out[:, 1, 0] = f2(a, b)
@@ -291,11 +314,11 @@ class StemFunction:
 
     def to_json(self) -> dict:
         if self.kind == "poly":
-            out = {
-                "kind": "poly",
-                "Q1": [[h, k, q.to_json()] for (h, k), q in sorted(self.q1.items())],
-                "Q2": [[h, k, q.to_json()] for (h, k), q in sorted(self.q2.items())],
-            }
+            out = {"kind": "poly"}
+            for key, part in (("Q1", 0), ("Q2", 1)):
+                rows = self.exps[:, 1] % 2 == part
+                out[key] = [[int(h), int(k), c.tolist()]
+                            for (h, k), c in zip(self.exps[rows], self.coefs[rows, part])]
         elif self.kind == "builtin":
             out = {"kind": "builtin", "name": self.name}
         else:
@@ -367,14 +390,25 @@ class SliceFunction:
     def domain(self) -> CircularSet | None:
         return self.stem.domain
 
+    def values(self, qs) -> np.ndarray:
+        """(m, 4) array: f at each of the quaternions qs, given as rows of
+        components. With q = alpha + iota beta (beta >= 0), f(q) = F1 + iota
+        F2 at alpha + i beta; at a real q (|Im q| below REAL_TOL, relative to
+        max(1, |q|)) it is F1(alpha)."""
+        qs = np.asarray(qs, dtype=float).reshape(-1, 4)
+        alpha, beta = qs[:, 0], np.linalg.norm(qs[:, 1:], axis=1)
+        beta[beta <= REAL_TOL * np.maximum(1.0, np.linalg.norm(qs, axis=1))] = 0.0
+        inside = self.stem.accepts(alpha, beta)
+        if not inside.all():
+            raise PreconditionError(
+                f"point {Quaternion(*qs[np.argmin(inside)])} is outside the function domain")
+        iota = np.zeros_like(qs)  # 0 at the real points, where f = F1
+        iota[beta > 0, 1:] = qs[beta > 0, 1:] / beta[beta > 0, None]
+        vals = self.stem.values(alpha + 1j * beta)
+        return vals[:, 0] + _qmul(iota, vals[:, 1])
+
     def eval(self, q: Quaternion) -> Quaternion:
-        alpha, beta, iota = sphere_decompose(q)
-        if not self.stem.accepts(alpha, beta):
-            raise PreconditionError(f"point {q} is outside the function domain")
-        f1, f2 = self.stem.eval(complex(alpha, beta))
-        if iota is None:
-            return f1
-        return f1 + iota * f2
+        return Quaternion(*self.values(q.components())[0])
 
     __call__ = eval
 
@@ -417,31 +451,23 @@ def _merged_domain(f: SliceFunction, g: SliceFunction) -> CircularSet | None:
     return a
 
 
-def _poly_mul(p: dict, q: dict) -> list[tuple[int, int, Quaternion]]:
-    out: dict[tuple[int, int], Quaternion] = {}
-    for (h1, k1), c1 in p.items():
-        for (h2, k2), c2 in q.items():
-            key = (h1 + h2, k1 + k2)
-            out[key] = out.get(key, Quaternion()) + c1 * c2
-    return [(h, k, c) for (h, k), c in out.items()]
+def _derived(op, domain: CircularSet | None, *stems: StemFunction) -> SliceFunction:
+    """The slice function of the stem z -> op(F(z), G(z), ...) of the
+    operand stems, op a map on (m, 2, 4) value arrays."""
+    return SliceFunction(StemFunction(
+        "derived", fn=lambda zs: op(*(s.values(zs) for s in stems)), domain=domain))
 
 
 def slice_product(f: SliceFunction, g: SliceFunction) -> SliceFunction:
-    """Slice product induced by the stem product
-    FG = (F1 G1 - F2 G2) + I (F1 G2 + F2 G1)."""
+    """Slice product induced by the stem product in H(x)C,
+    FG = (F1 G1 - F2 G2) + I (F1 G2 + F2 G1): on two polynomials the product
+    of every coefficient pair with the exponents added, else of the values."""
     domain = _merged_domain(f, g)
     fs, gs = f.stem, g.stem
     if fs.kind == "poly" and gs.kind == "poly":
-        q1 = _poly_mul(fs.q1, gs.q1) + [(h, k, -c) for h, k, c in _poly_mul(fs.q2, gs.q2)]
-        q2 = _poly_mul(fs.q1, gs.q2) + _poly_mul(fs.q2, gs.q1)
-        return SliceFunction(StemFunction.polynomial(q1, q2, domain))
-
-    def stem_fn(zs):
-        f, g = fs.values(zs), gs.values(zs)
-        return np.stack([_qmul(f[:, 0], g[:, 0]) - _qmul(f[:, 1], g[:, 1]),
-                         _qmul(f[:, 0], g[:, 1]) + _qmul(f[:, 1], g[:, 0])], axis=1)
-
-    return SliceFunction(StemFunction("derived", fn=stem_fn, domain=domain))
+        return SliceFunction(_poly_stem(fs.exps[:, None] + gs.exps[None],
+                                        _hc_mul(fs.coefs[:, None], gs.coefs[None]), domain))
+    return _derived(_hc_mul, domain, fs, gs)
 
 
 def slice_add(f: SliceFunction, g: SliceFunction) -> SliceFunction:
@@ -449,28 +475,19 @@ def slice_add(f: SliceFunction, g: SliceFunction) -> SliceFunction:
     domain = _merged_domain(f, g)
     fs, gs = f.stem, g.stem
     if fs.kind == "poly" and gs.kind == "poly":
-        q1 = [(h, k, c) for (h, k), c in fs.q1.items()] + \
-             [(h, k, c) for (h, k), c in gs.q1.items()]
-        q2 = [(h, k, c) for (h, k), c in fs.q2.items()] + \
-             [(h, k, c) for (h, k), c in gs.q2.items()]
-        return SliceFunction(StemFunction.polynomial(q1, q2, domain))
-
-    return SliceFunction(StemFunction(
-        "derived", fn=lambda zs: fs.values(zs) + gs.values(zs), domain=domain))
+        return SliceFunction(_poly_stem(np.concatenate([fs.exps, gs.exps]),
+                                        np.concatenate([fs.coefs, gs.coefs]), domain))
+    return _derived(np.add, domain, fs, gs)
 
 
 def slice_star(f: SliceFunction) -> SliceFunction:
     """The *-involution f* induced by F* = conj(F1) - I conj(F2)."""
     fs = f.stem
     if fs.kind == "poly":
-        q1 = [(h, k, c.conjugate()) for (h, k), c in fs.q1.items()]
-        q2 = [(h, k, -c.conjugate()) for (h, k), c in fs.q2.items()]
-        return SliceFunction(StemFunction.polynomial(q1, q2, fs.domain))
+        return SliceFunction(_poly_stem(fs.exps, _hc_star(fs.coefs), fs.domain))
     if fs.kind == "builtin" and fs.name in _BUILTIN_STAR:
         return SliceFunction(StemFunction.builtin(_BUILTIN_STAR[fs.name], fs.domain))
-
-    return SliceFunction(StemFunction(
-        "derived", fn=lambda zs: _qconj(fs.values(zs)) * [[1.0], [-1.0]], domain=fs.domain))
+    return _derived(_hc_star, fs.domain, fs)
 
 
 # -- classification ---------------------------------------------------------------
@@ -481,10 +498,7 @@ def _class_values(f: SliceFunction) -> tuple[np.ndarray, np.ndarray]:
     coefficients of a polynomial stem (which decide it exactly), else the
     values on the stem's sample points."""
     fs = f.stem
-    if fs.kind == "poly":
-        return tuple(np.array([q.components() for q in coefs.values()]).reshape(-1, 4)
-                     for coefs in (fs.q1, fs.q2))
-    vals = fs.values(fs._sample_zs())
+    vals = fs.coefs if fs.kind == "poly" else fs.values(fs._sample_zs())
     return vals[:, 0], vals[:, 1]
 
 
@@ -544,35 +558,21 @@ def decompose_components(f: SliceFunction, iota: SpherePoint, kappa: SpherePoint
     """
     if (iota * kappa + kappa * iota).norm() > 1e-10:
         raise PreconditionError("iota and kappa do not anticommute; basis is degenerate")
-    delta = iota * kappa
-    basis = [Quaternion(1.0), iota, kappa, delta]
-
-    def coords(v: Quaternion) -> list[float]:
-        vec = np.array(v.components())
-        return [float(np.dot(vec, np.array(e.components()))) for e in basis]
-
+    basis = np.array([(1.0, 0.0, 0.0, 0.0), iota.components(), kappa.components(),
+                      (iota * kappa).components()])
     fs = f.stem
-    if fs.kind == "poly":
-        comps = []
-        for ell in range(4):
-            q1 = [(h, k, coords(c)[ell]) for (h, k), c in fs.q1.items()]
-            q2 = [(h, k, coords(c)[ell]) for (h, k), c in fs.q2.items()]
-            comps.append(SliceFunction(StemFunction.polynomial(q1, q2, fs.domain)))
-        return tuple(comps)
 
-    def component(ell: int):
-        def stem_fn(zs):
-            out = np.zeros((zs.size, 2, 4))
-            out[..., 0] = fs.values(zs) @ np.array(basis[ell].components())
-            return out
-        return SliceFunction(StemFunction("derived", fn=stem_fn, domain=fs.domain))
+    def component(e: np.ndarray) -> SliceFunction:
+        project = np.outer(e, [1.0, 0.0, 0.0, 0.0])  # x @ project = <x, e> + 0 i + 0 j + 0 k
+        if fs.kind == "poly":
+            return SliceFunction(_poly_stem(fs.exps, fs.coefs @ project, fs.domain))
+        return _derived(lambda x: x @ project, fs.domain, fs)
 
-    return tuple(component(ell) for ell in range(4))
+    return tuple(component(e) for e in basis)
 
 
 def sup_norm(f: SliceFunction, points: CircularSet) -> float:
     """Sup norm over the circular set: max over K of the C*-norm of F(z)."""
     if points.size == 0:
         raise PreconditionError("cannot take a sup over an empty set")
-    vals = f.stem.values(points.as_complex())
-    return float(_cstar_norm(vals[:, 0].T, vals[:, 1].T).max())
+    return float(_hc_norm(f.stem.values(points.as_complex())).max())

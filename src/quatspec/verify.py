@@ -3,6 +3,10 @@ the spectrum and the calculi, checked at pinned tolerances on random inputs.
 
 Checks are aggregated by name across matrices/trials, keeping the worst
 residual, so the resulting `VerificationReport` has one row per identity.
+The algebra suite checks each identity at once on arrays of samples: (m, 4)
+quaternions, (m, 2, 4) elements of H(x)C (`_hc_mul`, `_hc_star`, `_hc_norm`)
+and slice functions at (m, 4) points (`SliceFunction.values`); a bulk draw
+takes the same numbers from the generator as one draw per sample would.
 """
 
 from __future__ import annotations
@@ -13,24 +17,17 @@ from .calculus import (alternate_kernel_J, build_context, circular_calculus,
                        cslice_calculus, general_calculus, intrinsic_calculus,
                        polynomial_calculus, slice_regular_contour,
                        spectral_measure_weights)
-from .qmatrix import (QMatrix, _qmul, chi_embed, is_normal, is_self_adjoint,
-                      op_norm, random_normal, random_qvector)
-from .quaternion import (ComplexifiedQuaternion, Quaternion, SpherePoint,
-                         fold, random_sphere_point, sphere_grid)
+from .qmatrix import (QMatrix, _as_qarray, _hc_mul, _hc_norm, _hc_star, _qconj,
+                      _qmul, chi_embed, is_normal, is_self_adjoint, op_norm,
+                      random_normal, random_qvector)
+from .quaternion import (Quaternion, SpherePoint, fold, random_sphere_point,
+                         sphere_grid)
 from .reporting import VerificationReport
 from .slicefn import (CircularSet, SliceFunction, decompose_components,
                       hausdorff, is_circular, is_cslice, is_intrinsic,
                       one_sided_hausdorff, slice_product, sup_norm)
 from .spectral import (delta_q, gelfand_check, resolvent_series,
                        spherical_spectrum, verify_spectral_classes)
-
-
-def _random_quaternion(rng, scale=2.0) -> Quaternion:
-    return Quaternion(*(rng.normal(size=4) * scale))
-
-
-def _random_hc(rng) -> ComplexifiedQuaternion:
-    return ComplexifiedQuaternion(_random_quaternion(rng), _random_quaternion(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -48,33 +45,36 @@ def verify_algebra(report: VerificationReport, rng: np.random.Generator,
     report.worst("quat-norm-multiplicative", "|pq| = |p||q|",
                  float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-30))), 1e-13)
 
-    for _ in range(200):
-        x, y = _random_quaternion(rng), _random_quaternion(rng)
-        resid = ((x * y).conjugate() - y.conjugate() * x.conjugate()).norm()
-        report.worst("quat-conj-antihom", "conj(pq) = conj(q) conj(p)",
-                     resid / max(1.0, x.norm() * y.norm()), 1e-13)
+    x, y = np.moveaxis(rng.normal(size=(200, 2, 4)) * 2.0, 1, 0)
+    resid = np.linalg.norm(_qconj(_qmul(x, y)) - _qmul(_qconj(y), _qconj(x)), axis=1)
+    scale = np.maximum(1.0, np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1))
+    report.worst("quat-conj-antihom", "conj(pq) = conj(q) conj(p)", np.max(resid / scale),
+                 1e-13)
 
-    grid = sphere_grid(sphere_samples)
-    for _ in range(2000):
-        w, y = _random_hc(rng), _random_hc(rng)
-        nw, ny = w.norm(), y.norm()
-        report.worst("hc-cstar-identity", "||w* w|| = ||w||^2",
-                     abs((w.star() * w).norm() - nw ** 2) / max(1.0, nw ** 2), 1e-12)
-        report.worst("hc-submultiplicative", "||w y|| <= ||w|| ||y||",
-                     max(0.0, (w * y).norm() - nw * ny) / max(1.0, nw * ny), 1e-10)
-        report.worst("hc-star-antihom", "(w y)* = y* w*",
-                     _hc_dist((w * y).star(), y.star() * w.star())
-                     / max(1.0, nw * ny), 1e-13)
-        low = np.hypot(w.q.norm(), w.p.norm())
-        high = w.q.norm() + w.p.norm()
-        report.worst("hc-norm-sandwich",
-                     "sqrt(|q|^2+|p|^2) <= ||w|| <= |q| + |p|",
-                     max(0.0, low - nw, nw - high) / max(1.0, nw), 1e-12)
+    # w = q + I p and y as (2000, 2, 4) arrays
+    w, y = np.moveaxis(rng.normal(size=(2000, 2, 2, 4)) * 2.0, 1, 0)
+    nw, ny = _hc_norm(w), _hc_norm(y)
+    wy, scale = _hc_mul(w, y), np.maximum(1.0, nw * ny)
+    report.worst("hc-cstar-identity", "||w* w|| = ||w||^2",
+                 np.max(np.abs(_hc_norm(_hc_mul(_hc_star(w), w)) - nw ** 2)
+                        / np.maximum(1.0, nw ** 2)), 1e-12)
+    report.worst("hc-submultiplicative", "||w y|| <= ||w|| ||y||",
+                 np.max(np.maximum(0.0, _hc_norm(wy) - nw * ny) / scale), 1e-10)
+    report.worst("hc-star-antihom", "(w y)* = y* w*",
+                 np.max(_hc_norm(_hc_star(wy) - _hc_mul(_hc_star(y), _hc_star(w))) / scale),
+                 1e-13)
+    q_norm, p_norm = np.linalg.norm(w, axis=2).T
+    low, high = np.hypot(q_norm, p_norm), q_norm + p_norm
+    report.worst("hc-norm-sandwich",
+                 "sqrt(|q|^2+|p|^2) <= ||w|| <= |q| + |p|",
+                 np.max(np.maximum(0.0, np.maximum(low - nw, nw - high)) / np.maximum(1.0, nw)),
+                 1e-12)
 
-    for _ in range(20):
-        w = _random_hc(rng)
-        sampled = _sampled_sup(w, grid)
-        nw = w.norm()
+    # |q + iota p| for the unit imaginary quaternions iota = (0, g)
+    iotas = np.column_stack([np.zeros(sphere_samples), sphere_grid(sphere_samples)])
+    ws = rng.normal(size=(20, 2, 4)) * 2.0
+    for w, nw in zip(ws, _hc_norm(ws)):
+        sampled = float(np.linalg.norm(w[0] + _qmul(iotas, w[1]), axis=1).max())
         report.worst("hc-sup-dominates", "||w|| >= |q + iota p| on S",
                      max(0.0, sampled - nw) / max(1.0, nw), 1e-12)
         report.worst("hc-sup-sharp", "||w|| = sup over S of |q + iota p|",
@@ -83,101 +83,85 @@ def verify_algebra(report: VerificationReport, rng: np.random.Generator,
     _verify_slice_algebra(report, rng)
 
 
-def _hc_dist(a: ComplexifiedQuaternion, b: ComplexifiedQuaternion) -> float:
-    return (a - b).norm()
+# the monomials (h, k, part) of a random stem of degree 2, in drawing order;
+# part 0 is F1 (even in Y), part 1 is F2 (odd in Y)
+_RANDOM_MONOMIALS = ((0, 0, 0), (0, 2, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1), (2, 0, 0))
 
 
-def _sampled_sup(w: ComplexifiedQuaternion, grid: np.ndarray) -> float:
-    q = np.array(w.q.components())
-    p = np.array(w.p.components())
-    # |q + iota p| for the unit imaginary quaternions iota = (0, g)
-    iotas = np.column_stack([np.zeros(len(grid)), grid])
-    return float(np.linalg.norm(q + _qmul(iotas, p), axis=1).max())
+def _random_poly_slice(rng, quaternionic=True, circular=False) -> SliceFunction:
+    """A random stem of degree 2, with quaternion coefficients of scale 0.7 or
+    real standard normal ones, and F2 = 0 if circular."""
+    monomials = [m for m in _RANDOM_MONOMIALS if not (circular and m[2])]
+    if quaternionic:
+        coefs = rng.normal(size=(len(monomials), 4)) * 0.7
+    else:
+        coefs = rng.normal(size=(len(monomials), 1)) * [1.0, 0.0, 0.0, 0.0]
+    terms: tuple[list, list] = ([], [])
+    for (h, k, part), coef in zip(monomials, coefs):
+        terms[part].append((h, k, coef))
+    return SliceFunction.polynomial(*terms)
 
 
-def _random_poly_slice(rng, quaternionic=True, max_deg=2) -> SliceFunction:
-    terms1, terms2 = [], []
-    for h in range(max_deg + 1):
-        for k in range(0, max_deg + 1 - h, 2):
-            coef = _random_quaternion(rng, 0.7) if quaternionic else Quaternion(rng.normal())
-            terms1.append((h, k, coef))
-        for k in range(1, max_deg + 1 - h, 2):
-            coef = _random_quaternion(rng, 0.7) if quaternionic else Quaternion(rng.normal())
-            terms2.append((h, k, coef))
-    return SliceFunction.polynomial(terms1, terms2)
+def _random_cslice_poly(rng, iota: SpherePoint) -> SliceFunction:
+    f0, f1 = (_random_poly_slice(rng, quaternionic=False) for _ in range(2))
+    return f0 + slice_product(f1, SliceFunction.constant(iota))
 
 
-def _random_cslice_poly(rng, iota: SpherePoint, max_deg=2) -> SliceFunction:
-    intr1 = _random_poly_slice(rng, quaternionic=False, max_deg=max_deg)
-    intr2 = _random_poly_slice(rng, quaternionic=False, max_deg=max_deg)
-    return intr1 + slice_product(intr2, SliceFunction.constant(iota))
+def _abs(f: SliceFunction, qs: np.ndarray) -> np.ndarray:
+    """|f(q)| for each row q of qs."""
+    return np.linalg.norm(f.values(qs), axis=1)
 
 
-def _random_circular_poly(rng, max_deg=2) -> SliceFunction:
-    terms1 = []
-    for h in range(max_deg + 1):
-        for k in range(0, max_deg + 1 - h, 2):
-            terms1.append((h, k, _random_quaternion(rng, 0.7)))
-    return SliceFunction.polynomial(terms1, [])
+def _gap(f: SliceFunction, g: SliceFunction, qs: np.ndarray) -> float:
+    """max over the rows q of qs of |f(q) - g(q)|."""
+    return float(np.linalg.norm(f.values(qs) - g.values(qs), axis=1).max())
 
 
 def _verify_slice_algebra(report: VerificationReport, rng: np.random.Generator) -> None:
-    sample_qs = [_random_quaternion(rng) for _ in range(12)]
+    qs = rng.normal(size=(12, 4)) * 2.0
 
     for _ in range(25):
-        f = _random_poly_slice(rng)
-        g = _random_poly_slice(rng)
-        h = _random_poly_slice(rng)
+        f, g, h = (_random_poly_slice(rng) for _ in range(3))
         fg_h = slice_product(slice_product(f, g), h)
         f_gh = slice_product(f, slice_product(g, h))
-        resid = max((fg_h.eval(q) - f_gh.eval(q)).norm() for q in sample_qs)
-        scale = max(1.0, max(f.eval(q).norm() * g.eval(q).norm() * h.eval(q).norm()
-                             for q in sample_qs))
-        report.worst("slice-product-assoc", "(f g) h = f (g h)", resid / scale, 1e-9)
+        scale = max(1.0, float(np.max(_abs(f, qs) * _abs(g, qs) * _abs(h, qs))))
+        report.worst("slice-product-assoc", "(f g) h = f (g h)",
+                     _gap(fg_h, f_gh, qs) / scale, 1e-9)
+        report.worst("slice-star-antihom", "(f g)* = g* f*",
+                     _gap(slice_product(f, g).star(), slice_product(g.star(), f.star()), qs)
+                     / scale, 1e-10)
 
-        resid = max((slice_product(f, g).star().eval(q)
-                     - slice_product(g.star(), f.star()).eval(q)).norm()
-                    for q in sample_qs)
-        report.worst("slice-star-antihom", "(f g)* = g* f*", resid / scale, 1e-10)
-
-    # representation formula
+    # representation formula: q = alpha + iota beta, q' = alpha + iota' beta
     f = _random_poly_slice(rng)
-    worst = 0.0
-    for _ in range(50):
-        alpha, beta = rng.normal(), abs(rng.normal()) + 0.05
-        iota, iotap = random_sphere_point(rng), random_sphere_point(rng)
-        qv = Quaternion(alpha) + iota * beta
-        lhs = f.eval(Quaternion(alpha) + iotap * beta)
-        rhs = (f.eval(qv) + f.eval(qv.conjugate())) * 0.5 \
-            - iotap * (iota * ((f.eval(qv) - f.eval(qv.conjugate())) * 0.5))
-        worst = max(worst, (lhs - rhs).norm() / max(1.0, lhs.norm()))
+    draws = rng.normal(size=(50, 8))  # alpha, beta, iota, iota'
+    alpha, beta = draws[:, 0], np.abs(draws[:, 1]) + 0.05
+    iota, iotap = (np.column_stack([np.zeros(50), v / np.linalg.norm(v, axis=1, keepdims=True)])
+                   for v in (draws[:, 2:5], draws[:, 5:8]))
+    q, qp = iota * beta[:, None], iotap * beta[:, None]
+    q[:, 0] = qp[:, 0] = alpha
+    lhs, fq, fqc = f.values(qp), f.values(q), f.values(_qconj(q))
+    rhs = (fq + fqc) * 0.5 - _qmul(iotap, _qmul(iota, (fq - fqc) * 0.5))
     report.worst("slice-representation",
-                 "f on a sphere is determined by two slice values", worst, 1e-10)
+                 "f on a sphere is determined by two slice values",
+                 float(np.max(np.linalg.norm(lhs - rhs, axis=1)
+                              / np.maximum(1.0, np.linalg.norm(lhs, axis=1)))), 1e-10)
 
     # commutativity on a common slice
     iota = random_sphere_point(rng)
     for _ in range(10):
-        f = _random_cslice_poly(rng, iota)
-        g = _random_cslice_poly(rng, iota)
-        resid = max((slice_product(f, g).eval(q) - slice_product(g, f).eval(q)).norm()
-                    for q in sample_qs)
+        f, g = _random_cslice_poly(rng, iota), _random_cslice_poly(rng, iota)
         report.worst("slice-cslice-commute", "f g = g f for a common slice",
-                     resid / max(1.0, max(f.eval(q).norm() * g.eval(q).norm()
-                                          for q in sample_qs)), 1e-9)
+                     _gap(slice_product(f, g), slice_product(g, f), qs)
+                     / max(1.0, float(np.max(_abs(f, qs) * _abs(g, qs)))), 1e-9)
 
     # closure of the classes under the product
-    ok = 1.0
     fi, gi = _random_poly_slice(rng, quaternionic=False), _random_poly_slice(rng, quaternionic=False)
-    if not is_intrinsic(slice_product(fi, gi)):
-        ok = 0.0
-    fc, gc = _random_circular_poly(rng), _random_circular_poly(rng)
-    if not is_circular(slice_product(fc, gc)):
-        ok = 0.0
+    fc, gc = _random_poly_slice(rng, circular=True), _random_poly_slice(rng, circular=True)
     fs, gs = _random_cslice_poly(rng, iota), _random_cslice_poly(rng, iota)
-    if not is_cslice(slice_product(fs, gs), iota):
-        ok = 0.0
+    closed = (is_intrinsic(slice_product(fi, gi)) and is_circular(slice_product(fc, gc))
+              and is_cslice(slice_product(fs, gs), iota))
     report.worst("slice-class-closure",
-                 "products stay intrinsic / circular / slice-valued", 1.0 - ok, 0.0)
+                 "products stay intrinsic / circular / slice-valued", 0.0 if closed else 1.0, 0.0)
 
     # C*-norm identities over a finite circular set
     points = CircularSet(np.column_stack([rng.uniform(-2, 2, 6), rng.uniform(0, 2, 6)]))
@@ -330,8 +314,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
         nf = sup_norm(f, spec_set)
         report.worst("intrinsic-isometry", "||f(T)|| = sup |f| on sigma_S(T)",
                      abs(op_norm(ft) - nf) / max(1.0, nf), 1e-8)
-        mapped = np.array([fold(f.eval(Quaternion(a) + Quaternion(0, 1, 0, 0) * b))
-                           for a, b in spec_set.reps])
+        mapped = _folded(_slice_image(f, spec_set.reps, ctx.iota))
         report.worst("intrinsic-spectral-map", "sigma_S(f(T)) = f(sigma_S(T))",
                      hausdorff(spherical_spectrum(ft).reps, mapped),
                      1e-7 * max(1.0, nf))
@@ -373,10 +356,11 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     fcs = _random_cslice_poly(rng, ctx.iota)
     fcs_t = cslice_calculus(ctx, fcs)
     upper = ctx.spectrum().reps
-    nf_plus = max(fcs.eval(Quaternion(a) + ctx.iota * b).norm() for a, b in upper)
+    image = _slice_image(fcs, upper, ctx.iota)
+    nf_plus = float(np.linalg.norm(image, axis=1).max())
     report.worst("cslice-norm", "||f(T)|| = sup |f| on the upper slice spectrum",
                  abs(op_norm(fcs_t) - nf_plus) / max(1.0, nf_plus), 1e-8)
-    mapped = np.array([fold(fcs.eval(Quaternion(a) + ctx.iota * b)) for a, b in upper])
+    mapped = _folded(image)
     report.worst("cslice-spectral-map",
                  "sigma_S(f(T)) is the circularization of f on the upper slice",
                  hausdorff(spherical_spectrum(fcs_t).reps, mapped),
@@ -392,11 +376,11 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     report.worst("circular-constant-K", "constant kappa maps to K",
                  (circular_calculus(ctx, SliceFunction.constant(ctx.kappa)) - ctx.k).norm(),
                  1e-12)
-    qv = _random_quaternion(rng)
+    qv = Quaternion(*(rng.normal(size=4) * 2.0))
     report.worst("circular-constant-L", "constant q maps to L_q",
                  (circular_calculus(ctx, SliceFunction.constant(qv)) - ctx.left(qv)).norm(),
                  1e-10 * max(1.0, qv.norm()))
-    fc, gc = _random_circular_poly(rng), _random_circular_poly(rng)
+    fc, gc = _random_poly_slice(rng, circular=True), _random_poly_slice(rng, circular=True)
     fct, gct = circular_calculus(ctx, fc), circular_calculus(ctx, gc)
     nfct = op_norm(fct)
     report.worst("circular-homomorphism", "(f g)(T) = f(T) g(T) for circular f, g",
@@ -405,7 +389,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     report.worst("circular-star", "f*(T) = f(T)* for circular f",
                  (circular_calculus(ctx, fc.star()) - fct.adjoint()).norm(),
                  1e-8 * max(1.0, nfct))
-    mapped = np.array([fold(fc.eval(Quaternion(a) + ctx.iota * b)) for a, b in upper])
+    mapped = _folded(_slice_image(fc, upper, ctx.iota))
     report.worst("circular-spectral-containment",
                  "sigma_S(f(T)) inside the circularized image",
                  one_sided_hausdorff(spherical_spectrum(fct).reps, mapped),
@@ -470,6 +454,18 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
                      "polynomial calculus is independent of the J completion",
                      (polynomial_calculus(ctx, q1, q2)
                       - polynomial_calculus(ctx, q1, q2, j=alt)).norm(), 1e-9)
+
+
+def _slice_image(f: SliceFunction, reps: np.ndarray, iota: SpherePoint) -> np.ndarray:
+    """f(alpha + iota beta) for the representatives (alpha, beta), as rows."""
+    qs = np.outer(reps[:, 1], _as_qarray(iota))
+    qs[:, 0] = reps[:, 0]
+    return f.values(qs)
+
+
+def _folded(values: np.ndarray) -> np.ndarray:
+    """The representatives (Re q, |Im q|) of the spheres of the rows q."""
+    return np.column_stack([values[:, 0], np.linalg.norm(values[:, 1:], axis=1)])
 
 
 def _upper_vanishing_function(iota: SpherePoint) -> SliceFunction:

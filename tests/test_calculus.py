@@ -702,3 +702,24 @@ def test_contour_rejects_non_finite_radius(radius):
     ctx = build_context(random_normal(3, np.random.default_rng(32))[0])
     with pytest.raises(PreconditionError, match="is not finite"):
         slice_regular_contour(ctx, SliceFunction.builtin("square"), radius=radius)
+
+
+def test_polynomial_calculus_reads_its_terms_as_a_stem():
+    """The terms go through the stem parser: equal monomials add up, bad
+    exponents and non-finite coefficients are rejected, and the merged
+    coefficients must be real to REAL_TOL."""
+    t, _ = random_normal(4, np.random.default_rng(106))
+    ctx = build_context(t)
+    a_sq = ctx.a @ ctx.a
+    scale = max(1.0, op_norm(a_sq))
+    assert (polynomial_calculus(ctx, [(2, 0, 0.5), (2, 0, 0.5)], []) - a_sq).norm() <= \
+        1e-12 * scale
+    assert (polynomial_calculus(ctx, [(2, 0, Quaternion(1.0, 1e-14, 0.0, 0.0))], [])
+            - a_sq).norm() <= 1e-12 * scale
+    with pytest.raises(PreconditionError, match="must be real"):
+        polynomial_calculus(ctx, [(2, 0, Quaternion(1.0, 1e-9, 0.0, 0.0))], [])
+    for exponent in (1.5, -1, True, "2"):
+        with pytest.raises(PreconditionError, match="exponents must be"):
+            polynomial_calculus(ctx, [(exponent, 0, 1.0)], [])
+    with pytest.raises(PreconditionError, match="non-finite"):
+        polynomial_calculus(ctx, [], [(0, 1, math.nan)])

@@ -209,3 +209,13 @@ def test_exit_code_contour_outside_domain(normal_file, capsys):
     assert main(["apply", "--input", normal_file, "--fn", "builtin:sqrt",
                  "--mode", "contour"]) == 3
     assert "quadrature node 1 lies outside the function domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponent", [1.5, -1, True, "2"])
+def test_exit_code_bad_monomial_exponent(normal_file, tmp_path, capsys, exponent):
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"kind": "poly", "Q1": [[exponent, 0, [1, 0, 0, 0]]]}))
+    assert main(["apply", "--input", normal_file, "--fn", str(fn)]) == 2
+    err = capsys.readouterr().err
+    assert f"monomial X^{exponent!r} Y^0: exponents must be non-negative integers" in err
+    assert "Traceback" not in err

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from quatspec.errors import NumericalError, PreconditionError
-from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, chi_embed,
+from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, _hc_mul,
+                              _hc_norm, _hc_star, chi_embed,
                               chi_extract, chi_vec, chi_vec_extract,
                               extend_complex_operator, gram_schmidt,
                               is_anti_self_adjoint, is_normal, is_self_adjoint,
@@ -15,7 +16,7 @@ from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, chi_embed,
                               polar_decompose, random_normal,
                               random_qmatrix, random_qvector, random_unitary,
                               split_plus_minus, sqrt_positive)
-from quatspec.quaternion import I, J, K, ONE, Quaternion
+from quatspec.quaternion import I, J, K, ONE, ComplexifiedQuaternion, Quaternion
 
 RNG = np.random.default_rng(1234)
 
@@ -440,3 +441,21 @@ def test_matrix_json_matches_entrywise_floats():
     u = random_qvector(3, rng)
     entrywise = {"v": [[float(x) for x in row] for row in u.data]}
     assert json.dumps(u.to_json()) == json.dumps(entrywise)
+
+
+def test_hc_array_ops_are_the_complexified_quaternion_ops():
+    rng = np.random.default_rng(1235)
+    w, y = np.moveaxis(rng.normal(size=(50, 2, 2, 4)) * 2.0, 1, 0)
+    prod, star, norm = _hc_mul(w, y), _hc_star(w), _hc_norm(w)
+    assert prod.shape == star.shape == (50, 2, 4) and norm.shape == (50,)
+    for m in range(50):
+        cw, cy = (ComplexifiedQuaternion(Quaternion(*x[0]), Quaternion(*x[1]))
+                  for x in (w[m], y[m]))
+        expect = cw * cy
+        np.testing.assert_allclose(prod[m], [expect.q.components(), expect.p.components()],
+                                   rtol=1e-14, atol=1e-14)
+        expect = cw.star()
+        assert np.array_equal(star[m], [expect.q.components(), expect.p.components()])
+        assert abs(norm[m] - cw.norm()) <= 1e-14 * cw.norm()
+    # the product broadcasts over leading axes
+    assert np.array_equal(_hc_mul(w[:, None], y[None])[3, 7], _hc_mul(w[3], y[7]))

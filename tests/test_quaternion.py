@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatspec.errors import PreconditionError
@@ -61,10 +61,18 @@ def test_conjugation_reverses_products(p, q):
 
 @settings(max_examples=100, deadline=None)
 @given(quats())
+@example(Quaternion(0.0, 0.0, 4.89e-13, 4.89e-13))  # real to 1e-12, commutator 1.4e-12
 def test_real_iff_central(q):
-    commutes = all(((q * u) - (u * q)).norm() <= 1e-12 * max(1.0, q.norm())
+    # |qu - uq| is twice the imaginary pair of q orthogonal to u (exact up to
+    # rounding and the underflow of squares below ~1e-154)
+    for u, pair in ((I, (q.c, q.d)), (J, (q.b, q.d)), (K, (q.b, q.c))):
+        assert ((q * u) - (u * q)).norm() == pytest.approx(2.0 * math.hypot(*pair),
+                                                           rel=1e-14, abs=1e-150)
+    # so a real q, |Im q| <= tol max(1, |q|), commutes with i, j, k within 2 tol
+    tol = 1e-12
+    if q.is_real(tol):
+        assert all(((q * u) - (u * q)).norm() <= 2.0 * tol * max(1.0, q.norm())
                    for u in (I, J, K))
-    assert commutes == q.is_real(1e-12)
 
 
 def test_inverse_and_power():

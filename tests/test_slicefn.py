@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from quatspec.errors import PreconditionError
+from quatspec.qmatrix import _hc_mul, _hc_star
 from quatspec.quaternion import (I, J, K, ONE, Quaternion, SpherePoint,
-                                 random_sphere_point)
+                                 random_sphere_point, sphere_decompose)
 from quatspec.slicefn import (CircularSet, SliceFunction, StemFunction,
                               classify_slice, cluster_points,
                               decompose_components, hausdorff,
@@ -402,11 +403,12 @@ def test_values_rows_are_the_scalar_eval():
             np.testing.assert_allclose(row, [f1.components(), f2.components()],
                                        rtol=1e-15, atol=1e-15)
     # the polynomial against its monomial sum in quaternion arithmetic
+    terms = poly.to_json()
     for row, z in zip(poly.stem.values(EVAL_POINTS), EVAL_POINTS):
-        for part, coefs in zip(row, (poly.stem.q1, poly.stem.q2)):
+        for part, key in zip(row, ("Q1", "Q2")):
             expect = Quaternion()
-            for (h, k), c in coefs.items():
-                expect = expect + c * (z.real ** h * z.imag ** k)
+            for h, k, c in terms[key]:
+                expect = expect + Quaternion(*c) * (z.real ** h * z.imag ** k)
             np.testing.assert_allclose(part, expect.components(), rtol=1e-14, atol=1e-14)
 
 
@@ -474,7 +476,7 @@ def is_circular_reference(f, tol=1e-9):
     if fs.kind == "builtin":
         return fs.name in BUILTIN_CIRCULAR_REFERENCE
     if fs.kind == "poly":
-        return all(c.norm() <= tol for c in fs.q2.values())
+        return all(Quaternion(*c).norm() <= tol for _, _, c in fs.to_json()["Q2"])
     return all(fs.eval(z)[1].norm() <= tol * max(1.0, fs.eval(z)[0].norm())
                for z in reference_sample_zs(fs))
 
@@ -542,3 +544,106 @@ def test_poly_stem_rejects_non_finite_coefficients():
     # a non-finite coefficient of the wrong parity is named as non-finite too
     with pytest.raises(PreconditionError, match="non-finite"):
         StemFunction.polynomial([(0, 1, -math.inf)], [])
+
+
+# -- polynomial stems as coefficient arrays --------------------------------------
+
+def relative_gap(got, expect):
+    return float(np.max(np.abs(got - expect)) / max(1.0, np.max(np.abs(expect))))
+
+
+def test_poly_operations_on_coefficients_match_the_value_maps():
+    """Product, sum, star and components of polynomials, built from their
+    coefficients, equal the same H(x)C maps applied to the values."""
+    rng = np.random.default_rng(104)
+    zs = rng.normal(size=20) + 1j * rng.normal(size=20)
+    zs[:3] = [0.4, -1.3, 0.0]
+    for _ in range(5):
+        f, g = random_poly(), random_poly()
+        fv, gv = f.stem.values(zs), g.stem.values(zs)
+        results = {
+            "product": (slice_product(f, g), _hc_mul(fv, gv)),
+            "sum": (slice_add(f, g), fv + gv),
+            "star": (slice_star(f), _hc_star(fv)),
+        }
+        basis = np.array([ONE.components(), I.components(), J.components(), K.components()])
+        for ell, comp in enumerate(decompose_components(f, I, J)):
+            expect = np.zeros_like(fv)
+            expect[..., 0] = fv @ basis[ell]
+            results[f"component {ell}"] = (comp, expect)
+        for name, (h, expect) in results.items():
+            assert h.stem.kind == "poly", name
+            assert relative_gap(h.stem.values(zs), expect) <= 1e-12, name
+
+
+def test_poly_stem_merges_equal_monomials():
+    q = Quaternion(0.5, -1.0, 2.0, 0.25)
+    stem = StemFunction.polynomial([(2, 0, 1.0), (0, 0, 2.0), (2, 0, -1.0), (0, 1, 1e-14)],
+                                   [(1, 1, q), (1, 1, q)])
+    assert stem.exps.tolist() == [[0, 0], [1, 1]]
+    assert stem.coefs.shape == (2, 2, 4)
+    assert stem.to_json() == {"kind": "poly", "Q1": [[0, 0, [2.0, 0.0, 0.0, 0.0]]],
+                              "Q2": [[1, 1, (q * 2.0).to_json()]]}
+    again = StemFunction.from_json(stem.to_json())
+    assert again.exps.tolist() == stem.exps.tolist()
+    assert np.array_equal(again.coefs, stem.coefs)
+    # a tiny part of the wrong parity is dropped from a row that is kept
+    mixed = StemFunction.polynomial([(0, 1, 1e-14)], [(0, 1, 1.0)])
+    assert mixed.coefs.tolist() == [[[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]]
+
+
+def test_sparse_monomial_of_high_degree():
+    f = SliceFunction.polynomial([(10 ** 6, 0, 1.0)], [])
+    vals = f.stem.values([1.0, 0.5, -1.0])
+    assert vals[:, 0, 0].tolist() == [1.0, 0.0, 1.0]
+    assert f.eval(Quaternion(-1.0)).isclose(ONE)
+    square = f * f
+    assert square.stem.exps.tolist() == [[2 * 10 ** 6, 0]]
+    assert square.stem.coefs.shape == (1, 2, 4)
+
+
+@pytest.mark.parametrize("exponent", [1.5, -1, True, "2", 2 ** 63])
+def test_poly_exponents_must_be_non_negative_integers(exponent):
+    with pytest.raises(PreconditionError, match=r"monomial X\^.* Y\^0: exponents must be"):
+        StemFunction.polynomial([(exponent, 0, 1.0)], [])
+    with pytest.raises(PreconditionError, match=r"monomial X\^0 Y\^.*: exponents must be"):
+        StemFunction.polynomial([], [(0, exponent, 1.0)])
+    assert StemFunction.polynomial([(np.int64(2), 0, 1.0)], []).exps.tolist() == [[2, 0]]
+
+
+def test_slice_values_rows_are_the_pointwise_definition():
+    """f at an array of quaternions equals eval at each point and the
+    definition F1 + iota F2 through `sphere_decompose`, real points included."""
+    rng = np.random.default_rng(105)
+    qs = rng.normal(size=(12, 4))
+    qs[0] = [0.7, 0.0, 0.0, 0.0]
+    qs[1] = [-1.3, 1e-14, 0.0, 0.0]
+    qs[2] = [0.0, 0.0, 0.0, 0.0]
+    qs[3] = [0.2, 0.0, -0.9, 0.0]
+    tab = tabulated_stems()["general"]
+    functions = [random_poly(), random_poly(quaternionic=False), SliceFunction.builtin("exp"),
+                 SliceFunction.builtin("im"), tab, slice_product(tab, random_poly())]
+    for f in functions:
+        vals = f.values(qs)
+        assert vals.shape == (len(qs), 4)
+        for row, comps in zip(vals, qs):
+            q = Quaternion(*comps)
+            assert np.array_equal(row, f.eval(q).components())
+            alpha, beta, iota = sphere_decompose(q)
+            f1, f2 = f.stem.eval(complex(alpha, beta))
+            expect = f1 if iota is None else f1 + iota * f2
+            assert (Quaternion(*row) - expect).norm() <= 1e-13 * max(1.0, expect.norm())
+
+
+def test_slice_values_name_the_point_outside_the_domain():
+    f = SliceFunction.builtin("sqrt")
+    with pytest.raises(PreconditionError, match=r"point Quaternion\(-1.0, 0.0, 0.0, 0.0\)"):
+        f.values([[4.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+
+
+def test_poly_product_rejects_exponent_overflow():
+    below = SliceFunction.polynomial([(2 ** 62 - 1, 0, 1.0)], [])
+    assert (below * below).stem.exps.tolist() == [[2 ** 63 - 2, 0]]
+    f = SliceFunction.polynomial([(2 ** 62, 0, 1.0)], [(0, 1, 1.0)])
+    with pytest.raises(PreconditionError, match=r"exceeds 2\^63 - 1"):
+        f * f
