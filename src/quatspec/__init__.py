@@ -6,7 +6,7 @@ from .quaternion import (ComplexifiedQuaternion, Quaternion, SpherePoint,
                          fold, random_sphere_point, sphere_decompose,
                          sphere_grid)
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, chi_embed,
-                      chi_extract, extend_complex_operator, gram_schmidt,
+                      chi_extract, extend_complex_operator,
                       is_anti_self_adjoint, is_normal, is_self_adjoint,
                       is_unitary, op_norm, polar_decompose, random_normal,
                       random_qmatrix, random_qvector, random_unitary,

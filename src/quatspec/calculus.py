@@ -4,7 +4,10 @@ Every normal T decomposes as T = A + JB with A = (T+T*)/2 self-adjoint,
 B = |T-T*|/2 positive, and J an anti-self-adjoint unitary commuting with
 both. J extends to a full left scalar multiplication L commuting with A and
 B; fixing iota = i, kappa = j gives the operators J = L_i, K = L_j used by
-the calculi:
+the calculi. All of them are read off one eigensystem T u_m = u_m lambda_m,
+lambda_m = alpha_m + iota beta_m, with Z = [u_m] an orthonormal basis of
+H+: J = Z diag(iota) Z*, B = Z diag(beta_m) Z* and ||T|| = max |lambda_m|.
+The calculi are:
 
 - polynomial:  g(T) = Q1(A,B) + J Q2(A,B)
 - intrinsic:   f(T) from the eigendecomposition of T on H+ (isometric
@@ -38,7 +41,7 @@ from scipy.linalg.lapack import ztrtrs
 from .errors import NumericalError, PreconditionError
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
                       _qmul, chi_embed, chi_extract, chi_vec_extract, is_normal,
-                      is_self_adjoint, op_norm, polar_decompose)
+                      is_self_adjoint)
 from .quaternion import I as QI
 from .quaternion import J as QJ
 from .quaternion import REAL_TOL, Quaternion, SpherePoint
@@ -63,10 +66,12 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
     Returns (lambdas, is_real, columns, tnorm): T u_m = u_m lambda_m with
     lambda_m read as alpha + iota*beta in C_iota, is_real flags the
     eigenvectors of the real eigenspheres (the kernel of T - T*), the u_m are
-    the columns of the returned matrix, and tnorm = ||T||.
+    the columns of the returned matrix, and tnorm = max |lambda_m|, which is
+    ||T|| for normal T.
 
-    Route: complex Schur of chi(T) (diagonal for normal input), conjugate
-    pairs folded into the upper half-plane. Eigenspaces of real eigenvalues
+    Route: complex Schur of chi(T) (diagonal for normal input; its
+    off-diagonal part is bounded in the Frobenius norm), conjugate pairs
+    folded into the upper half-plane. Eigenspaces of real eigenvalues
     carry the quaternionic structure v -> Omega conj(v); half of each such
     eigenspace is selected so that the symplectic form vanishes on the
     selection, which makes the extracted quaternionic vectors orthonormal.
@@ -77,15 +82,15 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
         raise PreconditionError("operator is not normal")
     n = t.n
     c = chi_embed(t)
-    tnorm = float(np.linalg.norm(c, 2))
-    scale = max(1.0, tnorm)
     try:
         s, q = scipy.linalg.schur(c, output="complex")
     except Exception as exc:  # pragma: no cover - schur rarely fails
         raise NumericalError(f"eigensolver failure: {exc}") from exc
     evals = np.diag(s)
+    tnorm = float(np.abs(evals).max(initial=0.0))
+    scale = max(1.0, tnorm)
     offdiag = s - np.diag(evals)
-    if np.linalg.norm(offdiag, 2) > 1e-7 * scale:
+    if np.linalg.norm(offdiag) > 1e-7 * scale:
         raise NumericalError("Schur form is far from diagonal; input not normal enough")
 
     omega = np.zeros((2 * n, 2 * n))
@@ -173,7 +178,7 @@ class CalculusContext:
     lambdas: np.ndarray            # (n,) complex, Im >= 0
     kernel_flags: np.ndarray       # (n,) bool: eigenvector of Ker(T - T*)
     basis: LeftMultiplication      # simultaneous real-diagonalizing basis
-    tnorm: float                   # ||T||, the largest singular value of chi(T)
+    tnorm: float                   # ||T|| = max |lambda_m|
 
     @property
     def n(self) -> int:
@@ -184,9 +189,8 @@ class CalculusContext:
         return self.basis.matrix(q)
 
     def spectrum(self, tol: float | None = None) -> SphericalSpectrum:
-        scale = max(1.0, float(np.abs(self.lambdas).max(initial=0.0)))
         if tol is None:
-            tol = _EIG_CLUSTER_TOL * scale
+            tol = _EIG_CLUSTER_TOL * max(1.0, self.tnorm)
         pts = np.column_stack([self.lambdas.real, self.lambdas.imag])
         reps, members = cluster_points(pts, tol)
         return SphericalSpectrum(reps, [len(cluster) for cluster in members])
@@ -208,34 +212,48 @@ def construct_J(t: QMatrix) -> QMatrix:
     """Anti-self-adjoint unitary J commuting with T and T*, satisfying
     T = A + JB.
 
-    On Ker(T-T*)^perp, J is the (unique) polar factor of T - T*; on the
-    kernel it acts as right multiplication by iota on an orthonormal
-    eigenbasis of A, a deterministic completion (any valid completion yields
-    the same calculi).
+    J = Z diag(iota) Z* on the quaternionic eigenbasis Z of
+    `_normal_eigensystem` (T u_m = u_m lambda_m, lambda_m in C_iota with
+    Im lambda_m >= 0). On Ker(T-T*)^perp this is the unique J with
+    J |T-T*| = T - T*; on the kernel the half basis picked for each real
+    eigensphere fixes a deterministic completion (any valid completion
+    yields the same calculi).
     """
     _, _, columns, _ = _normal_eigensystem(t)
     return LeftMultiplication(columns).matrix(IOTA)
 
 
 def build_context(t: QMatrix) -> CalculusContext:
-    """Assemble the full decomposition bundle for a normal operator."""
+    """Assemble the full decomposition bundle for a normal operator.
+
+    Everything is read off one eigensystem T = Z diag(lambda_m) Z*,
+    lambda_m = alpha_m + iota beta_m: J = Z diag(iota) Z*, B = |T - T*|/2 =
+    Z diag(beta_m) Z* and ||T|| = max |lambda_m|; A = (T + T*)/2 is exact.
+    The eigen-residual ||T - Z diag(lambda_m) Z*||_F bounds
+    ||T - (A + JB)|| from above and must stay below 1e-10 max(1, ||T||).
+    """
     lambdas, kernel_flags, columns, tnorm = _normal_eigensystem(t)
     try:
         basis = LeftMultiplication(columns)
     except PreconditionError as exc:
         raise NumericalError(f"eigenbasis is not orthonormal: {exc}") from exc
+    # lambda_m = alpha_m + iota beta_m and beta_m as (n, 4) quaternion arrays
+    lam = np.outer(lambdas.imag, _as_qarray(IOTA))
+    lam[:, 0] = lambdas.real
+    beta = np.zeros_like(lam)
+    beta[:, 0] = lambdas.imag
+    residual = (t - basis.diagonal(lam)).frobenius()
+    bound = 1e-10 * max(1.0, tnorm)
+    if residual > bound:
+        raise NumericalError(f"eigen-residual ||T - Z diag(lambda) Z*|| = {residual:.3e} "
+                             f"exceeds {bound:.3e}; diagonalization failed")
     j = basis.matrix(IOTA)
     k = basis.matrix(KAPPA)
     a = (t + t.adjoint()) * 0.5
-    d = t - t.adjoint()
-    b = polar_decompose(d)[1] * 0.5  # |T - T*| via SVD, no squaring
-    ctx = CalculusContext(t=t, a=a, b=b, j=j, k=k, iota=IOTA, kappa=KAPPA,
-                          lambdas=lambdas, kernel_flags=kernel_flags, basis=basis,
-                          tnorm=tnorm)
-    scale = max(1.0, tnorm)
-    if op_norm(t - (a + j @ b)) > 1e-10 * scale:
-        raise NumericalError("decomposition residual too large; diagonalization failed")
-    return ctx
+    b = basis.diagonal(beta)
+    return CalculusContext(t=t, a=a, b=b, j=j, k=k, iota=IOTA, kappa=KAPPA,
+                           lambdas=lambdas, kernel_flags=kernel_flags, basis=basis,
+                           tnorm=tnorm)
 
 
 def alternate_kernel_J(ctx: CalculusContext) -> QMatrix:
@@ -255,20 +273,10 @@ def alternate_kernel_J(ctx: CalculusContext) -> QMatrix:
 
 def _poly_of_operators(coefs: dict[tuple[int, int], float],
                        a: QMatrix, b: QMatrix) -> QMatrix:
-    n = a.n
-    out = QMatrix.zeros(n)
-    if not coefs:
-        return out
-    max_h = max(h for h, _ in coefs)
-    max_k = max(k for _, k in coefs)
-    a_pow = [QMatrix.identity(n)]
-    for _ in range(max_h):
-        a_pow.append(a_pow[-1] @ a)
-    b_pow = [QMatrix.identity(n)]
-    for _ in range(max_k):
-        b_pow.append(b_pow[-1] @ b)
+    """sum r A^h B^k, each power by binary powering."""
+    out = QMatrix.zeros(a.n)
     for (h, k), r in sorted(coefs.items()):
-        out = out + (a_pow[h] @ b_pow[k]) * r
+        out = out + (a.power(h) @ b.power(k)) * r
     return out
 
 
@@ -304,7 +312,9 @@ def _eigen_sandwich(ctx: CalculusContext, f: SliceFunction,
     With iota = i and kappa = j, quaternion component l of F1 and F2 is the
     stem of the intrinsic component f_l of f = f0 + f1 iota + f2 kappa +
     f3 iota kappa; only the first `components` of them are kept. Every
-    lambda_m must lie in the domain of f (within 1e-8).
+    lambda_m must lie in the domain of f (within 1e-8), and the kept
+    components must be finite there (an overflowing f raises
+    `NumericalError`).
     """
     inside = f.stem.accepts(ctx.lambdas.real, ctx.lambdas.imag, 1e-8)
     if not inside.all():
@@ -312,6 +322,10 @@ def _eigen_sandwich(ctx: CalculusContext, f: SliceFunction,
                                 "lies outside the function domain")
     vals = f.stem.values(ctx.lambdas)
     vals[:, :, components:] = 0.0
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"f is not finite at spectrum point "
+                             f"{ctx.lambdas[np.argmin(finite)]:.6g}")
     return ctx.basis.diagonal(vals[:, 0] + _qmul(_as_qarray(ctx.iota), vals[:, 1]))
 
 
@@ -398,6 +412,9 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     s = np.outer(beta, _as_qarray(ctx.iota))
     s[:, 0] = alpha
     c1 = _qmul(s / nodes, f.values(s))
+    finite = np.isfinite(c1).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"f is not finite at quadrature node {np.argmin(finite)}")
     c2 = _qmul(_qconj(s), c1)
     # c = z1 + z2 j with z1, z2 in C
     coefs = np.concatenate([c1.view(complex), c2.view(complex)], axis=1).tolist()

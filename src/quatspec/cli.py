@@ -9,7 +9,7 @@ Subcommands:
 - `verify`     - run the property-verification suites
 
 Exit codes: 0 success, 1 verification failures, 2 malformed input JSON,
-3 precondition violations raised by the library.
+3 precondition violations and numerical failures raised by the library.
 
 JSON numbers are emitted via the shortest round-trip representation, so
 parse -> serialize -> parse is bit-identical after one normalization pass.

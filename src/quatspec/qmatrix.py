@@ -22,9 +22,9 @@ Main contents:
   Z diag(q_m) Z* on the basis columns Z
 - `extend_complex_operator` - unique right-H-linear, J-commuting extension of
   a complex operator given on an orthonormal basis of H+
-- `gram_schmidt` - quaternionic modified Gram-Schmidt
-- random generators for matrices, unitaries and normal operators with a
-  prescribed ground-truth spectrum
+- random generators for matrices, Haar unitaries (the polar factor of a
+  Gaussian matrix) and normal operators with a prescribed ground-truth
+  spectrum
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 from .quaternion import Quaternion, SpherePoint, _cstar_norm
 
 # -- component arithmetic on (..., 4) float arrays ---------------------------
@@ -415,7 +415,8 @@ def sqrt_positive(m: QMatrix, tol: float = 1e-10) -> QMatrix:
 
 
 def polar_decompose(m: QMatrix) -> tuple[QMatrix, QMatrix]:
-    """Polar decomposition M = W P with P = |M| = sqrt(M* M).
+    """Polar decomposition M = W P with P = |M| = sqrt(M* M), both read off
+    one SVD of chi(M) (Higham, SISC 7, 1986).
 
     W vanishes on Ker(P) and is isometric on Ker(P)^perp; singular values
     below 1e-10 of the largest are treated as kernel. W inherits
@@ -433,18 +434,14 @@ def polar_decompose(m: QMatrix) -> tuple[QMatrix, QMatrix]:
 # -- imaginary units and complex subspaces ---------------------------------------
 
 
-def _check_imaginary_unit_operator(j: QMatrix, tol: float = 1e-10) -> None:
-    if not (is_anti_self_adjoint(j, tol) and is_unitary(j, tol)):
-        raise PreconditionError("J must be an anti-self-adjoint unitary operator")
-
-
 def split_plus_minus(u: QVector, j: QMatrix, iota: SpherePoint,
                      tol: float = 1e-10) -> tuple[QVector, QVector]:
     """Orthogonal splitting u = u+ + u- with J u(+-) = (+-) u(+-) iota.
 
     Uses u(+-) = (u -+ J u iota) / 2.
     """
-    _check_imaginary_unit_operator(j, tol)
+    if not (is_anti_self_adjoint(j, tol) and is_unitary(j, tol)):
+        raise PreconditionError("J must be an anti-self-adjoint unitary operator")
     ju_iota = (j @ u).rmul(iota)
     u_plus = (u - ju_iota) * 0.5
     u_minus = (u + ju_iota) * 0.5
@@ -470,10 +467,6 @@ class LeftMultiplication:
         self.columns = columns
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[QVector], tol: float = 1e-10) -> "LeftMultiplication":
-        return cls(QMatrix.from_columns(vectors), tol)
-
-    @classmethod
     def standard(cls, n: int) -> "LeftMultiplication":
         return cls(QMatrix.identity(n))
 
@@ -493,9 +486,6 @@ class LeftMultiplication:
     def matrix(self, q: Quaternion) -> QMatrix:
         """The operator L_q as a quaternionic matrix."""
         return self.diagonal(np.tile(_as_qarray(q), (self.n, 1)))
-
-    def apply(self, q: Quaternion, u: QVector) -> QVector:
-        return self.matrix(q) @ u
 
 
 def extend_complex_operator(s: np.ndarray, basis: LeftMultiplication,
@@ -520,47 +510,6 @@ def extend_complex_operator(s: np.ndarray, basis: LeftMultiplication,
     return z @ QMatrix(data) @ z.adjoint()
 
 
-def gram_schmidt(vectors: Sequence[QVector], tol: float = 1e-12) -> list[QVector]:
-    """Quaternionic modified Gram-Schmidt with one re-orthogonalization pass."""
-    out: list[QVector] = []
-    for v in vectors:
-        w = QVector(v.data.copy())
-        for _ in range(2):
-            for e in out:
-                w = w - e.rmul(e.inner(w))
-        norm = w.norm()
-        if norm <= tol * max(1.0, v.norm()):
-            raise NumericalError("vectors are numerically linearly dependent")
-        out.append(w * (1.0 / norm))
-    return out
-
-
-def plus_subspace_basis(j: QMatrix, iota: SpherePoint,
-                        rng: np.random.Generator) -> LeftMultiplication:
-    """Orthonormal basis of H+^{J iota}, obtained by projecting random vectors.
-
-    The basis is simultaneously a Hilbert basis of H^n inducing a left scalar
-    multiplication with L_iota = J.
-    """
-    _check_imaginary_unit_operator(j)
-    n = j.n
-    vectors: list[QVector] = []
-    attempts = 0
-    while len(vectors) < n:
-        if attempts > 20 * n:
-            raise NumericalError("failed to build a basis of the plus subspace")
-        attempts += 1
-        x = random_qvector(n, rng)
-        plus, _ = split_plus_minus(x, j, iota)
-        if plus.norm() < 1e-8:
-            continue
-        try:
-            vectors = gram_schmidt(vectors + [plus * (1.0 / plus.norm())])
-        except NumericalError:
-            continue
-    return LeftMultiplication.from_vectors(vectors)
-
-
 # -- random generators ------------------------------------------------------------
 
 
@@ -573,10 +522,10 @@ def random_qmatrix(n: int, rng: np.random.Generator, scale: float = 1.0) -> QMat
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> QMatrix:
-    """Haar-ish random quaternionic unitary (Gram-Schmidt of a Gaussian matrix)."""
-    m = random_qmatrix(n, rng)
-    cols = gram_schmidt([m.column(k) for k in range(n)])
-    return QMatrix.from_columns(cols)
+    """Haar random quaternionic unitary: the polar factor of a Gaussian
+    matrix, whose law is invariant under Sp(n) on both sides (Mezzadri,
+    Notices AMS 54, 2007)."""
+    return polar_decompose(random_qmatrix(n, rng))[0]
 
 
 def random_normal(n: int, rng: np.random.Generator, kind: str = "normal",

@@ -12,13 +12,13 @@ from quatspec.calculus import (adjoint_similarity,
                                general_calculus, intrinsic_calculus,
                                polynomial_calculus, slice_regular_contour,
                                spectral_measure_weights)
-from quatspec.errors import PreconditionError
+from quatspec.errors import NumericalError, PreconditionError
 from quatspec.qmatrix import (QMatrix, QVector, chi_embed,
                               is_anti_self_adjoint, is_normal, is_self_adjoint,
                               is_unitary, op_norm, polar_decompose,
                               random_normal, random_qmatrix, random_qvector,
                               random_unitary)
-from quatspec.quaternion import I, J, Quaternion, fold
+from quatspec.quaternion import I, J, Quaternion, fold, random_sphere_point
 from quatspec.slicefn import (SliceFunction, decompose_components, hausdorff,
                               one_sided_hausdorff, slice_product, sup_norm)
 from quatspec.spectral import spherical_spectrum
@@ -96,6 +96,13 @@ def test_build_context_invariants():
         scale = max(1.0, op_norm(t))
         eye = QMatrix.identity(6)
         assert op_norm(ctx.t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * scale
+        # B = |T - T*| / 2 and ||T|| as read off the eigensystem
+        assert (ctx.b - polar_decompose(t - t.adjoint())[1] * 0.5).norm() <= 1e-10 * scale
+        assert abs(ctx.tnorm - op_norm(t)) <= 1e-12 * op_norm(t)
+        # the basis vectors lie in H+: J u_m = u_m i
+        for m in range(6):
+            u = ctx.basis.vector(m)
+            assert (ctx.j @ u - u.rmul(I)).norm() <= 1e-10
         assert is_self_adjoint(ctx.a)
         assert is_self_adjoint(ctx.b)
         assert np.linalg.eigvalsh(chi_embed(ctx.b)).min() >= -1e-10 * scale
@@ -107,6 +114,26 @@ def test_build_context_invariants():
         assert (ctx.k @ ctx.a - ctx.a @ ctx.k).norm() <= 1e-9 * scale
         assert (ctx.k @ ctx.b - ctx.b @ ctx.k).norm() <= 1e-9 * scale
         assert ctx.lambdas.imag.min() >= -1e-10
+
+
+def test_build_context_on_nearly_real_eigenvalues():
+    """Two eigenvalues 1e-10 to 1e-6 off the real axis next to four well off
+    it: the context holds with residual <= 1e-10 ||T||, or it fails as a
+    NumericalError; valid input never raises a PreconditionError."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(-2.0, 2.0, 6)
+        beta = rng.uniform(0.3, 2.0, 6)
+        beta[:2] = 10.0 ** rng.uniform(-10.0, -6.0)
+        d = QMatrix.diag([Quaternion(a) + random_sphere_point(rng) * b
+                          for a, b in zip(alpha, beta)])
+        v = random_unitary(6, rng)
+        t = v @ d @ v.adjoint()
+        try:
+            ctx = build_context(t)
+        except NumericalError:
+            continue
+        assert op_norm(t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
 
 
 def test_context_1x1_example():
@@ -723,3 +750,30 @@ def test_polynomial_calculus_reads_its_terms_as_a_stem():
             polynomial_calculus(ctx, [(exponent, 0, 1.0)], [])
     with pytest.raises(PreconditionError, match="non-finite"):
         polynomial_calculus(ctx, [], [(0, 1, math.nan)])
+
+
+def test_polynomial_calculus_powers_by_squaring():
+    """X^1000000 of an orthogonal projection T is T: the powers come from
+    binary powering, not from a table of every power up to the exponent. An
+    eigenvalue 1 + delta of A becomes 1 + 1e6 delta, hence the 1e-8."""
+    rng = np.random.default_rng(107)
+    v = random_unitary(4, rng)
+    t = v @ QMatrix.diag([Quaternion(1), Quaternion(1), Quaternion(), Quaternion()]) \
+        @ v.adjoint()
+    ctx = build_context(t)
+    assert (polynomial_calculus(ctx, [(1000000, 0, 1.0)], []) - t).norm() <= 1e-8
+
+
+def test_overflowing_function_raises_numerical_error():
+    """exp(800) and 800^1000000 overflow: every calculus names the first
+    spectrum point or quadrature node where f is not finite instead of
+    returning NaN entries."""
+    ctx = build_context(QMatrix.diag([Quaternion(1), Quaternion(800)]))
+    big_power = SliceFunction.polynomial([(10**6, 0, 1.0)], [])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in (SliceFunction.builtin("exp"), big_power):
+            for calculus in (intrinsic_calculus, general_calculus):
+                with pytest.raises(NumericalError, match="not finite at spectrum point 800"):
+                    calculus(ctx, f)
+            with pytest.raises(NumericalError, match="not finite at quadrature node 0"):
+                slice_regular_contour(ctx, f)

@@ -219,3 +219,16 @@ def test_exit_code_bad_monomial_exponent(normal_file, tmp_path, capsys, exponent
     err = capsys.readouterr().err
     assert f"monomial X^{exponent!r} Y^0: exponents must be non-negative integers" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["intrinsic", "general", "contour"])
+def test_exit_code_overflowing_function(tmp_path, capsys, mode):
+    """exp overflows on diag(800, 1): exit 3 and no NaN rows on stdout."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(QMatrix.diag([Quaternion(800), Quaternion(1)]).to_json()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["apply", "--input", str(path), "--fn", "builtin:exp", "--mode", mode])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "f is not finite at" in captured.err

@@ -6,14 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from quatspec.errors import NumericalError, PreconditionError
+from quatspec.errors import PreconditionError
 from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, _hc_mul,
                               _hc_norm, _hc_star, chi_embed,
                               chi_extract, chi_vec, chi_vec_extract,
-                              extend_complex_operator, gram_schmidt,
+                              extend_complex_operator,
                               is_anti_self_adjoint, is_normal, is_self_adjoint,
-                              is_unitary, op_norm, plus_subspace_basis,
-                              polar_decompose, random_normal,
+                              is_unitary, op_norm, polar_decompose,
+                              random_normal,
                               random_qmatrix, random_qvector, random_unitary,
                               split_plus_minus, sqrt_positive)
 from quatspec.quaternion import I, J, K, ONE, ComplexifiedQuaternion, Quaternion
@@ -338,28 +338,7 @@ def test_left_mult_diagonal_is_the_basis_sandwich():
     assert (basis.diagonal(values) - expect).norm() <= 1e-12 * np.abs(values).max()
 
 
-def test_plus_subspace_basis_recovers_j():
-    j, _ = make_j(4, RNG)
-    basis = plus_subspace_basis(j, I, np.random.default_rng(5))
-    assert (basis.matrix(I) - j).norm() <= 1e-10
-
-
-# -- Gram-Schmidt and random generators ----------------------------------------------------
-
-def test_gram_schmidt_orthonormalizes():
-    vecs = [random_qvector(4, RNG) for _ in range(4)]
-    ortho = gram_schmidt(vecs)
-    for a in range(4):
-        for b in range(4):
-            expect = 1.0 if a == b else 0.0
-            assert abs(ortho[a].inner(ortho[b]).norm() - expect) <= 1e-13
-
-
-def test_gram_schmidt_detects_dependence():
-    u = random_qvector(3, RNG)
-    with pytest.raises(NumericalError):
-        gram_schmidt([u, u * 2.0])
-
+# -- random generators ----------------------------------------------------
 
 def test_random_unitary_and_normal():
     v = random_unitary(5, RNG)
@@ -375,6 +354,18 @@ def test_random_unitary_and_normal():
     assert is_unitary(t)
     t, _ = random_normal(4, RNG, kind="imaginaryunit")
     assert is_unitary(t) and is_anti_self_adjoint(t)
+
+
+def test_random_unitary_is_the_polar_factor_of_its_gaussian_draw():
+    """The Haar generator draws exactly one Gaussian matrix M and returns
+    the unitary W of M = W |M|, so later draws of the stream are unchanged."""
+    rng, ref = np.random.default_rng(77), np.random.default_rng(77)
+    v = random_unitary(6, rng)
+    m = random_qmatrix(6, ref)
+    assert rng.normal() == ref.normal()
+    assert is_unitary(v)
+    p = v.adjoint() @ m
+    assert (p - sqrt_positive(m.adjoint() @ m)).norm() <= 1e-10 * op_norm(m)
 
 
 # -- independent real-representation oracle ----------------------------------------------
