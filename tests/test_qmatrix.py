@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from quatspec.calculus import build_context, construct_J
 from quatspec.errors import PreconditionError
 from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, _hc_mul,
                               _hc_norm, _hc_star, chi_embed,
@@ -336,6 +337,17 @@ def test_left_mult_diagonal_is_the_basis_sandwich():
     z = basis.columns
     expect = z @ QMatrix.diag([Quaternion(*v) for v in values]) @ z.adjoint()
     assert (basis.diagonal(values) - expect).norm() <= 1e-12 * np.abs(values).max()
+
+
+def test_plus_subspace_basis_recovers_j():
+    # the H+ basis of a normal T (J u_m = u_m i) induces L_i = J
+    t, _ = random_normal(4, np.random.default_rng(5))
+    j = construct_J(t)
+    basis = build_context(t).basis
+    for m in range(4):
+        u = basis.vector(m)
+        assert (j @ u - u.rmul(I)).norm() <= 1e-10
+    assert (basis.matrix(I) - j).norm() <= 1e-10
 
 
 # -- random generators ----------------------------------------------------
