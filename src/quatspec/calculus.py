@@ -40,22 +40,22 @@ from scipy.linalg.lapack import ztrtrs
 
 from .errors import NumericalError, PreconditionError
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
-                      _qmul, chi_embed, chi_extract, chi_vec_extract, is_normal,
-                      is_self_adjoint)
+                      _qmatmul, _qmul, chi_embed, chi_extract, chi_vec_extract,
+                      is_normal, is_self_adjoint)
 from .quaternion import I as QI
 from .quaternion import J as QJ
 from .quaternion import REAL_TOL, Quaternion, SpherePoint
 from .slicefn import (CircularSet, SliceFunction, StemFunction, _within,
                       cluster_points, is_circular, is_cslice, is_intrinsic)
-from .spectral import SphericalSpectrum
+from .spectral import CLUSTER_TOL, SphericalSpectrum
 
 # global slice convention: iota = i, kappa = j, so {1, iota, kappa,
 # iota*kappa} is the standard basis {1, i, j, k}
 IOTA = QI
 KAPPA = QJ
 
-_EIG_CLUSTER_TOL = 1e-8  # relative eigenvalue clustering for the eigensystem
-_DEGENERACY_TOL = 1e-7  # absolute-on-lambda clustering for measure weights
+_EIG_CLUSTER_TOL = 1e-11  # eigenvalue clustering for the eigensystem, times ||T||
+_DEGENERACY_TOL = 1e-7  # eigenvalue clustering for measure weights, times ||T||
 
 
 def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
@@ -70,97 +70,63 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
     ||T|| for normal T.
 
     Route: complex Schur of chi(T) (diagonal for normal input; its
-    off-diagonal part is bounded in the Frobenius norm), conjugate pairs
-    folded into the upper half-plane. Eigenspaces of real eigenvalues
-    carry the quaternionic structure v -> Omega conj(v); half of each such
-    eigenspace is selected so that the symplectic form vanishes on the
-    selection, which makes the extracted quaternionic vectors orthonormal.
-    One Newton-Schulz step Z <- Z (3I - Z*Z) / 2 then squares the remaining
-    Gram deviation of the basis down to rounding level.
+    off-diagonal part must stay below 1e-7 ||T|| in the Frobenius norm).
+    With tau = 1e-11 ||T||, an eigenvalue with Im > tau contributes its
+    Schur vector as it is, and one with Im < -tau is its conjugate partner.
+    The eigenvalues with |Im| <= tau are clustered on the real line at tau;
+    each cluster spans an eigenspace V (2n x 2d) closed under the
+    quaternionic structure sigma(x) = Omega conj(x), x -> x j in chi
+    coordinates. Half of V is picked by pivoted sigma-orthogonalization:
+    each pick is the column of V with the largest norm left after projecting
+    off the picks so far and their partners sigma(w), normalized. Since
+    x^H Omega conj(x) = 0 for every x, the remaining norms^2 sum to
+    2(d - k) after k picks, so every pick has norm >= 1/sqrt(d) and the
+    picks with their partners are orthonormal. Schur vectors of eigenvalues
+    a gap g apart are quaternion-orthogonal only to about eps ||T|| / g
+    (up to 1e-5 at g = tau); two Newton-Schulz steps Z <- Z (3I - Z*Z) / 2
+    square that Gram deviation twice, down to rounding level, while moving
+    each u_m only within eigenvalues about g away.
     """
     if not is_normal(t, tol):
         raise PreconditionError("operator is not normal")
     n = t.n
-    c = chi_embed(t)
     try:
-        s, q = scipy.linalg.schur(c, output="complex")
-    except Exception as exc:  # pragma: no cover - schur rarely fails
+        s, q = scipy.linalg.schur(chi_embed(t), output="complex")
+    except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover
         raise NumericalError(f"eigensolver failure: {exc}") from exc
     evals = np.diag(s)
     tnorm = float(np.abs(evals).max(initial=0.0))
-    scale = max(1.0, tnorm)
-    offdiag = s - np.diag(evals)
-    if np.linalg.norm(offdiag) > 1e-7 * scale:
+    if np.linalg.norm(s - np.diag(evals)) > 1e-7 * tnorm:
         raise NumericalError("Schur form is far from diagonal; input not normal enough")
-
-    omega = np.zeros((2 * n, 2 * n))
-    omega[:n, n:] = np.eye(n)
-    omega[n:, :n] = -np.eye(n)
-
-    folded = np.column_stack([evals.real, np.abs(evals.imag)])
-    real_tol = _EIG_CLUSTER_TOL * scale
-    selected: list[tuple[complex, bool, np.ndarray]] = []
-    for cluster in cluster_points(folded, real_tol)[1]:
-        idx = np.array(cluster, dtype=int)
-        vals = evals[idx]
-        if np.abs(vals.imag).max() <= real_tol:
-            if len(idx) % 2:
-                raise NumericalError("real eigenspace has odd complex dimension")
-            lam = complex(float(vals.real.mean()), 0.0)
-            for w in _symplectic_half_basis(q[:, idx], omega):
-                selected.append((lam, True, w))
-        else:
-            pos = idx[evals[idx].imag > 0]
-            neg = idx[evals[idx].imag < 0]
-            if len(pos) != len(neg):
-                raise NumericalError("conjugate eigenvalue pairing lost")
-            for p in pos:
-                lam = complex(evals[p].real, abs(evals[p].imag))
-                selected.append((lam, False, q[:, p]))
-    if len(selected) != n:
-        raise NumericalError("eigenbasis selection did not yield n vectors")
-    selected.sort(key=lambda item: (item[0].real, item[0].imag))
-    lambdas = np.array([lam for lam, _, _ in selected])
-    is_real = np.array([flag for _, flag, _ in selected])
-    columns = QMatrix.from_columns([chi_vec_extract(w) for _, _, w in selected])
-    gram = columns.adjoint() @ columns
-    columns = columns @ (QMatrix.identity(n) * 3.0 - gram) * 0.5
-    return lambdas, is_real, columns, tnorm
-
-
-def _symplectic_half_basis(v: np.ndarray, omega: np.ndarray) -> list[np.ndarray]:
-    """Half basis of a real-eigenvalue eigenspace on which the symplectic
-    pairing phi(x, y) = x^H Omega conj(y) vanishes.
-
-    The antilinear map x -> Omega conj(x) preserves the eigenspace and
-    squares to -1, so repeatedly picking a unit vector and deflating it
-    together with its partner halves the dimension.
-    """
-    work = np.asarray(v, dtype=complex)
-    out: list[np.ndarray] = []
-    while work.shape[1] > 0:
-        w = work[:, 0]
-        w = w / np.linalg.norm(w)
-        partner = omega @ w.conj()
-        resid = partner - work @ (work.conj().T @ partner)
-        if np.linalg.norm(resid) > 1e-6:
-            raise NumericalError("eigenspace is not closed under the quaternionic structure")
-        partner = partner - w * (w.conj() @ partner)
-        norm = np.linalg.norm(partner)
-        if norm < 0.5:
-            raise NumericalError("symplectic partner collapsed; eigenbasis extraction failed")
-        partner = partner / norm
-        out.append(w)
-        rest = work[:, 1:]
-        if rest.shape[1] == 0:
-            break
-        rest = rest - np.outer(w, w.conj() @ rest) - np.outer(partner, partner.conj() @ rest)
-        u, s, _ = np.linalg.svd(rest, full_matrices=False)
-        keep = s > 0.5
-        if keep.sum() != work.shape[1] - 2:
-            raise NumericalError("unexpected rank while deflating a real eigenspace")
-        work = u[:, keep]
-    return out
+    tau = _EIG_CLUSTER_TOL * tnorm
+    upper = np.flatnonzero(evals.imag > tau)
+    if upper.size != np.count_nonzero(evals.imag < -tau):
+        raise NumericalError("conjugate eigenvalue pairing lost: a gap to the real axis "
+                             f"is within rounding of tau = {tau:.3e}")
+    real = np.flatnonzero(np.abs(evals.imag) <= tau)
+    lambdas, vectors = [evals[upper]], [q[:, upper]]
+    for cluster in cluster_points(np.column_stack([evals.real[real], np.zeros(real.size)]),
+                                  tau)[1]:
+        v = q[:, real[cluster]]
+        if v.shape[1] % 2:
+            raise NumericalError("real eigenspace has odd complex dimension: a gap between "
+                                 f"real eigenvalues is within rounding of tau = {tau:.3e}")
+        w = np.empty((2 * n, 0), dtype=complex)
+        for _ in range(v.shape[1] // 2):
+            pairs = np.hstack([w, np.vstack([w[n:].conj(), -w[:n].conj()])])
+            rest = v - pairs @ (pairs.conj().T @ v)
+            pick = rest[:, np.argmax(np.linalg.norm(rest, axis=0))]
+            w = np.column_stack([w, pick / np.linalg.norm(pick)])
+        lambdas.append(np.full(w.shape[1], complex(evals.real[real[cluster]].mean())))
+        vectors.append(w)
+    lambdas, vectors = np.concatenate(lambdas), np.hstack(vectors)
+    is_real = np.arange(n) >= upper.size
+    order = np.lexsort((lambdas.imag, lambdas.real))
+    columns = QMatrix.from_columns([chi_vec_extract(vectors[:, m]) for m in order])
+    for _ in range(2):
+        gram = columns.adjoint() @ columns
+        columns = columns @ (QMatrix.identity(n) * 3.0 - gram) * 0.5
+    return lambdas[order], is_real[order], columns, tnorm
 
 
 @dataclass(frozen=True)
@@ -190,7 +156,7 @@ class CalculusContext:
 
     def spectrum(self, tol: float | None = None) -> SphericalSpectrum:
         if tol is None:
-            tol = _EIG_CLUSTER_TOL * max(1.0, self.tnorm)
+            tol = CLUSTER_TOL * self.tnorm
         pts = np.column_stack([self.lambdas.real, self.lambdas.imag])
         reps, members = cluster_points(pts, tol)
         return SphericalSpectrum(reps, [len(cluster) for cluster in members])
@@ -215,9 +181,10 @@ def construct_J(t: QMatrix) -> QMatrix:
     J = Z diag(iota) Z* on the quaternionic eigenbasis Z of
     `_normal_eigensystem` (T u_m = u_m lambda_m, lambda_m in C_iota with
     Im lambda_m >= 0). On Ker(T-T*)^perp this is the unique J with
-    J |T-T*| = T - T*; on the kernel the half basis picked for each real
-    eigensphere fixes a deterministic completion (any valid completion
-    yields the same calculi).
+    J |T-T*| = T - T*. On the kernel the paper leaves J free among the
+    anti-self-adjoint unitaries completing T = A + JB; the half basis that
+    pivoted sigma-orthogonalization picks on each real eigensphere fixes a
+    deterministic completion (any valid completion yields the same calculi).
     """
     _, _, columns, _ = _normal_eigensystem(t)
     return LeftMultiplication(columns).matrix(IOTA)
@@ -230,23 +197,30 @@ def build_context(t: QMatrix) -> CalculusContext:
     lambda_m = alpha_m + iota beta_m: J = Z diag(iota) Z*, B = |T - T*|/2 =
     Z diag(beta_m) Z* and ||T|| = max |lambda_m|; A = (T + T*)/2 is exact.
     The eigen-residual ||T - Z diag(lambda_m) Z*||_F bounds
-    ||T - (A + JB)|| from above and must stay below 1e-10 max(1, ||T||).
+    ||T - (A + JB)|| from above and must stay below 1e-10 ||T||. When it
+    does not, or the eigenbasis is not orthonormal, the `NumericalError`
+    quotes the smallest gap between distinct eigenvalues of chi(T) and the
+    clustering tolerance tau = 1e-11 ||T||.
     """
     lambdas, kernel_flags, columns, tnorm = _normal_eigensystem(t)
+    evals = np.concatenate([lambdas, lambdas.conj()])
+    dist = np.abs(evals[:, None] - evals[None, :])
+    gaps = (f"smallest eigenvalue gap {dist[dist > 0].min(initial=math.inf):.3e}, "
+            f"clustering tolerance tau = {_EIG_CLUSTER_TOL * tnorm:.3e}")
     try:
         basis = LeftMultiplication(columns)
     except PreconditionError as exc:
-        raise NumericalError(f"eigenbasis is not orthonormal: {exc}") from exc
+        raise NumericalError(f"eigenbasis is not orthonormal: {exc}; {gaps}") from exc
     # lambda_m = alpha_m + iota beta_m and beta_m as (n, 4) quaternion arrays
     lam = np.outer(lambdas.imag, _as_qarray(IOTA))
     lam[:, 0] = lambdas.real
     beta = np.zeros_like(lam)
     beta[:, 0] = lambdas.imag
     residual = (t - basis.diagonal(lam)).frobenius()
-    bound = 1e-10 * max(1.0, tnorm)
+    bound = 1e-10 * tnorm
     if residual > bound:
         raise NumericalError(f"eigen-residual ||T - Z diag(lambda) Z*|| = {residual:.3e} "
-                             f"exceeds {bound:.3e}; diagonalization failed")
+                             f"exceeds {bound:.3e}; {gaps}")
     j = basis.matrix(IOTA)
     k = basis.matrix(KAPPA)
     a = (t + t.adjoint()) * 0.5
@@ -320,7 +294,8 @@ def _eigen_sandwich(ctx: CalculusContext, f: SliceFunction,
     if not inside.all():
         raise PreconditionError(f"spectrum point {ctx.lambdas[np.argmin(inside)]:.6g} "
                                 "lies outside the function domain")
-    vals = f.stem.values(ctx.lambdas)
+    with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
+        vals = f.stem.values(ctx.lambdas)
     vals[:, :, components:] = 0.0
     finite = np.isfinite(vals).all(axis=(1, 2))
     if not finite.all():
@@ -411,7 +386,8 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
             f"quadrature node {np.argmin(inside)} lies outside the function domain")
     s = np.outer(beta, _as_qarray(ctx.iota))
     s[:, 0] = alpha
-    c1 = _qmul(s / nodes, f.values(s))
+    with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
+        c1 = _qmul(s / nodes, f.values(s))
     finite = np.isfinite(c1).all(axis=1)
     if not finite.all():
         raise NumericalError(f"f is not finite at quadrature node {np.argmin(finite)}")
@@ -454,13 +430,8 @@ def spectral_measure_weights(t: QMatrix, u: QVector,
     if not is_self_adjoint(t):
         raise PreconditionError("operator is not self-adjoint")
     lambdas, _, columns, tnorm = _normal_eigensystem(t)
-    tol = _DEGENERACY_TOL * max(1.0, tnorm)
-    out = []
-    for cluster in cluster_points(np.column_stack([lambdas.real, np.zeros(t.n)]), tol)[1]:
-        lam = float(np.mean([lambdas[m].real for m in cluster]))
-        weight = 0.0
-        for m in cluster:
-            weight += columns.column(m).inner(u).norm() ** 2
-        out.append((lam, weight))
-    out.sort(key=lambda p: p[0])
-    return out
+    weights = (_qmatmul(columns.adjoint().data, u.data) ** 2).sum(axis=1)  # |<u_m|u>|^2
+    reps, members = cluster_points(np.column_stack([lambdas.real, np.zeros(t.n)]),
+                                   _DEGENERACY_TOL * tnorm)
+    return [(float(lam), float(weights[cluster].sum()))
+            for lam, cluster in zip(reps[:, 0], members)]

@@ -372,11 +372,11 @@ def op_norm(m: QMatrix) -> float:
 
 
 def is_self_adjoint(m: QMatrix, tol: float = 1e-10) -> bool:
-    return (m - m.adjoint()).frobenius() <= tol * max(1.0, m.frobenius())
+    return (m - m.adjoint()).frobenius() <= tol * m.frobenius()
 
 
 def is_anti_self_adjoint(m: QMatrix, tol: float = 1e-10) -> bool:
-    return (m + m.adjoint()).frobenius() <= tol * max(1.0, m.frobenius())
+    return (m + m.adjoint()).frobenius() <= tol * m.frobenius()
 
 
 def is_unitary(m: QMatrix, tol: float = 1e-10) -> bool:
@@ -385,7 +385,7 @@ def is_unitary(m: QMatrix, tol: float = 1e-10) -> bool:
 
 def is_normal(m: QMatrix, tol: float = 1e-10) -> bool:
     comm = m @ m.adjoint() - m.adjoint() @ m
-    return comm.frobenius() <= tol * max(1.0, m.frobenius() ** 2)
+    return comm.frobenius() <= tol * m.frobenius() ** 2
 
 
 # -- square root and polar decomposition ----------------------------------------

@@ -28,7 +28,7 @@ from .quaternion import Quaternion
 from .reporting import VerificationReport
 from .slicefn import CircularSet, cluster_points, hausdorff
 
-CLUSTER_TOL = 1e-8  # conjugate-pair folding tolerance, scaled by max(1, ||T||)
+CLUSTER_TOL = 1e-8  # sphere clustering tolerance of both spectrum routes, times ||T||
 
 
 class SphericalSpectrum:
@@ -85,9 +85,8 @@ def delta_q(t: QMatrix, q: Quaternion) -> QMatrix:
 def spherical_spectrum(t: QMatrix, tol: float | None = None) -> SphericalSpectrum:
     """Eigenvalues of chi(T), folded into the closed upper half-plane and
     clustered; in finite dimension the whole spectrum is point spectrum."""
-    scale = max(1.0, op_norm(t))
     if tol is None:
-        tol = CLUSTER_TOL * scale
+        tol = CLUSTER_TOL * op_norm(t)
     try:
         eigs = np.linalg.eigvals(chi_embed(t))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvals rarely fails

@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatspec.calculus import (adjoint_similarity,
                                alternate_kernel_J, build_context,
@@ -118,8 +121,7 @@ def test_build_context_invariants():
 
 def test_build_context_on_nearly_real_eigenvalues():
     """Two eigenvalues 1e-10 to 1e-6 off the real axis next to four well off
-    it: the context holds with residual <= 1e-10 ||T||, or it fails as a
-    NumericalError; valid input never raises a PreconditionError."""
+    it: the context holds with residual <= 1e-10 ||T|| in every case."""
     for seed in range(30):
         rng = np.random.default_rng(seed)
         alpha = rng.uniform(-2.0, 2.0, 6)
@@ -129,11 +131,56 @@ def test_build_context_on_nearly_real_eigenvalues():
                           for a, b in zip(alpha, beta)])
         v = random_unitary(6, rng)
         t = v @ d @ v.adjoint()
-        try:
-            ctx = build_context(t)
-        except NumericalError:
-            continue
+        ctx = build_context(t)
         assert op_norm(t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
+
+
+def close_pair(seed: int, kind: str, gap: float) -> QMatrix:
+    """A 6x6 normal T = V D V* with two eigenvalues `gap` apart: a close
+    real pair ("real"), two spheres at the same beta ("sphere"), or an
+    eigenvalue `gap` off the real axis next to a double real one
+    ("nearreal")."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-2.0, 2.0, 6)
+    beta = rng.uniform(0.3, 2.0, 6)
+    if kind == "real":
+        beta[:2] = 0.0
+        alpha[1] = alpha[0] + gap
+    elif kind == "sphere":
+        alpha[1], beta[1] = alpha[0] + gap, beta[0]
+    else:
+        beta[:3] = gap, 0.0, 0.0
+        alpha[1:3] = alpha[0]
+    d = QMatrix.diag([Quaternion(a) + random_sphere_point(rng) * b
+                      for a, b in zip(alpha, beta)])
+    v = random_unitary(6, rng)
+    return v @ d @ v.adjoint()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["real", "sphere", "nearreal"]),
+       st.floats(-12.0, -5.0), st.floats(-12.0, 12.0))
+def test_build_context_fuzz_scale_and_gaps(seed, kind, log_gap, log_scale):
+    """Scaling T by c scales everything: the context holds with residual
+    <= 1e-10 ||T|| or raises a NumericalError naming the eigenvalue gap,
+    and both spectrum routes count the spheres of c T as they count those
+    of T. The count is pinned unless the gap lies within a factor 2 of the
+    1e-8 ||T|| spectrum clustering tolerance."""
+    t = close_pair(seed, kind, 10.0 ** log_gap)
+    rel_gap = 10.0 ** log_gap / op_norm(t)
+    spheres = (5 if kind == "nearreal" else 6) - (rel_gap < 1e-8)
+    for c in (1.0, 10.0 ** log_scale):
+        ts = t * c
+        counts = [spherical_spectrum(ts).size]
+        try:
+            ctx = build_context(ts)
+        except NumericalError as exc:
+            assert "gap" in str(exc)
+        else:
+            assert op_norm(ts - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(ts)
+            counts.append(ctx.spectrum().size)
+        if not 0.5e-8 <= rel_gap <= 2e-8:
+            assert counts == [spheres] * len(counts)
 
 
 def test_context_1x1_example():
@@ -147,12 +194,22 @@ def test_context_1x1_example():
 
 
 def test_context_real_diag_is_degenerate_case():
-    t = QMatrix.diag([Quaternion(a) for a in (0.5, -1.0, 2.0)])
-    ctx = build_context(t)
-    assert (ctx.a - t).norm() <= 1e-13
-    assert ctx.b.norm() <= 1e-13
-    assert ctx.kernel_flags.all()
-    assert (ctx.j @ ctx.k + ctx.k @ ctx.j).norm() <= 1e-12
+    """Self-adjoint T: a real diagonal, the projection onto (1, j)/sqrt(2)
+    and a rotated multiplicity-3 real cluster. The half basis picked on
+    each real eigenspace is orthonormal to 1e-14."""
+    v = random_unitary(4, np.random.default_rng(3))
+    half = Quaternion(0.5)
+    for t in (QMatrix.diag([Quaternion(a) for a in (0.5, -1.0, 2.0)]),
+              QMatrix.from_entries([[half, -J * 0.5], [J * 0.5, half]]),
+              v @ QMatrix.diag([Quaternion(1)] * 3 + [Quaternion(-2)]) @ v.adjoint()):
+        ctx = build_context(t)
+        assert (ctx.a - t).norm() <= 1e-13
+        assert ctx.b.norm() <= 1e-13
+        assert ctx.kernel_flags.all()
+        assert (ctx.j @ ctx.k + ctx.k @ ctx.j).norm() <= 1e-12
+        z = ctx.basis.columns
+        assert (z.adjoint() @ z - QMatrix.identity(t.n)).frobenius() <= 1e-14
+        assert op_norm(t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
 
 
 def test_context_spectrum_agrees_with_spectral_module():
@@ -161,11 +218,21 @@ def test_context_spectrum_agrees_with_spectral_module():
     spec = spherical_spectrum(t)
     assert hausdorff(ctx.spectrum().reps, spec.reps) <= 1e-9
     assert sorted(ctx.spectrum().mult) == sorted(spec.mult)
+    # six distinct spheres stay six at every scale, in both routes
+    t, _ = random_normal(6, np.random.default_rng(1))
+    for c in (1e-12, 1e-9, 1.0, 1e12):
+        assert spherical_spectrum(t * c).size == 6
+        assert build_context(t * c).spectrum().size == 6
 
 
 def test_build_context_rejects_non_normal():
     with pytest.raises(PreconditionError):
         build_context(random_qmatrix(4, RNG))
+    # a non-normal T stays non-normal at every scale
+    t = QMatrix.from_entries([[Quaternion(1), Quaternion(1)], [Quaternion(), Quaternion(2)]])
+    for c in (1.0, 1e-6, 1e-9, 1e-12):
+        with pytest.raises(PreconditionError, match="not normal"):
+            build_context(t * c)
 
 
 def test_context_left_multiplication_commutes_with_parts():
@@ -665,6 +732,13 @@ def test_spectral_measure_clusters_degenerate_eigenvalues():
     weights = spectral_measure_weights(t, u)
     assert len(weights) == 2
     assert abs(sum(w for _, w in weights) - u.norm() ** 2) <= 1e-9 * u.norm() ** 2
+    # the atoms of c T are those of T with the eigenvalues scaled by c
+    for c in (1e-9, 1.0, 1e9):
+        scaled = spectral_measure_weights(t * c, u)
+        assert len(scaled) == 2
+        for (lam, w), (lam0, w0) in zip(scaled, weights):
+            assert abs(lam - c * lam0) <= 1e-12 * c
+            assert abs(w - w0) <= 1e-12 * u.norm() ** 2
 
 
 def test_spectral_measure_rejects_non_self_adjoint():
@@ -767,10 +841,11 @@ def test_polynomial_calculus_powers_by_squaring():
 def test_overflowing_function_raises_numerical_error():
     """exp(800) and 800^1000000 overflow: every calculus names the first
     spectrum point or quadrature node where f is not finite instead of
-    returning NaN entries."""
+    returning NaN entries, and without numpy overflow warnings."""
     ctx = build_context(QMatrix.diag([Quaternion(1), Quaternion(800)]))
     big_power = SliceFunction.polynomial([(10**6, 0, 1.0)], [])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning on the way
         for f in (SliceFunction.builtin("exp"), big_power):
             for calculus in (intrinsic_calculus, general_calculus):
                 with pytest.raises(NumericalError, match="not finite at spectrum point 800"):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,12 +224,15 @@ def test_exit_code_bad_monomial_exponent(normal_file, tmp_path, capsys, exponent
 
 @pytest.mark.parametrize("mode", ["intrinsic", "general", "contour"])
 def test_exit_code_overflowing_function(tmp_path, capsys, mode):
-    """exp overflows on diag(800, 1): exit 3 and no NaN rows on stdout."""
+    """exp overflows on diag(800, 1): exit 3, no NaN rows on stdout and one
+    error line on stderr, with no numpy warning before it."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps(QMatrix.diag([Quaternion(800), Quaternion(1)]).to_json()))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["apply", "--input", str(path), "--fn", "builtin:exp", "--mode", mode])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "f is not finite at" in captured.err
+    assert captured.err.startswith("error: f is not finite at")
+    assert captured.err.count("\n") == 1
