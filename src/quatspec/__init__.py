@@ -15,8 +15,8 @@ from .slicefn import (CircularSet, SliceClass, SliceFunction, StemFunction,
                       classify_slice, decompose_components, hausdorff,
                       is_circular, is_cslice, is_intrinsic, one_sided_hausdorff,
                       slice_add, slice_product, slice_star, sup_norm)
-from .spectral import (SphericalSpectrum, delta_q, gelfand_check,
-                       resolvent_series, spectral_radius, spherical_spectrum,
+from .spectral import (delta_q, gelfand_check, resolvent_series,
+                       spectral_radius, spherical_spectrum,
                        verify_spectral_classes)
 from .calculus import (CalculusContext, adjoint_similarity, alternate_kernel_J,
                        build_context, circular_calculus, construct_J,

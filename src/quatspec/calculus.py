@@ -26,7 +26,9 @@ self-adjoint operator.
 
 The decomposition data is bundled in an immutable `CalculusContext`; all
 calculi are pure functions of it and may run concurrently on a shared
-context.
+context. `CalculusContext.spectrum()` is sigma_S(T) as a
+`slicefn.CircularSet`, the lambda_m clustered once at CLUSTER_TOL ||T||;
+it is the sup set of the isometry ||f(T)|| = sup |f| and a valid domain.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .quaternion import J as QJ
 from .quaternion import REAL_TOL, Quaternion, SpherePoint
 from .slicefn import (CircularSet, SliceFunction, StemFunction, _within,
                       cluster_points, is_circular, is_cslice, is_intrinsic)
-from .spectral import CLUSTER_TOL, SphericalSpectrum
+from .spectral import CLUSTER_TOL
 
 # global slice convention: iota = i, kappa = j, so {1, iota, kappa,
 # iota*kappa} is the standard basis {1, i, j, k}
@@ -55,7 +57,6 @@ IOTA = QI
 KAPPA = QJ
 
 _EIG_CLUSTER_TOL = 1e-11  # eigenvalue clustering for the eigensystem, times ||T||
-_DEGENERACY_TOL = 1e-7  # eigenvalue clustering for measure weights, times ||T||
 
 
 def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
@@ -154,15 +155,12 @@ class CalculusContext:
         """The left scalar multiplication L_q of the context basis."""
         return self.basis.matrix(q)
 
-    def spectrum(self, tol: float | None = None) -> SphericalSpectrum:
-        if tol is None:
-            tol = CLUSTER_TOL * self.tnorm
+    def spectrum(self) -> CircularSet:
+        """sigma_S(T): the eigenvalues lambda_m clustered at CLUSTER_TOL ||T||,
+        each sphere with its multiplicity."""
         pts = np.column_stack([self.lambdas.real, self.lambdas.imag])
-        reps, members = cluster_points(pts, tol)
-        return SphericalSpectrum(reps, [len(cluster) for cluster in members])
-
-    def spectrum_set(self) -> CircularSet:
-        return self.spectrum().circular_set()
+        reps, members = cluster_points(pts, CLUSTER_TOL * self.tnorm)
+        return CircularSet(reps, [len(cluster) for cluster in members])
 
     def to_json(self) -> dict:
         return {
@@ -426,12 +424,14 @@ def spectral_measure_weights(t: QMatrix, u: QVector,
                              ) -> list[tuple[float, float]]:
     """Atomic spectral measure of a self-adjoint operator at the vector u:
     weights are squared norms of the projections of u onto the eigenvalue
-    clusters, so they sum to ||u||^2 and ||f(T)u||^2 = sum f(lambda)^2 w."""
+    clusters, so they sum to ||u||^2 and ||f(T)u||^2 = sum f(lambda)^2 w.
+    The eigenvalues are clustered at CLUSTER_TOL ||T||, as the spectrum is,
+    so the atoms are the points of sigma_S(T)."""
     if not is_self_adjoint(t):
         raise PreconditionError("operator is not self-adjoint")
     lambdas, _, columns, tnorm = _normal_eigensystem(t)
     weights = (_qmatmul(columns.adjoint().data, u.data) ** 2).sum(axis=1)  # |<u_m|u>|^2
     reps, members = cluster_points(np.column_stack([lambdas.real, np.zeros(t.n)]),
-                                   _DEGENERACY_TOL * tnorm)
+                                   CLUSTER_TOL * tnorm)
     return [(float(lam), float(weights[cluster].sum()))
             for lam, cluster in zip(reps[:, 0], members)]

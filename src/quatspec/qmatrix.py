@@ -117,10 +117,6 @@ class QVector:
         return self.data.shape[0]
 
     @classmethod
-    def zeros(cls, n: int) -> "QVector":
-        return cls(np.zeros((n, 4)))
-
-    @classmethod
     def from_quaternions(cls, entries: Iterable[Quaternion]) -> "QVector":
         return cls(np.array([q.components() for q in entries], dtype=float))
 
@@ -212,15 +208,6 @@ class QMatrix:
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence[Quaternion]]) -> "QMatrix":
         return cls(np.array([[q.components() for q in row] for row in rows], dtype=float))
-
-    @classmethod
-    def from_complex(cls, c: np.ndarray) -> "QMatrix":
-        """Embed a complex matrix as a quaternionic one with entries in C_i."""
-        c = np.asarray(c, dtype=complex)
-        data = np.zeros(c.shape + (4,))
-        data[..., 0] = c.real
-        data[..., 1] = c.imag
-        return cls(data)
 
     @classmethod
     def from_columns(cls, columns: Sequence[QVector]) -> "QMatrix":

@@ -109,12 +109,6 @@ class Quaternion:
 
     __abs__ = norm
 
-    def re(self) -> float:
-        return self.a
-
-    def im(self) -> "Quaternion":
-        return Quaternion(0.0, self.b, self.c, self.d)
-
     def im_norm(self) -> float:
         return math.sqrt(self.b * self.b + self.c * self.c + self.d * self.d)
 
@@ -142,12 +136,6 @@ class Quaternion:
     def from_json(cls, data) -> "Quaternion":
         a, b, c, d = (float(x) for x in data)
         return cls(a, b, c, d)
-
-    @classmethod
-    def from_complex(cls, z: complex, iota: "SpherePoint | None" = None) -> "Quaternion":
-        """Map alpha + beta*1j onto alpha + beta*iota (default iota = i)."""
-        unit = I if iota is None else iota
-        return Quaternion(z.real, 0, 0, 0) + unit * z.imag
 
     def __repr__(self) -> str:
         return f"Quaternion({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
@@ -250,10 +238,6 @@ class ComplexifiedQuaternion:
     def star(self) -> "ComplexifiedQuaternion":
         """The *-involution w* = conj(q) - I*conj(p)."""
         return ComplexifiedQuaternion(self.q.conjugate(), -self.p.conjugate())
-
-    def bar(self) -> "ComplexifiedQuaternion":
-        """Complex conjugation q + Ip -> q - Ip."""
-        return ComplexifiedQuaternion(self.q, -self.p)
 
     def norm(self) -> float:
         """C*-norm; equals sup over iota in S of |q + iota*p|."""

@@ -58,11 +58,6 @@ class VerificationReport:
                 return check
         return self.add(name, identity, residual, tolerance, soft)
 
-    def merge(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-        self.notes.extend(other.notes)
-        self.meta.update(other.meta)
-
     @property
     def hard_failures(self) -> list[Check]:
         return [c for c in self.checks if c.status == "fail"]

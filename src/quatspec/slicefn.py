@@ -18,10 +18,11 @@ quaternions; `eval` is either evaluator at one point.
 
 Contents:
 
-- `CircularSet` - finite set of upper-half-plane representatives (alpha, beta)
+- `CircularSet` - finite circular set: upper-half-plane representatives
+  (alpha, beta) with multiplicities; the spherical spectrum is one
 - `cluster_points` - the greedy point merge behind every spectrum clustering
 - `StemFunction` - poly / builtin / tabulated / derived stem with its domain
-- `SliceFunction` - the induced function, with evaluation and classification
+- `SliceFunction` - the induced function, with evaluation and the algebra
 - `slice_product`, `slice_star`, `classify_slice`,
   `decompose_components`, `sup_norm`
 - predicates `is_intrinsic`, `is_circular`, `is_cslice`
@@ -38,30 +39,35 @@ from .errors import PreconditionError
 from .qmatrix import _hc_mul, _hc_norm, _hc_star, _qmul
 from .quaternion import REAL_TOL, Quaternion, SpherePoint
 
-MERGE_TOL = 1e-8  # default merge tolerance, matched to eigensolver accuracy
 DOMAIN_TOL = 1e-8  # accept a point as inside a finite domain within this
 
 
 class CircularSet:
     """Finite circular subset of H, stored as its closed-upper-half-plane
-    representatives (alpha, beta >= 0), merged and sorted deterministically."""
+    representatives (alpha, beta >= 0), sorted by (alpha, beta), each with an
+    integer multiplicity (1 unless given). The input is not merged: callers
+    that know the scale cluster first (`cluster_points`)."""
 
-    __slots__ = ("reps", "tol")
+    __slots__ = ("reps", "mult")
 
-    def __init__(self, reps, tol: float = MERGE_TOL):
-        arr = np.asarray(reps, dtype=float).reshape(-1, 2)
-        if arr.size and arr[:, 1].min() < -tol:
+    def __init__(self, reps, mult=None):
+        arr = np.array(reps, dtype=float).reshape(-1, 2)
+        if arr.size and arr[:, 1].min() < -DOMAIN_TOL:
             raise PreconditionError("representatives must have beta >= 0")
-        arr = arr.copy()
-        if arr.size:
-            arr[:, 1] = np.maximum(arr[:, 1], 0.0)
-            arr = cluster_points(arr, tol)[0]
-        self.reps = arr
-        self.tol = float(tol)
+        arr[:, 1] = np.maximum(arr[:, 1], 0.0)
+        mult = (1,) * len(arr) if mult is None else tuple(int(m) for m in mult)
+        if len(mult) != len(arr):
+            raise PreconditionError("one multiplicity per representative required")
+        order = np.lexsort((arr[:, 1], arr[:, 0]))
+        self.reps = arr[order]
+        self.mult = tuple(mult[i] for i in order)
 
     @property
     def size(self) -> int:
         return self.reps.shape[0]
+
+    def radius(self) -> float:
+        return float(np.hypot(self.reps[:, 0], self.reps[:, 1]).max(initial=0.0))
 
     def points(self) -> list[tuple[float, float]]:
         return [(float(a), float(b)) for a, b in self.reps]
@@ -76,21 +82,26 @@ class CircularSet:
                      self.reps[:, 1] - np.abs(np.expand_dims(beta, -1)))
         return d.min(axis=-1, initial=math.inf)
 
-    def contains(self, alpha, beta, tol: float | None = None) -> np.ndarray:
-        return self.distance(alpha, beta) <= (DOMAIN_TOL if tol is None else tol)
+    def contains(self, alpha, beta, tol: float = DOMAIN_TOL) -> np.ndarray:
+        return self.distance(alpha, beta) <= tol
 
-    def matches(self, other: "CircularSet", tol: float = MERGE_TOL) -> bool:
+    def matches(self, other: "CircularSet", tol: float = DOMAIN_TOL) -> bool:
         return hausdorff(self.reps, other.reps) <= tol
 
     def to_json(self) -> dict:
-        return {"reps": [[float(a), float(b)] for a, b in self.reps]}
+        return {
+            "reps": [[float(a), float(b)] for a, b in self.reps],
+            "mult": list(self.mult),
+            "radius": self.radius(),
+        }
 
     @classmethod
     def from_json(cls, data) -> "CircularSet":
-        return cls(np.asarray(data["reps"], dtype=float).reshape(-1, 2))
+        return cls(np.asarray(data["reps"], dtype=float).reshape(-1, 2), data.get("mult"))
 
     def __repr__(self) -> str:
-        return f"CircularSet({self.points()!r})"
+        pts = ", ".join(f"({a:.6g}, {b:.6g})x{m}" for (a, b), m in zip(self.reps, self.mult))
+        return f"CircularSet[{pts}]"
 
 
 def cluster_points(points, tol: float) -> tuple[np.ndarray, list[list[int]]]:
@@ -361,11 +372,10 @@ GENERAL = SliceClass("general")
 class SliceFunction:
     """Slice function induced by a stem: f(alpha + iota beta) = F1 + iota F2."""
 
-    __slots__ = ("stem", "_cls")
+    __slots__ = ("stem",)
 
     def __init__(self, stem: StemFunction):
         self.stem = stem
-        self._cls = None
 
     # constructors
 
@@ -411,11 +421,6 @@ class SliceFunction:
         return Quaternion(*self.values(q.components())[0])
 
     __call__ = eval
-
-    def classify(self) -> SliceClass:
-        if self._cls is None:
-            self._cls = classify_slice(self)
-        return self._cls
 
     def star(self) -> "SliceFunction":
         return slice_star(self)

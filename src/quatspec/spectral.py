@@ -7,9 +7,14 @@ off the eigenvalues of the complex embedding chi(T), folded into the closed
 upper half-plane: every eigensphere contributes a conjugate pair, so the
 folded multiplicities halve.
 
+The spectrum is a `slicefn.CircularSet`: its upper-half-plane
+representatives with their quaternionic multiplicities (summing to n). Both
+routes to it, `spherical_spectrum` here and `CalculusContext.spectrum`,
+cluster once at CLUSTER_TOL ||T||, so it scales with T and serves as it is as
+a sup set and as a function domain.
+
 Contents:
 
-- `SphericalSpectrum` - representatives, multiplicities, radius
 - `delta_q(T, q)` - the defining quadratic operator
 - `spherical_spectrum(T)` - eigenvalues of chi(T) folded and clustered
 - `spectral_radius(T)` - max |q| over the spectrum
@@ -23,56 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .qmatrix import QMatrix, chi_embed, is_normal, is_unitary, op_norm
+from .qmatrix import (QMatrix, chi_embed, is_anti_self_adjoint, is_normal,
+                      is_self_adjoint, is_unitary, op_norm)
 from .quaternion import Quaternion
 from .reporting import VerificationReport
 from .slicefn import CircularSet, cluster_points, hausdorff
 
-CLUSTER_TOL = 1e-8  # sphere clustering tolerance of both spectrum routes, times ||T||
-
-
-class SphericalSpectrum:
-    """Spherical spectrum as upper-half-plane representatives with
-    integer (quaternionic) multiplicities; sum of multiplicities = n."""
-
-    __slots__ = ("reps", "mult")
-
-    def __init__(self, reps, mult):
-        self.reps = np.asarray(reps, dtype=float).reshape(-1, 2)
-        self.mult = tuple(int(m) for m in mult)
-        if len(self.mult) != self.reps.shape[0]:
-            raise PreconditionError("one multiplicity per representative required")
-
-    @property
-    def size(self) -> int:
-        return self.reps.shape[0]
-
-    def total_multiplicity(self) -> int:
-        return sum(self.mult)
-
-    def radius(self) -> float:
-        if self.size == 0:
-            return 0.0
-        return float(np.hypot(self.reps[:, 0], self.reps[:, 1]).max())
-
-    def circular_set(self, tol: float = CLUSTER_TOL) -> CircularSet:
-        return CircularSet(self.reps, tol)
-
-    def to_json(self) -> dict:
-        return {
-            "reps": [[float(a), float(b)] for a, b in self.reps],
-            "mult": list(self.mult),
-            "radius": self.radius(),
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "SphericalSpectrum":
-        return cls(np.asarray(data["reps"], dtype=float).reshape(-1, 2), data["mult"])
-
-    def __repr__(self) -> str:
-        pts = ", ".join(f"({a:.6g}, {b:.6g})x{m}"
-                        for (a, b), m in zip(self.reps, self.mult))
-        return f"SphericalSpectrum[{pts}]"
+CLUSTER_TOL = 1e-8  # sphere clustering of the spectrum and the measure atoms, times ||T||
 
 
 def delta_q(t: QMatrix, q: Quaternion) -> QMatrix:
@@ -82,26 +44,23 @@ def delta_q(t: QMatrix, q: Quaternion) -> QMatrix:
     return t @ t - t * trace + QMatrix.identity(t.n) * mod2
 
 
-def spherical_spectrum(t: QMatrix, tol: float | None = None) -> SphericalSpectrum:
+def spherical_spectrum(t: QMatrix) -> CircularSet:
     """Eigenvalues of chi(T), folded into the closed upper half-plane and
-    clustered; in finite dimension the whole spectrum is point spectrum."""
-    if tol is None:
-        tol = CLUSTER_TOL * op_norm(t)
+    clustered at CLUSTER_TOL ||T||; in finite dimension the whole spectrum is
+    point spectrum."""
     try:
         eigs = np.linalg.eigvals(chi_embed(t))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigvals rarely fails
         raise NumericalError(f"eigensolver failure: {exc}") from exc
     folded = np.column_stack([eigs.real, np.abs(eigs.imag)])
-    reps, members = cluster_points(folded, tol)
+    reps, members = cluster_points(folded, CLUSTER_TOL * op_norm(t))
     if any(len(cluster) % 2 for cluster in members):
         raise NumericalError(
             "folded eigenvalues did not pair up; conjugate symmetry lost")
     mult = [len(cluster) // 2 for cluster in members]
     if sum(mult) != t.n:
         raise NumericalError("spectrum multiplicities do not sum to the dimension")
-    # tidy tiny negative-zero betas produced by folding
-    reps[:, 1] = np.maximum(reps[:, 1], 0.0)
-    return SphericalSpectrum(reps, mult)
+    return CircularSet(reps, mult)
 
 
 def spectral_radius(t: QMatrix) -> float:
@@ -172,17 +131,19 @@ def resolvent_series(t: QMatrix, q: Quaternion, tol: float,
 def verify_spectral_classes(t: QMatrix) -> VerificationReport:
     """Detect the operator class of T and check the corresponding spectral
     containments, plus sigma_S(T) = sigma_S(T*) and the circularity contract.
+    The class is read off the `qmatrix` predicates at their default
+    tolerances, which are relative to ||T||_F (unitarity fixes the scale), so
+    c T has the class of T for every c > 0 except the unitary ones.
 
     In finite dimension the residual and continuous parts of the spectrum are
     empty; the report records this instead of representing them.
     """
     report = VerificationReport()
     scale = max(1.0, op_norm(t))
-    class_tol = 1e-10
-    sa = (t - t.adjoint()).norm() <= class_tol * scale
-    asa = (t + t.adjoint()).norm() <= class_tol * scale
-    unitary = is_unitary(t, class_tol)
-    normal = is_normal(t, class_tol)
+    sa = is_self_adjoint(t)
+    asa = is_anti_self_adjoint(t)
+    unitary = is_unitary(t)
+    normal = is_normal(t)
     if sa:
         detected = "self-adjoint"
     elif asa and unitary:

@@ -286,7 +286,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     report.worst("upper-eigenvalues", "restricted spectrum in the closed upper half-plane",
                  max(0.0, -float(ctx.lambdas.imag.min(initial=0.0))), 1e-10)
 
-    spec_set = ctx.spectrum_set()
+    spec_set = ctx.spectrum()
     sq_scale = scale ** 2
 
     # polynomial cross-check: two routes to T^2

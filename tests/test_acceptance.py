@@ -192,7 +192,7 @@ def test_criterion_07_intrinsic_calculus():
     worst_iso = worst_map = worst_hom = worst_star = 0.0
     for t, _ in normal_pool(50):
         ctx = build_context(t)
-        spec_set = ctx.spectrum_set()
+        spec_set = ctx.spectrum()
         f = random_intrinsic()
         ft = intrinsic_calculus(ctx, f)
         nf = sup_norm(f, spec_set)
@@ -277,7 +277,7 @@ def test_criterion_10_circular_calculus():
         worst_contain = max(worst_contain,
                             one_sided_hausdorff(spherical_spectrum(ft).reps, mapped)
                             / max(1.0, op_norm(ft)))
-        nf = sup_norm(f, ctx.spectrum_set())
+        nf = sup_norm(f, ctx.spectrum())
         worst_bound = max(worst_bound, (op_norm(ft) - nf) / max(1.0, nf))
         worst_isometry = max(worst_isometry, abs(op_norm(ft) - nf) / max(1.0, nf))
     report(10, "circular-homomorphism", worst_hom, 1e-8)

