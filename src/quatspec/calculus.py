@@ -42,8 +42,7 @@ from scipy.linalg.lapack import ztrtrs
 
 from .errors import NumericalError, PreconditionError
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
-                      _qmatmul, _qmul, chi_embed, chi_extract, chi_vec_extract,
-                      is_normal, is_self_adjoint)
+                      _qmul, chi_embed, chi_extract, is_normal, is_self_adjoint)
 from .quaternion import I as QI
 from .quaternion import J as QJ
 from .quaternion import REAL_TOL, Quaternion, SpherePoint
@@ -123,7 +122,8 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
     lambdas, vectors = np.concatenate(lambdas), np.hstack(vectors)
     is_real = np.arange(n) >= upper.size
     order = np.lexsort((lambdas.imag, lambdas.real))
-    columns = QMatrix.from_columns([chi_vec_extract(vectors[:, m]) for m in order])
+    vectors = vectors[:, order]
+    columns = QMatrix(vectors[:n], -vectors[n:].conj())  # chi(u_m) = [u1; -conj u2]
     for _ in range(2):
         gram = columns.adjoint() @ columns
         columns = columns @ (QMatrix.identity(n) * 3.0 - gram) * 0.5
@@ -209,12 +209,8 @@ def build_context(t: QMatrix) -> CalculusContext:
         basis = LeftMultiplication(columns)
     except PreconditionError as exc:
         raise NumericalError(f"eigenbasis is not orthonormal: {exc}; {gaps}") from exc
-    # lambda_m = alpha_m + iota beta_m and beta_m as (n, 4) quaternion arrays
-    lam = np.outer(lambdas.imag, _as_qarray(IOTA))
-    lam[:, 0] = lambdas.real
-    beta = np.zeros_like(lam)
-    beta[:, 0] = lambdas.imag
-    residual = (t - basis.diagonal(lam)).frobenius()
+    # lambda_m = alpha_m + iota beta_m lies in C_iota = C_i
+    residual = (t - basis.diagonal(lambdas)).frobenius()
     bound = 1e-10 * tnorm
     if residual > bound:
         raise NumericalError(f"eigen-residual ||T - Z diag(lambda) Z*|| = {residual:.3e} "
@@ -222,7 +218,7 @@ def build_context(t: QMatrix) -> CalculusContext:
     j = basis.matrix(IOTA)
     k = basis.matrix(KAPPA)
     a = (t + t.adjoint()) * 0.5
-    b = basis.diagonal(beta)
+    b = basis.diagonal(lambdas.imag)
     return CalculusContext(t=t, a=a, b=b, j=j, k=k, iota=IOTA, kappa=KAPPA,
                            lambdas=lambdas, kernel_flags=kernel_flags, basis=basis,
                            tnorm=tnorm)
@@ -235,8 +231,8 @@ def alternate_kernel_J(ctx: CalculusContext) -> QMatrix:
     kernel = np.flatnonzero(ctx.kernel_flags)
     if kernel.size == 0:
         raise PreconditionError("T - T* has trivial kernel; J is unique")
-    values = np.tile(_as_qarray(IOTA), (ctx.n, 1))
-    values[kernel[0]] *= -1.0
+    values = np.full(ctx.n, 1j)  # iota = i
+    values[kernel[0]] = -1j
     return ctx.basis.diagonal(values)
 
 
@@ -284,11 +280,12 @@ def _eigen_sandwich(ctx: CalculusContext, f: SliceFunction,
     With iota = i and kappa = j, quaternion component l of F1 and F2 is the
     stem of the intrinsic component f_l of f = f0 + f1 iota + f2 kappa +
     f3 iota kappa; only the first `components` of them are kept. Every
-    lambda_m must lie in the domain of f (within 1e-8), and the kept
+    lambda_m must lie in the domain of f (within CLUSTER_TOL ||T||, the
+    tolerance at which the spectrum is clustered), and the kept
     components must be finite there (an overflowing f raises
     `NumericalError`).
     """
-    inside = f.stem.accepts(ctx.lambdas.real, ctx.lambdas.imag, 1e-8)
+    inside = f.stem.accepts(ctx.lambdas.real, ctx.lambdas.imag, CLUSTER_TOL * ctx.tnorm)
     if not inside.all():
         raise PreconditionError(f"spectrum point {ctx.lambdas[np.argmin(inside)]:.6g} "
                                 "lies outside the function domain")
@@ -430,7 +427,7 @@ def spectral_measure_weights(t: QMatrix, u: QVector,
     if not is_self_adjoint(t):
         raise PreconditionError("operator is not self-adjoint")
     lambdas, _, columns, tnorm = _normal_eigensystem(t)
-    weights = (_qmatmul(columns.adjoint().data, u.data) ** 2).sum(axis=1)  # |<u_m|u>|^2
+    weights = ((columns.adjoint() @ u).components() ** 2).sum(axis=1)  # |<u_m|u>|^2
     reps, members = cluster_points(np.column_stack([lambdas.real, np.zeros(t.n)]),
                                    CLUSTER_TOL * tnorm)
     return [(float(lam), float(weights[cluster].sum()))

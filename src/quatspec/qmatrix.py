@@ -1,16 +1,20 @@
 """Quaternionic n x n matrices as bounded right-H-linear operators on H^n.
 
-The internal representation is a real (n, n, 4) ndarray of quaternion
-components; the complex 2n x 2n embedding `chi_embed` is the numerical
-workhorse (norms, square roots, inverses run through numpy/scipy on it).
+A vector or matrix x is stored as its complex pair x = x1 + x2 j, two
+complex arrays over C_i. Since j z = conj(z) j, one product formula
+(M1 + M2 j)(N1 + N2 j) = (M1 N1 - M2 conj N2) + (M1 N2 + M2 conj N1) j
+serves M @ N, M @ u and the inner product, and the complex 2n x 2n
+embedding `chi_embed`, the numerical workhorse (norms, square roots and
+inverses run through numpy/scipy on it), is one block matrix of the pair.
+Quaternion components (..., 4) are read and written only at the boundary
+(`from_components`, `components`, JSON, entries).
 
 Main contents:
 
-- `QVector`, `QMatrix` - vectors/operators on H^n with the product from the
-  quaternion multiplication table
+- `QVector`, `QMatrix` - vectors/operators on H^n as complex pairs
 - `_qmul`, `_hc_mul`, `_hc_star`, `_hc_norm` - the products, the involution
   and the C*-norm of H and H(x)C on arrays of components, shared by the
-  matrices, the stems and the verification suites
+  calculi, the stems and the verification suites
 - `chi_embed` / `chi_extract` - the complex adjoint representation
   M = M1 + M2*j  ->  [[M1, M2], [-conj(M2), conj(M1)]]
 - `op_norm` - operator norm sup ||Mu||/||u|| (largest singular value of chi)
@@ -83,181 +87,165 @@ def _as_qarray(q: Quaternion) -> np.ndarray:
     return np.array(q.components(), dtype=float)
 
 
-def _qmatmul(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Quaternion matrix product via 16 real matmuls (multiplication table)."""
-    a = [m[..., i] for i in range(4)]
-    b = [n[..., i] for i in range(4)]
-    return np.stack(
-        [
-            a[0] @ b[0] - a[1] @ b[1] - a[2] @ b[2] - a[3] @ b[3],
-            a[0] @ b[1] + a[1] @ b[0] + a[2] @ b[3] - a[3] @ b[2],
-            a[0] @ b[2] - a[1] @ b[3] + a[2] @ b[0] + a[3] @ b[1],
-            a[0] @ b[3] + a[1] @ b[2] - a[2] @ b[1] + a[3] @ b[0],
-        ],
-        axis=-1,
-    )
+def _pair(x) -> tuple[np.ndarray, np.ndarray]:
+    """Split (..., 4) components a + bi + cj + dk into the complex pair
+    (a + bi, c + di) of x = x1 + x2 j; the `.view` keeps every bit (-0.0,
+    subnormals), which `a + 1j*b` would not."""
+    z = np.ascontiguousarray(x, dtype=float).view(complex)
+    return z[..., 0].copy(), z[..., 1].copy()
 
 
-# -- vectors ------------------------------------------------------------------
+def _pair_product(m1, m2, n1, n2) -> tuple[np.ndarray, np.ndarray]:
+    """(M1 + M2 j)(N1 + N2 j) = (M1 N1 - M2 conj N2) + (M1 N2 + M2 conj N1) j,
+    since j z = conj(z) j for z in C_i."""
+    return m1 @ n1 - m2 @ n2.conj(), m1 @ n2 + m2 @ n1.conj()
 
 
-class QVector:
-    """Vector in H^n with the Hermitean product <u|v> = sum conj(u_k) v_k."""
+# -- vectors and matrices ------------------------------------------------------
 
-    __slots__ = ("data",)
 
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise PreconditionError(f"expected an (n, 4) component array, got {arr.shape}")
-        self.data = arr
+class _QArray:
+    """Shared arithmetic of `QVector` and `QMatrix`: the entries are stored
+    as two complex arrays x1, x2 with x = x1 + x2 j."""
+
+    __slots__ = ("x1", "x2")
+    _ndim = 0
+
+    def __init__(self, x1, x2):
+        x1, x2 = np.asarray(x1, dtype=complex), np.asarray(x2, dtype=complex)
+        if x1.ndim != self._ndim or x2.shape != x1.shape or len(set(x1.shape)) > 1:
+            raise PreconditionError(f"{type(self).__name__} expects two complex arrays of "
+                                    f"one {self._ndim}-d square shape, got {x1.shape}, "
+                                    f"{x2.shape}")
+        self.x1, self.x2 = x1, x2
+
+    @classmethod
+    def from_components(cls, x):
+        """From the (..., 4) float components a + bi + cj + dk of each entry."""
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim != cls._ndim + 1 or arr.shape[-1] != 4:
+            raise PreconditionError(
+                f"expected a {cls._ndim + 1}-d (..., 4) component array, got {arr.shape}")
+        return cls(*_pair(arr))
+
+    def components(self) -> np.ndarray:
+        """The (..., 4) float components of every entry."""
+        return np.stack([self.x1, self.x2], axis=-1).view(float)
 
     @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return self.x1.shape[0]
 
-    @classmethod
-    def from_quaternions(cls, entries: Iterable[Quaternion]) -> "QVector":
-        return cls(np.array([q.components() for q in entries], dtype=float))
+    def __getitem__(self, idx) -> Quaternion:
+        z1, z2 = self.x1[idx], self.x2[idx]
+        return Quaternion(z1.real, z1.imag, z2.real, z2.imag)
 
-    @classmethod
-    def basis_vector(cls, n: int, k: int) -> "QVector":
-        data = np.zeros((n, 4))
-        data[k, 0] = 1.0
-        return cls(data)
+    def _check_dim(self, other: "_QArray") -> None:
+        if other.n != self.n:
+            raise PreconditionError("dimension mismatch")
 
-    def __getitem__(self, k: int) -> Quaternion:
-        return Quaternion(*self.data[k])
+    def __add__(self, other):
+        self._check_dim(other)
+        return type(self)(self.x1 + other.x1, self.x2 + other.x2)
 
-    def __add__(self, other: "QVector") -> "QVector":
-        return QVector(self.data + other.data)
+    def __sub__(self, other):
+        self._check_dim(other)
+        return type(self)(self.x1 - other.x1, self.x2 - other.x2)
 
-    def __sub__(self, other: "QVector") -> "QVector":
-        return QVector(self.data - other.data)
+    def __neg__(self):
+        return type(self)(-self.x1, -self.x2)
 
-    def __neg__(self) -> "QVector":
-        return QVector(-self.data)
-
-    def __mul__(self, r: float) -> "QVector":
-        return QVector(self.data * float(r))
+    def __mul__(self, r: float):
+        if not isinstance(r, (int, float)):
+            return NotImplemented
+        return type(self)(self.x1 * float(r), self.x2 * float(r))
 
     __rmul__ = __mul__
 
+    def frobenius(self) -> float:
+        return float(np.hypot(np.linalg.norm(self.x1), np.linalg.norm(self.x2)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class QVector(_QArray):
+    """Vector in H^n with the Hermitean product <u|v> = sum conj(u_k) v_k."""
+
+    __slots__ = ()
+    _ndim = 1
+
+    @classmethod
+    def from_quaternions(cls, entries: Iterable[Quaternion]) -> "QVector":
+        return cls.from_components([q.components() for q in entries])
+
+    @classmethod
+    def basis_vector(cls, n: int, k: int) -> "QVector":
+        x1 = np.zeros(n)
+        x1[k] = 1.0
+        return cls(x1, np.zeros(n))
+
     def rmul(self, q: Quaternion) -> "QVector":
         """Right scalar multiplication u -> u q."""
-        return QVector(_qmul(self.data, _as_qarray(q)))
+        q1, q2 = complex(q.a, q.b), complex(q.c, q.d)
+        return QVector(self.x1 * q1 - self.x2 * q2.conjugate(),
+                       self.x1 * q2 + self.x2 * q1.conjugate())
 
     def inner(self, other: "QVector") -> Quaternion:
-        if other.n != self.n:
-            raise PreconditionError("dimension mismatch")
-        comps = _qmul(_qconj(self.data), other.data).sum(axis=0)
-        return Quaternion(*comps)
+        self._check_dim(other)
+        z1, z2 = _pair_product(self.x1.conj(), -self.x2, other.x1, other.x2)
+        return Quaternion(z1.real, z1.imag, z2.real, z2.imag)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return self.frobenius()
 
     def to_json(self) -> dict:
-        return {"v": self.data.tolist()}
+        return {"v": self.components().tolist()}
 
     @classmethod
     def from_json(cls, data) -> "QVector":
-        return cls(np.asarray(data["v"], dtype=float))
-
-    def __repr__(self) -> str:
-        return f"QVector(n={self.n})"
+        return cls.from_components(data["v"])
 
 
-# -- matrices ------------------------------------------------------------------
-
-
-class QMatrix:
+class QMatrix(_QArray):
     """Quaternionic n x n matrix acting on H^n by (Mu)_k = sum_l M_kl u_l."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 4:
-            raise PreconditionError(f"expected an (n, n, 4) component array, got {arr.shape}")
-        self.data = arr
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
+    __slots__ = ()
+    _ndim = 2
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def zeros(cls, n: int) -> "QMatrix":
-        return cls(np.zeros((n, n, 4)))
+        return cls(np.zeros((n, n)), np.zeros((n, n)))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        data = np.zeros((n, n, 4))
-        data[np.arange(n), np.arange(n), 0] = 1.0
-        return cls(data)
+        return cls(np.eye(n), np.zeros((n, n)))
 
     @classmethod
     def diag(cls, entries: Sequence[Quaternion]) -> "QMatrix":
-        n = len(entries)
-        data = np.zeros((n, n, 4))
-        for k, q in enumerate(entries):
-            data[k, k] = q.components()
-        return cls(data)
+        q1, q2 = _pair(np.array([q.components() for q in entries], dtype=float).reshape(-1, 4))
+        return cls(np.diag(q1), np.diag(q2))
 
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence[Quaternion]]) -> "QMatrix":
-        return cls(np.array([[q.components() for q in row] for row in rows], dtype=float))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[QVector]) -> "QMatrix":
-        data = np.stack([v.data for v in columns], axis=1)
-        return cls(data)
+        return cls.from_components([[q.components() for q in row] for row in rows])
 
     def column(self, m: int) -> QVector:
-        return QVector(self.data[:, m, :])
-
-    def __getitem__(self, kl) -> Quaternion:
-        k, l = kl
-        return Quaternion(*self.data[k, l])
+        return QVector(self.x1[:, m], self.x2[:, m])
 
     # -- algebra ----------------------------------------------------------------
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._check_dim(other)
-        return QMatrix(self.data + other.data)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._check_dim(other)
-        return QMatrix(self.data - other.data)
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.data)
-
-    def __mul__(self, r: float) -> "QMatrix":
-        if not isinstance(r, (int, float)):
-            return NotImplemented
-        return QMatrix(self.data * float(r))
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "QMatrix | QVector"):
-        if isinstance(other, QMatrix):
-            self._check_dim(other)
-            return QMatrix(_qmatmul(self.data, other.data))
-        if isinstance(other, QVector):
-            if other.n != self.n:
-                raise PreconditionError("dimension mismatch")
-            return QVector(_qmatmul(self.data, other.data))
-        return NotImplemented
-
-    def _check_dim(self, other: "QMatrix") -> None:
-        if other.n != self.n:
-            raise PreconditionError("dimension mismatch")
+        if not isinstance(other, (QMatrix, QVector)):
+            return NotImplemented
+        self._check_dim(other)
+        return type(other)(*_pair_product(self.x1, self.x2, other.x1, other.x2))
 
     def adjoint(self) -> "QMatrix":
         """Entrywise conjugate transpose; satisfies <M* u|v> = <u|M v>."""
-        return QMatrix(_qconj(np.swapaxes(self.data, 0, 1)))
+        return QMatrix(self.x1.conj().T, -self.x2.T)
 
     def power(self, k: int) -> "QMatrix":
         if k < 0:
@@ -274,13 +262,10 @@ class QMatrix:
     def norm(self) -> float:
         return op_norm(self)
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.data))
-
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"n": self.n, "rows": self.data.tolist()}
+        return {"n": self.n, "rows": self.components().tolist()}
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":
@@ -293,25 +278,15 @@ class QMatrix:
             k, l, comp = bad[0]
             raise PreconditionError(
                 f"entry ({k}, {l}) component {comp} is not finite: {rows[k, l, comp]}")
-        return cls(rows)
-
-    def __repr__(self) -> str:
-        return f"QMatrix(n={self.n})"
+        return cls.from_components(rows)
 
 
 # -- complex adjoint representation -------------------------------------------
 
 
-def _blocks(m: QMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Split M = M1 + M2 j with M1, M2 complex (C_i) matrices."""
-    d = m.data
-    return d[..., 0] + 1j * d[..., 1], d[..., 2] + 1j * d[..., 3]
-
-
 def chi_embed(m: QMatrix) -> np.ndarray:
     """Complex 2n x 2n image of M; an injective real-algebra *-homomorphism."""
-    m1, m2 = _blocks(m)
-    return np.block([[m1, m2], [-m2.conj(), m1.conj()]])
+    return np.block([[m.x1, m.x2], [-m.x2.conj(), m.x1.conj()]])
 
 
 def chi_extract(c: np.ndarray, tol: float = 1e-10) -> QMatrix:
@@ -324,30 +299,24 @@ def chi_extract(c: np.ndarray, tol: float = 1e-10) -> QMatrix:
     c21, c22 = c[n:, :n], c[n:, n:]
     # Frobenius norms: the defect is >= its 2-norm and the scale <= ||c||_2,
     # so the test is at least as strict as a 2-norm one, without an SVD
-    scale = max(1.0, float(np.linalg.norm(c)) / np.sqrt(2 * n))
+    scale = float(np.linalg.norm(c)) / np.sqrt(2 * n)
     defect = max(float(np.linalg.norm(c21 + c12.conj())),
                  float(np.linalg.norm(c22 - c11.conj())))
     if defect > tol * scale:
         raise PreconditionError(
             f"matrix is not in the image of the embedding (defect {defect:.3e})")
-    m1 = 0.5 * (c11 + c22.conj())
-    m2 = 0.5 * (c12 - c21.conj())
-    data = np.stack([m1.real, m1.imag, m2.real, m2.imag], axis=-1)
-    return QMatrix(data)
+    return QMatrix(0.5 * (c11 + c22.conj()), 0.5 * (c12 - c21.conj()))
 
 
 def chi_vec(u: QVector) -> np.ndarray:
     """Complex coordinates of u consistent with chi_embed: chi(M)chi(u) = chi(Mu)."""
-    u1 = u.data[:, 0] + 1j * u.data[:, 1]
-    u2 = u.data[:, 2] + 1j * u.data[:, 3]
-    return np.concatenate([u1, -u2.conj()])
+    return np.concatenate([u.x1, -u.x2.conj()])
 
 
 def chi_vec_extract(v: np.ndarray) -> QVector:
     v = np.asarray(v, dtype=complex)
     n = v.shape[0] // 2
-    u1, u2 = v[:n], -v[n:].conj()
-    return QVector(np.stack([u1.real, u1.imag, u2.real, u2.imag], axis=-1))
+    return QVector(v[:n], -v[n:].conj())
 
 
 def op_norm(m: QMatrix) -> float:
@@ -382,16 +351,15 @@ def sqrt_positive(m: QMatrix, tol: float = 1e-10) -> QMatrix:
     """Unique positive square root of a positive self-adjoint operator.
 
     Computed by unitary diagonalization of chi(M); eigenvalues are clamped to
-    [0, inf) before square-rooting, which tolerates -1e-12-size jitter but
-    rejects genuinely negative spectrum.
+    [0, inf) before square-rooting, which tolerates jitter down to
+    -tol max|eigenvalue| but rejects genuinely negative spectrum at any scale.
     """
     if not is_self_adjoint(m, tol):
         raise PreconditionError("operator is not self-adjoint")
     c = chi_embed(m)
     c = 0.5 * (c + c.conj().T)
     w, v = np.linalg.eigh(c)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if w.min(initial=0.0) < -tol * scale:
+    if w.min(initial=0.0) < -tol * np.abs(w).max(initial=0.0):
         raise PreconditionError(f"operator is not positive (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
     # sqrt is not Lipschitz at 0: flush the eigensolver noise floor to exactly
@@ -465,10 +433,14 @@ class LeftMultiplication:
         return self.columns.column(m)
 
     def diagonal(self, values: np.ndarray) -> QMatrix:
-        """Z diag(q_m) Z* for the basis columns Z and an (n, 4) array of
-        quaternions q_m: one column scaling and one quaternion matmul."""
-        z = self.columns.data
-        return QMatrix(_qmatmul(_qmul(z, values), _qconj(np.swapaxes(z, 0, 1))))
+        """Z diag(q_m) Z* for the basis columns Z and quaternions q_m given as
+        an (n, 4) component array, or as an (n,) array of numbers of C_i:
+        one column scaling Z diag(q_m) and one product."""
+        values = np.asarray(values)
+        q1, q2 = (values, 0.0) if values.ndim == 1 else _pair(values)
+        z = self.columns
+        scaled = QMatrix(z.x1 * q1 - z.x2 * np.conj(q2), z.x1 * q2 + z.x2 * np.conj(q1))
+        return scaled @ z.adjoint()
 
     def matrix(self, q: Quaternion) -> QMatrix:
         """The operator L_q as a quaternionic matrix."""
@@ -489,23 +461,21 @@ def extend_complex_operator(s: np.ndarray, basis: LeftMultiplication,
     n = basis.n
     if s.shape != (n, n):
         raise PreconditionError(f"expected a {n} x {n} complex matrix, got {s.shape}")
-    data = np.zeros((n, n, 4))
-    data[..., 0] = s.real
-    for axis, comp in enumerate((iota.b, iota.c, iota.d), start=1):
-        data[..., axis] = s.imag * comp
+    # s.real + iota s.imag with iota = b i + (c + d i) j
+    ext = QMatrix(s.real + 1j * iota.b * s.imag, complex(iota.c, iota.d) * s.imag)
     z = basis.columns
-    return z @ QMatrix(data) @ z.adjoint()
+    return z @ ext @ z.adjoint()
 
 
 # -- random generators ------------------------------------------------------------
 
 
 def random_qvector(n: int, rng: np.random.Generator, scale: float = 1.0) -> QVector:
-    return QVector(rng.normal(size=(n, 4)) * scale)
+    return QVector.from_components(rng.normal(size=(n, 4)) * scale)
 
 
 def random_qmatrix(n: int, rng: np.random.Generator, scale: float = 1.0) -> QMatrix:
-    return QMatrix(rng.normal(size=(n, n, 4)) * scale)
+    return QMatrix.from_components(rng.normal(size=(n, n, 4)) * scale)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> QMatrix:

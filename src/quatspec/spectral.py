@@ -79,7 +79,7 @@ def gelfand_check(t: QMatrix, n_max: int) -> np.ndarray:
     for k in range(1, n_max + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             power = power @ power
-        if not np.isfinite(power.data).all():
+        if not np.isfinite(power.components()).all():
             raise NumericalError(
                 "matrix powers overflowed; pre-scale T before the Gelfand check")
         out.append(op_norm(power) ** (1.0 / 2 ** k))

@@ -22,7 +22,7 @@ from quatspec.qmatrix import (QMatrix, QVector, chi_embed,
                               random_normal, random_qmatrix, random_qvector,
                               random_unitary)
 from quatspec.quaternion import I, J, Quaternion, fold, random_sphere_point
-from quatspec.slicefn import (SliceFunction, decompose_components, hausdorff,
+from quatspec.slicefn import (CircularSet, SliceFunction, decompose_components, hausdorff,
                               one_sided_hausdorff, slice_product, sup_norm)
 from quatspec.spectral import spherical_spectrum
 from quatspec.verify import _KINDS
@@ -231,6 +231,16 @@ def test_context_spectrum_agrees_with_spectral_module():
         assert abs(sup_norm(ident, ctx.spectrum()) - norm) <= 1e-12 * norm
         assert ctx.spectrum().mult == spec.mult
         assert np.abs(ctx.spectrum().reps - spec.reps).max() <= 1e-9 * c
+
+
+def test_domain_test_is_relative_to_the_norm():
+    """A spectrum outside the domain {0} is rejected at every scale: the
+    domain tolerance is CLUSTER_TOL ||T||, not an absolute 1e-8."""
+    t, _ = random_normal(6, np.random.default_rng(1))
+    ident = SliceFunction.builtin("id", domain=CircularSet([[0.0, 0.0]]))
+    for c in (1e-12, 1.0, 1e12):
+        with pytest.raises(PreconditionError, match="outside the function domain"):
+            intrinsic_calculus(build_context(t * c), ident)
 
 
 def test_build_context_rejects_non_normal():

@@ -119,6 +119,13 @@ def test_chi_roundtrip_and_rejection():
         chi_extract(bad)
 
 
+def test_chi_extract_rejects_non_symplectic_at_every_scale():
+    bad = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+    for c in (1e-12, 1.0, 1e12):
+        with pytest.raises(PreconditionError, match="not in the image"):
+            chi_extract(bad * c)
+
+
 def test_chi_vector_consistency():
     m = random_qmatrix(4, RNG)
     u = random_qvector(4, RNG)
@@ -301,7 +308,8 @@ def test_extend_is_a_star_homomorphism_with_equal_norm():
 
 
 def test_extend_rejects_bad_basis():
-    cols = QMatrix.from_columns([random_qvector(3, RNG) for _ in range(3)])
+    cols = QMatrix.from_components(
+        np.stack([random_qvector(3, RNG).components() for _ in range(3)], axis=1))
     with pytest.raises(PreconditionError):
         LeftMultiplication(cols)
 
@@ -352,6 +360,14 @@ def test_plus_subspace_basis_recovers_j():
 
 # -- random generators ----------------------------------------------------
 
+def test_sqrt_positive_rejects_negative_at_every_scale():
+    for c in (1e-12, 1.0, 1e12):
+        with pytest.raises(PreconditionError, match="not positive"):
+            sqrt_positive(QMatrix.identity(3) * -c)
+        assert (sqrt_positive(QMatrix.identity(3) * c) - QMatrix.identity(3) * c ** 0.5
+                ).frobenius() <= 1e-14 * c ** 0.5
+
+
 def test_random_unitary_and_normal():
     v = random_unitary(5, RNG)
     assert is_unitary(v)
@@ -380,6 +396,56 @@ def test_random_unitary_is_the_polar_factor_of_its_gaussian_draw():
     assert (p - sqrt_positive(m.adjoint() @ m)).norm() <= 1e-10 * op_norm(m)
 
 
+# -- scalar-loop oracle for the complex-pair arithmetic ------------------------------------
+
+def test_product_against_scalar_loops():
+    rng = np.random.default_rng(17)
+    m, k = random_qmatrix(3, rng), random_qmatrix(3, rng)
+    u = random_qvector(3, rng)
+    prod, mu = m @ k, m @ u
+    for a in range(3):
+        expect = sum((m[a, l] * u[l] for l in range(3)), Quaternion())
+        np.testing.assert_allclose(mu[a].components(), expect.components(),
+                                   rtol=1e-14, atol=1e-14)
+        for b in range(3):
+            expect = sum((m[a, l] * k[l, b] for l in range(3)), Quaternion())
+            np.testing.assert_allclose(prod[a, b].components(), expect.components(),
+                                       rtol=1e-14, atol=1e-14)
+
+
+def test_adjoint_against_scalar_loops():
+    m = random_qmatrix(3, np.random.default_rng(18))
+    adj = m.adjoint()
+    for a in range(3):
+        for b in range(3):
+            assert adj[a, b] == m[b, a].conjugate()
+
+
+def test_vector_ops_against_scalar_loops():
+    rng = np.random.default_rng(19)
+    u, v = random_qvector(3, rng), random_qvector(3, rng)
+    q = Quaternion(*rng.normal(size=4))
+    uq = u.rmul(q)
+    for a in range(3):
+        np.testing.assert_allclose(uq[a].components(), (u[a] * q).components(),
+                                   rtol=1e-14, atol=1e-14)
+    expect = sum((u[a].conjugate() * v[a] for a in range(3)), Quaternion())
+    np.testing.assert_allclose(u.inner(v).components(), expect.components(),
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_components_roundtrip_is_bit_exact():
+    x = np.random.default_rng(20).normal(size=(3, 3, 4))
+    x[0, 0] = [-0.0, 1e-310, -1e-310, 1.0 / 3.0]
+    x[2, 1] = [0.0, -0.0, 2.0 ** 60, -0.0]
+    back = QMatrix.from_components(x).components()
+    assert back.shape == x.shape
+    assert np.array_equal(back, x) and np.array_equal(np.signbit(back), np.signbit(x))
+    y = x[0]
+    back = QVector.from_components(y).components()
+    assert np.array_equal(back, y) and np.array_equal(np.signbit(back), np.signbit(y))
+
+
 # -- independent real-representation oracle ----------------------------------------------
 
 def real_rep(m: QMatrix) -> np.ndarray:
@@ -395,7 +461,7 @@ def real_rep(m: QMatrix) -> np.ndarray:
     out = np.zeros((4 * n, 4 * n))
     for k in range(n):
         for l in range(n):
-            out[4 * k:4 * k + 4, 4 * l:4 * l + 4] = left4(*m.data[k, l])
+            out[4 * k:4 * k + 4, 4 * l:4 * l + 4] = left4(*m[k, l].components())
     return out
 
 
@@ -435,14 +501,15 @@ def test_matrix_json_matches_entrywise_floats():
     """to_json gives the same floats, hence the same JSON text, as
     converting entry by entry."""
     rng = np.random.default_rng(11)
-    m = random_qmatrix(3, rng)
-    m.data[0, 0] = [-0.0, 1e-310, 1.0 / 3.0, 2.0 ** 60]
-    entrywise = {"n": 3, "rows": [[[float(x) for x in m.data[k, l]] for l in range(3)]
+    comps = random_qmatrix(3, rng).components()
+    comps[0, 0] = [-0.0, 1e-310, 1.0 / 3.0, 2.0 ** 60]
+    m = QMatrix.from_components(comps)
+    entrywise = {"n": 3, "rows": [[[float(x) for x in m[k, l].components()] for l in range(3)]
                                   for k in range(3)]}
     assert m.to_json() == entrywise
     assert json.dumps(m.to_json()) == json.dumps(entrywise)
     u = random_qvector(3, rng)
-    entrywise = {"v": [[float(x) for x in row] for row in u.data]}
+    entrywise = {"v": [[float(x) for x in u[k].components()] for k in range(3)]}
     assert json.dumps(u.to_json()) == json.dumps(entrywise)
 
 
