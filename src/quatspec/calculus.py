@@ -7,6 +7,11 @@ B; fixing iota = i, kappa = j gives the operators J = L_i, K = L_j used by
 the calculi. All of them are read off one eigensystem T u_m = u_m lambda_m,
 lambda_m = alpha_m + iota beta_m, with Z = [u_m] an orthonormal basis of
 H+: J = Z diag(iota) Z*, B = Z diag(beta_m) Z* and ||T|| = max |lambda_m|.
+The eigensystem takes one Hermitian eigensolve of H + mu K, H and K the
+commuting self-adjoint and skew parts of chi(T), which separates the
+eigenvalues by alpha + mu beta; a complex Schur form is taken only of the
+blocks of eigenvalues that share alpha + mu beta to within 1e-4 of the
+spectrum's scale.
 The calculi are:
 
 - polynomial:  g(T) = Q1(A,B) + J Q2(A,B)
@@ -56,6 +61,43 @@ IOTA = QI
 KAPPA = QJ
 
 _EIG_CLUSTER_TOL = 1e-11  # eigenvalue clustering for the eigensystem, times ||T||
+_SPLIT_MU = math.sqrt(2.0) - 1.0  # weight of K in H + mu K: a fixed irrational
+_SPLIT_GAP = 1e-4  # split of the eigh spectrum, times its largest modulus
+
+
+def _split_schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenvalues, unitary eigenvectors and off-diagonal mass of a normal c.
+
+    H = (c + c*)/2 and K = (c - c*)/(2i) commute for normal c, so one `eigh`
+    of H + mu K = w c + (w c)*, w = (1 - i mu)/2, separates the eigenvalues
+    alpha + i beta of c by alpha + mu beta. The sorted spectrum is split
+    where consecutive values lie more than _SPLIT_GAP times its largest
+    modulus apart, and c is compressed once, S = V* c V. A block whose
+    compression is scalar within tau = _EIG_CLUSTER_TOL max |S_mm|, entry by
+    entry (a single eigenvalue, a Kramers pair of a real one), keeps its
+    vectors; any other block is replaced by the complex Schur form of its
+    compression, its columns rotated to match. Returns diag(S), V and
+    ||S - diag(S)||_F, which holds the off-block mass of the compression and
+    the strictly upper part of each Schur block.
+    """
+    wc = (0.5 - 0.5j * _SPLIT_MU) * c
+    w, v = np.linalg.eigh(wc + wc.conj().T)
+    s = v.conj().T @ c @ v
+    gap = _SPLIT_GAP * np.abs(w).max(initial=0.0)
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > gap)
+    stops = np.append(starts[1:], w.size)
+    block = np.repeat(np.arange(starts.size), stops - starts)
+    diag = np.diag(s)
+    shift = np.diag((np.add.reduceat(diag, starts) / (stops - starts))[block])
+    spread = np.abs(np.where(block[:, None] == block, s, 0.0) - shift).max(axis=1, initial=0.0)
+    scalar = (np.maximum.reduceat(spread, starts)
+              <= _EIG_CLUSTER_TOL * np.abs(diag).max(initial=0.0))
+    for lo, hi in zip(starts[~scalar].tolist(), stops[~scalar].tolist()):
+        s[lo:hi, lo:hi], z = scipy.linalg.schur(s[lo:hi, lo:hi], output="complex")
+        v[:, lo:hi] = v[:, lo:hi] @ z
+    evals = np.diag(s).copy()
+    np.fill_diagonal(s, 0.0)
+    return evals, v, float(np.linalg.norm(s))
 
 
 def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
@@ -69,10 +111,12 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
     the columns of the returned matrix, and tnorm = max |lambda_m|, which is
     ||T|| for normal T.
 
-    Route: complex Schur of chi(T) (diagonal for normal input; its
-    off-diagonal part must stay below 1e-7 ||T|| in the Frobenius norm).
-    With tau = 1e-11 ||T||, an eigenvalue with Im > tau contributes its
-    Schur vector as it is, and one with Im < -tau is its conjugate partner.
+    Route: `_split_schur` of chi(T), one Hermitian eigensolve that splits
+    the eigenvalues by alpha + mu beta and a complex Schur form only of the
+    blocks it cannot separate (its off-diagonal mass must stay below
+    1e-7 ||T|| in the Frobenius norm). With tau = 1e-11 ||T||, an eigenvalue
+    with Im > tau contributes its eigenvector as it is, and one with
+    Im < -tau is its conjugate partner.
     The eigenvalues with |Im| <= tau are clustered on the real line at tau;
     each cluster spans an eigenspace V (2n x 2d) closed under the
     quaternionic structure sigma(x) = Omega conj(x), x -> x j in chi
@@ -81,7 +125,7 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
     off the picks so far and their partners sigma(w), normalized. Since
     x^H Omega conj(x) = 0 for every x, the remaining norms^2 sum to
     2(d - k) after k picks, so every pick has norm >= 1/sqrt(d) and the
-    picks with their partners are orthonormal. Schur vectors of eigenvalues
+    picks with their partners are orthonormal. Eigenvectors of eigenvalues
     a gap g apart are quaternion-orthogonal only to about eps ||T|| / g
     (up to 1e-5 at g = tau); two Newton-Schulz steps Z <- Z (3I - Z*Z) / 2
     square that Gram deviation twice, down to rounding level, while moving
@@ -91,12 +135,11 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
         raise PreconditionError("operator is not normal")
     n = t.n
     try:
-        s, q = scipy.linalg.schur(chi_embed(t), output="complex")
+        evals, q, off = _split_schur(chi_embed(t))
     except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover
         raise NumericalError(f"eigensolver failure: {exc}") from exc
-    evals = np.diag(s)
     tnorm = float(np.abs(evals).max(initial=0.0))
-    if np.linalg.norm(s - np.diag(evals)) > 1e-7 * tnorm:
+    if off > 1e-7 * tnorm:
         raise NumericalError("Schur form is far from diagonal; input not normal enough")
     tau = _EIG_CLUSTER_TOL * tnorm
     upper = np.flatnonzero(evals.imag > tau)
@@ -201,20 +244,23 @@ def build_context(t: QMatrix) -> CalculusContext:
     clustering tolerance tau = 1e-11 ||T||.
     """
     lambdas, kernel_flags, columns, tnorm = _normal_eigensystem(t)
-    evals = np.concatenate([lambdas, lambdas.conj()])
-    dist = np.abs(evals[:, None] - evals[None, :])
-    gaps = (f"smallest eigenvalue gap {dist[dist > 0].min(initial=math.inf):.3e}, "
-            f"clustering tolerance tau = {_EIG_CLUSTER_TOL * tnorm:.3e}")
+
+    def gaps() -> str:
+        evals = np.concatenate([lambdas, lambdas.conj()])
+        dist = np.abs(evals[:, None] - evals[None, :])
+        return (f"smallest eigenvalue gap {dist[dist > 0].min(initial=math.inf):.3e}, "
+                f"clustering tolerance tau = {_EIG_CLUSTER_TOL * tnorm:.3e}")
+
     try:
         basis = LeftMultiplication(columns)
     except PreconditionError as exc:
-        raise NumericalError(f"eigenbasis is not orthonormal: {exc}; {gaps}") from exc
+        raise NumericalError(f"eigenbasis is not orthonormal: {exc}; {gaps()}") from exc
     # lambda_m = alpha_m + iota beta_m lies in C_iota = C_i
     residual = (t - basis.diagonal(lambdas)).frobenius()
     bound = 1e-10 * tnorm
     if residual > bound:
         raise NumericalError(f"eigen-residual ||T - Z diag(lambda) Z*|| = {residual:.3e} "
-                             f"exceeds {bound:.3e}; {gaps}")
+                             f"exceeds {bound:.3e}; {gaps()}")
     j = basis.matrix(IOTA)
     k = basis.matrix(KAPPA)
     a = (t + t.adjoint()) * 0.5

@@ -76,9 +76,36 @@ def _finite(option: str, *values: float | None) -> None:
             raise _InputError(f"{option} must be finite, got {value}")
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """Exactly `json.dumps(obj, indent=2)`, nested at `indent`.
+
+    A list of finite floats is joined in one call of `float.__repr__`, the
+    float format of `json`; every other leaf (non-finite floats, ints,
+    bools, None, strings) and any dict with a non-string key is written by
+    `json.dumps` itself, so their text is json's."""
+    inner = indent + "  "
+    if isinstance(obj, list) and obj:
+        sep = ",\n" + inner
+        try:
+            text = sep.join(map(float.__repr__, obj))
+        except TypeError:  # not a list of floats
+            text = None
+        if text is None or "n" in text:  # 'nan' and 'inf' have an n, finite floats none
+            text = sep.join(_dumps(item, inner) for item in obj)
+        return f"[\n{inner}{text}\n{indent}]"
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        text = f",\n{inner}".join(f"{json.dumps(key)}: {_dumps(value, inner)}"
+                                  for key, value in obj.items())
+        return f"{{\n{inner}{text}\n{indent}}}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
+
+
+def _write_json(data, fh) -> None:
+    fh.write(_dumps(data) + "\n")
+
+
 def _emit(data) -> None:
-    json.dump(data, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json(data, sys.stdout)
 
 
 def _spectrum_svg(reps, path: str) -> None:
@@ -127,8 +154,7 @@ def _cmd_decompose(args) -> int:
     t = _load_matrix(args.input)
     ctx = build_context(t)
     with open(args.out, "w") as fh:
-        json.dump(ctx.to_json(), fh, indent=2)
-        fh.write("\n")
+        _write_json(ctx.to_json(), fh)
     return EXIT_OK
 
 
@@ -187,8 +213,7 @@ def _cmd_verify(args) -> int:
     print(report.table())
     if args.json_out:
         with open(args.json_out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+            _write_json(report.to_json(), fh)
     return report.exit_code
 
 

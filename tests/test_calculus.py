@@ -6,10 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatspec.calculus import (adjoint_similarity,
+from quatspec.calculus import (_SPLIT_MU, adjoint_similarity,
                                alternate_kernel_J, build_context,
                                circular_calculus, construct_J, cslice_calculus,
                                general_calculus, intrinsic_calculus,
@@ -181,6 +182,60 @@ def test_build_context_fuzz_scale_and_gaps(seed, kind, log_gap, log_scale):
             counts.append(ctx.spectrum().size)
         if not 0.5e-8 <= rel_gap <= 2e-8:
             assert counts == [spheres] * len(counts)
+
+
+def schur_sizes(monkeypatch) -> list[int]:
+    """Record the size of every `scipy.linalg.schur` call from now on."""
+    sizes = []
+    schur = scipy.linalg.schur
+
+    def counted(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", ["sphere", "real"])
+def test_eigensystem_schur_fallback_on_a_shared_split_value(monkeypatch, seed, kind):
+    """Two distinct eigenvalues with the same alpha + mu beta cannot be told
+    apart by the Hermitian eigensolve: a sphere next to another sphere, or
+    next to a real eigenvalue (whose Kramers pair joins the block). Their
+    block alone takes the Schur form, the context passes the unchanged
+    residual gate and the eigenvalues are the ones T was built from."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-2.0, 2.0, 6)
+    beta = rng.uniform(0.3, 2.0, 6)
+    beta[1] = 0.0 if kind == "real" else beta[0] + 0.5
+    alpha[1] = alpha[0] + _SPLIT_MU * (beta[0] - beta[1])
+    d = QMatrix.diag([Quaternion(a) + random_sphere_point(rng) * b
+                      for a, b in zip(alpha, beta)])
+    v = random_unitary(6, rng)
+    t = v @ d @ v.adjoint()
+    sizes = schur_sizes(monkeypatch)
+    ctx = build_context(t)
+    assert sizes == [3 if kind == "real" else 2]
+    assert op_norm(t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
+    assert np.abs(np.sort_complex(ctx.lambdas)
+                  - np.sort_complex(alpha + 1j * beta)).max() <= 1e-12 * op_norm(t)
+
+
+def test_eigensystem_separated_self_adjoint_takes_no_schur_form(monkeypatch):
+    """A self-adjoint n = 32 T with well separated eigenvalues: every block
+    of the split is the Kramers pair of one real eigenvalue, scalar in its
+    compression, so no Schur form is taken."""
+    rng = np.random.default_rng(32)
+    d = QMatrix.diag([Quaternion(a) for a in rng.permutation(np.linspace(-3.0, 3.0, 32))])
+    v = random_unitary(32, rng)
+    t = v @ d @ v.adjoint()
+    sizes = schur_sizes(monkeypatch)
+    ctx = build_context(t)
+    assert sizes == []
+    assert ctx.kernel_flags.all()
+    assert op_norm(t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
+    assert np.abs(ctx.lambdas - np.linspace(-3.0, 3.0, 32)).max() <= 1e-12 * 3.0
 
 
 def test_context_1x1_example():

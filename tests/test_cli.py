@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quatspec.cli import main
+from quatspec.cli import _dumps, main
 from quatspec.qmatrix import QMatrix, op_norm, random_normal
 from quatspec.quaternion import I, Quaternion
 
@@ -236,3 +236,48 @@ def test_exit_code_overflowing_function(tmp_path, capsys, mode):
     assert captured.out == ""
     assert captured.err.startswith("error: f is not finite at")
     assert captured.err.count("\n") == 1
+
+
+def assert_json_indent2(text: str) -> None:
+    """`text` is exactly what `json.dumps(..., indent=2)` writes, plus a newline."""
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    *(["apply", "--fn", fn, "--mode", mode] for mode, fn in [
+        ("intrinsic", "builtin:square"), ("cslice", "builtin:conj"),
+        ("circular", "builtin:re"), ("general", "builtin:exp")]),
+    ["apply", "--fn", "builtin:square", "--mode", "contour", "--nodes", "32"],
+    ["resolvent", "--q", "0,9,0,0"],
+])
+def test_stdout_is_json_indent2_text(normal_file, capsys, argv):
+    assert main([argv[0], "--input", normal_file, *argv[1:]]) == 0
+    assert_json_indent2(capsys.readouterr().out)
+
+
+def test_output_files_are_json_indent2_text(normal_file, tmp_path, capsys):
+    ctx_path, report_path = tmp_path / "ctx.json", tmp_path / "report.json"
+    assert main(["decompose", "--input", normal_file, "--out", str(ctx_path)]) == 0
+    assert main(["verify", "--random", "3,2,7", "--suite", "spectral",
+                 "--json-out", str(report_path)]) == 0
+    capsys.readouterr()
+    assert_json_indent2(ctx_path.read_text())
+    assert_json_indent2(report_path.read_text())
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-7, 0.1, math.nan, math.inf, -math.inf, 0, -7,
+               2**70, True, False, None, [], {}, "\u00e9\u2603 \"q\"\\\n\t", np.float64(2.5)]
+
+
+@pytest.mark.parametrize("value", [
+    *EDGE_VALUES,
+    EDGE_VALUES,
+    [1.0, -0.0, 5e-324],
+    [1.0, math.nan], [math.inf, 2.0], [1.0, 2], [True, 1.0], (1.0, 2.0),
+    [[], {}, [[1.5]]],
+    {"a": [1.0, 2.0], "b": {"c": [[1e300, -1e-300]], "d": {}}, "\u00e9": None},
+    {1: "int key", "x": [0.5]},
+])
+def test_dumps_is_json_dumps_indent2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
