@@ -27,7 +27,10 @@ f_l(T) E_l = Z diag(f_l(lambda_m) e_l) Z* for E_l = L_{e_l}. Each calculus
 checks its class of f and keeps the components l it covers. The polynomial
 route and the contour realization over a circle in C_iota stay independent
 cross-checks; the module also gives the spectral-measure weights of a
-self-adjoint operator.
+self-adjoint operator. The contour takes its own Schur form of chi(T) and
+folds its nodes by sphere: s and conj(s) share Delta_s(T), so one
+triangular solve serves both, its right-hand side one product of a 2 x 4
+coefficient matrix with the fixed blocks.
 
 The decomposition data is bundled in an immutable `CalculusContext`; all
 calculi are pure functions of it and may run concurrently on a shared
@@ -403,10 +406,14 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     U^H is triangular in the Schur basis. With [P Q] = U^H chi(Z), Z the
     basis columns, chi(L_c) = chi(Z) C(c) chi(Z)^H where
     C(c) = [[z1, z2], [-conj z2, conj z1]] (times I) for c = z1 + z2 j, so
-    every node costs one triangular solve of S [P Q] C(c1) - [P Q] C(c2),
-    assembled from the fixed blocks SP, SQ, P, Q. Matches the algebraic
-    calculus within quadrature error for slice functions induced by
-    holomorphic stems.
+    a node's term is a triangular solve of S [P Q] C(c1) - [P Q] C(c2). That
+    right-hand side is one product gamma [SP; SQ; P; Q] of a 2 x 4 matrix
+    gamma, real-linear in (z1, z2) of c1 and c2, with the fixed blocks stacked
+    as rows. Delta_s(T) depends on s only through its sphere (Re s and
+    |s|), and node nodes - m is the mirror conj(s) of node m, so the gammas
+    of a mirror pair are added and the nodes are folded by sphere:
+    nodes // 2 + 1 triangular solves. Matches the algebraic calculus within
+    quadrature error for slice functions induced by holomorphic stems.
     """
     tnorm = ctx.tnorm
     if radius is None:
@@ -418,9 +425,14 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
             f"radius {radius:.6g} does not enclose the spectrum (||T|| = {tnorm:.6g})")
     if nodes < 16:
         raise PreconditionError("at least 16 quadrature nodes are required")
-    # nodes s = alpha + iota beta as a (nodes, 4) array; weights w = s / nodes
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    # nodes s = alpha + iota beta as a (nodes, 4) array; weights w = s / nodes.
+    # Nodes half..nodes-1 are built as the exact mirrors conj(s) of nodes
+    # nodes-half..1, the slice `mirror`, so that a pair shares Re s exactly.
+    half = nodes // 2 + 1
+    mirror = slice(nodes - half, 0, -1)
+    theta = 2.0 * math.pi * np.arange(half) / nodes
     alpha, beta = radius * np.cos(theta), radius * np.sin(theta)
+    alpha, beta = np.concatenate([alpha, alpha[mirror]]), np.concatenate([beta, -beta[mirror]])
     inside = f.stem.accepts(alpha, beta)
     if not inside.all():
         raise PreconditionError(
@@ -433,8 +445,14 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     if not finite.all():
         raise NumericalError(f"f is not finite at quadrature node {np.argmin(finite)}")
     c2 = _qmul(_qconj(s), c1)
-    # c = z1 + z2 j with z1, z2 in C
-    coefs = np.concatenate([c1.view(complex), c2.view(complex)], axis=1).tolist()
+    # c = z1 + z2 j with z1, z2 in C. gamma[m] takes the rows SP, SQ, P, Q of
+    # blocks to the two halves of node m's right-hand side; it is additive in
+    # (a1, b1, a2, b2) and a mirror pair shares Delta_s(T), so each mirror's
+    # gamma is added to its partner's and nodes half..nodes-1 need no solve
+    a1, b1, a2, b2 = np.concatenate([c1.view(complex), c2.view(complex)], axis=1).T
+    gamma = np.ascontiguousarray(np.array([[a1, -b1.conj(), -a2, b2.conj()],
+                                           [b1, a1.conj(), -b2, -a2.conj()]]).transpose(2, 0, 1))
+    gamma[mirror] += gamma[half:]
     n = ctx.n
     try:
         tri, u = scipy.linalg.schur(chi_embed(ctx.t), output="complex")
@@ -444,21 +462,26 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     shifted = np.asfortranarray(tri @ tri)  # Delta_s(T) without its -2Re(s) S term
     shifted[np.diag_indices(2 * n)] += radius * radius
     zc = chi_embed(ctx.basis.columns)
-    pq = np.asfortranarray(u.conj().T @ zc)
-    spq = np.asfortranarray(tri @ pq)
-    p, q, sp, sq = pq[:, :n], pq[:, n:], spq[:, :n], spq[:, n:]
+    # rows SP, SQ, P, Q of blocks, each a column-major (2n, n) block:
+    # spq = S [P Q] and pq = [P Q] = U^H chi(Z) are column-major views of it
+    blocks = np.empty((4, 2 * n * n), dtype=complex)
+    spq = blocks[:2].reshape(2 * n, 2 * n).T
+    pq = blocks[2:].reshape(2 * n, 2 * n).T
+    np.matmul(u.conj().T, zc, out=pq)
+    np.matmul(tri, pq, out=spq)
     delta = np.empty_like(tri, order="F")
     rhs = np.empty_like(tri, order="F")
+    halves = rhs.T.reshape(2, -1)  # rhs[:, :n] and rhs[:, n:], column-major
     acc = np.zeros_like(tri)
-    for m, (a1, b1, a2, b2) in enumerate(coefs):
+    for m in range(half):
         np.multiply(tri, -2.0 * alpha[m], out=delta)
         delta += shifted
-        rhs[:, :n] = a1 * sp - b1.conjugate() * sq - a2 * p + b2.conjugate() * q
-        rhs[:, n:] = b1 * sp + a1.conjugate() * sq - b2 * p - a2.conjugate() * q
+        np.dot(gamma[m], blocks, out=halves)
         x, info = ztrtrs(delta, rhs, overwrite_b=1)
         if info != 0:
+            pair = f"node {m}" if 2 * m % nodes == 0 else f"nodes {m} and {nodes - m}"
             raise NumericalError(
-                f"quadrature node {m} hit the spectrum (triangular solve info {info})")
+                f"quadrature {pair} hit the spectrum (triangular solve info {info})")
         acc += x
     return chi_extract(-(u @ acc) @ zc.conj().T, tol=1e-8)
 

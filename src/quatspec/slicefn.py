@@ -186,9 +186,17 @@ def _poly_stem(exps, coefs, domain: CircularSet | None = None) -> "StemFunction"
     that passed 2^63 and wrapped around; they are rejected."""
     if np.min(exps, initial=0) < 0:
         raise PreconditionError("a monomial exponent of the product exceeds 2^63 - 1")
-    exps, inverse = np.unique(np.reshape(exps, (-1, 2)), axis=0, return_inverse=True)
+    # merge by a lexsort on (h, k): exact for every int64, unlike a 1-D key
+    rows = np.reshape(exps, (-1, 2))
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    exps = rows[new]
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
     merged = np.zeros((len(exps), 2, 4))
-    np.add.at(merged, inverse.reshape(-1), np.reshape(coefs, (-1, 2, 4)))
+    np.add.at(merged, inverse, np.reshape(coefs, (-1, 2, 4)))
     infinite = ~np.isfinite(merged).all(axis=2)
     if infinite.any():
         t, part = np.argwhere(infinite)[0]

@@ -70,19 +70,23 @@ def spectral_radius(t: QMatrix) -> float:
 
 def gelfand_check(t: QMatrix, n_max: int) -> np.ndarray:
     """The sequence ||T^(2^k)||^(1/2^k), k = 0..n_max, converging to the
-    spectral radius (constant for normal T). Large ||T|| with large n_max can
-    overflow; pre-scale the input in that case."""
+    spectral radius (constant for normal T).
+
+    The powers are taken of T/||T||, each square divided by its norm m_k, so
+    ||T^(2^k)||^(1/2^k) = ||T|| prod_{j<=k} m_j^(1/2^j) and no power
+    overflows or underflows at any scale of T; a zero T gives zeros."""
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    out = [op_norm(t)]
-    power = t
+    root = op_norm(t)
+    out = [root]
+    power = t * (1.0 / root) if root > 0.0 else t
     for k in range(1, n_max + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ power
-        if not np.isfinite(power.components()).all():
-            raise NumericalError(
-                "matrix powers overflowed; pre-scale T before the Gelfand check")
-        out.append(op_norm(power) ** (1.0 / 2 ** k))
+        power = power @ power
+        norm = op_norm(power)
+        root *= norm ** (1.0 / 2 ** k)
+        out.append(root)
+        if norm > 0.0:
+            power = power * (1.0 / norm)
     return np.array(out)
 
 

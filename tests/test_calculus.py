@@ -672,6 +672,71 @@ def test_contour_ignores_the_eigenvalue_route():
     assert (general_calculus(bent, f) - general_calculus(ctx, f)).norm() > 1e-3
 
 
+def _per_node_contour(ctx, f, nodes: int) -> np.ndarray:
+    """chi of the contour sum with one dense solve of Delta_s(chi T) per
+    node: no Schur form, no folding of conjugate nodes."""
+    radius = 1.25 * ctx.tnorm + 1.0
+    chi_t = chi_embed(ctx.t)
+    eye = np.eye(2 * ctx.n)
+    acc = np.zeros_like(chi_t)
+    for m in range(nodes):
+        theta = 2.0 * math.pi * m / nodes
+        s = Quaternion(radius * math.cos(theta)) + I * (radius * math.sin(theta))
+        c1 = s * f.eval(s) * (1.0 / nodes)
+        c2 = s.conjugate() * c1
+        delta = chi_t @ chi_t - 2.0 * s.a * chi_t + radius ** 2 * eye
+        acc -= np.linalg.solve(delta, chi_t @ chi_embed(ctx.left(c1)) - chi_embed(ctx.left(c2)))
+    return acc
+
+
+@pytest.mark.parametrize("nodes", [16, 17, 64, 65])
+def test_contour_matches_per_node_solves(nodes):
+    """Folding node m with its mirror conj(s) changes no sum: the contour
+    equals a node-by-node dense solve, for even and odd node counts."""
+    ctx = build_context(random_normal(6, np.random.default_rng(66))[0])
+    for f in (SliceFunction.builtin("exp"), right_coefficient_polynomial()):
+        expect = _per_node_contour(ctx, f, nodes)
+        got = chi_embed(slice_regular_contour(ctx, f, nodes=nodes))
+        assert np.linalg.norm(got - expect, 2) <= 1e-10 * np.linalg.norm(expect, 2)
+
+
+@pytest.mark.parametrize("nodes", [16, 17, 64])
+def test_contour_solves_once_per_sphere_of_nodes(nodes, monkeypatch):
+    """Nodes s and conj(s) share Delta_s(T): nodes // 2 + 1 triangular
+    solves, one Schur form, and f still read at every node."""
+    import quatspec.calculus as calculus
+    solves, points = [], []
+    real_ztrtrs, real_schur, real_values = calculus.ztrtrs, scipy.linalg.schur, SliceFunction.values
+    monkeypatch.setattr(calculus, "ztrtrs",
+                        lambda *a, **k: solves.append(1) or real_ztrtrs(*a, **k))
+    monkeypatch.setattr(SliceFunction, "values",
+                        lambda self, qs: points.append(len(qs)) or real_values(self, qs))
+    ctx = build_context(random_normal(4, np.random.default_rng(67))[0])
+    schurs = []
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda *a, **k: schurs.append(1) or real_schur(*a, **k))
+    slice_regular_contour(ctx, SliceFunction.builtin("exp"), nodes=nodes)
+    assert len(solves) == nodes // 2 + 1
+    assert len(schurs) == 1
+    assert points == [nodes]
+
+
+def test_contour_solve_failure_names_both_nodes(monkeypatch):
+    import quatspec.calculus as calculus
+    real_ztrtrs = calculus.ztrtrs
+    calls = []
+
+    def failing(*args, **kwargs):
+        x, info = real_ztrtrs(*args, **kwargs)
+        calls.append(1)
+        return x, (1 if len(calls) == 4 else info)
+
+    monkeypatch.setattr(calculus, "ztrtrs", failing)
+    ctx = build_context(random_normal(3, np.random.default_rng(68))[0])
+    with pytest.raises(NumericalError, match="quadrature nodes 3 and 61 hit the spectrum"):
+        slice_regular_contour(ctx, SliceFunction.builtin("exp"), nodes=64)
+
+
 def test_contour_radius_and_node_validation():
     t, _ = random_normal(3, RNG)
     ctx = build_context(t)

@@ -10,7 +10,7 @@ from quatspec.qmatrix import _hc_mul, _hc_star
 from quatspec.quaternion import (I, J, K, ONE, Quaternion, SpherePoint,
                                  random_sphere_point, sphere_decompose)
 from quatspec.slicefn import (CircularSet, SliceFunction, StemFunction,
-                              classify_slice, cluster_points,
+                              _poly_stem, classify_slice, cluster_points,
                               decompose_components, hausdorff,
                               is_circular, is_cslice, is_intrinsic,
                               one_sided_hausdorff, slice_add, slice_product,
@@ -590,6 +590,28 @@ def test_poly_stem_merges_equal_monomials():
     # a tiny part of the wrong parity is dropped from a row that is kept
     mixed = StemFunction.polynomial([(0, 1, 1e-14)], [(0, 1, 1.0)])
     assert mixed.coefs.tolist() == [[[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_poly_stem_merge_matches_unique_bit_for_bit(seed):
+    """The lexsort merge equals an np.unique merge, exponents near 2^63 - 1
+    and rows that differ only in k included; F1 rows have even k and F2 rows
+    odd k, so every merged row is kept as it is."""
+    rng = np.random.default_rng(seed)
+    top = 2 ** 63 - 1
+    pool = np.array([0, 1, 2, 3, top - 2, top - 1, top], dtype=np.int64)
+    exps = np.vstack([pool[rng.integers(0, pool.size, (36, 2))],
+                      [[top, top], [top, top - 1], [top, top], [0, top]]])
+    coefs = rng.normal(size=(len(exps), 2, 4))
+    coefs[:, 1][exps[:, 1] % 2 == 0] = 0.0
+    coefs[:, 0][exps[:, 1] % 2 == 1] = 0.0
+    expect_exps, inverse = np.unique(exps, axis=0, return_inverse=True)
+    expect = np.zeros((len(expect_exps), 2, 4))
+    np.add.at(expect, inverse.reshape(-1), coefs)
+    stem = _poly_stem(exps, coefs)
+    assert stem.exps.dtype == np.int64
+    assert stem.exps.tolist() == expect_exps.tolist()
+    assert stem.coefs.tobytes() == expect.tobytes()
 
 
 def test_sparse_monomial_of_high_degree():

@@ -132,6 +132,16 @@ def test_gelfand_sequence():
         gelfand_check(t, 0)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_gelfand_sequence_scales_with_t(c):
+    """gelfand_check(c T) = c gelfand_check(T): the powers of c T once
+    underflowed to 0 at c = 1e-12 and overflowed at c = 1e12."""
+    t, _ = random_normal(6, np.random.default_rng(1))
+    base = gelfand_check(t, 5)
+    seq = gelfand_check(t * c, 5)
+    assert np.all(np.abs(seq - c * base) <= 1e-12 * c * base)
+
+
 # -- resolvent series ----------------------------------------------------------------------
 
 def test_resolvent_series_against_direct_inverse():
