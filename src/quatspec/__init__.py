@@ -16,11 +16,10 @@ from .slicefn import (CircularSet, SliceClass, SliceFunction, StemFunction,
                       is_circular, is_cslice, is_intrinsic, one_sided_hausdorff,
                       slice_add, slice_product, slice_star, sup_norm)
 from .spectral import (delta_q, gelfand_check, resolvent_series,
-                       spectral_radius, spherical_spectrum,
-                       verify_spectral_classes)
-from .calculus import (CalculusContext, adjoint_similarity, alternate_kernel_J,
-                       build_context, circular_calculus, construct_J,
-                       cslice_calculus, general_calculus, intrinsic_calculus,
+                       spherical_spectrum, verify_spectral_classes)
+from .calculus import (CalculusContext, alternate_kernel_J, build_context,
+                       circular_calculus, construct_J, cslice_calculus,
+                       general_calculus, intrinsic_calculus,
                        polynomial_calculus, slice_regular_contour,
                        spectral_measure_weights)
 from .reporting import Check, VerificationReport

@@ -26,23 +26,26 @@ f(T) = Z diag(F1(lambda_m) + iota F2(lambda_m)) Z*, since
 f_l(T) E_l = Z diag(f_l(lambda_m) e_l) Z* for E_l = L_{e_l}. Each calculus
 checks its class of f and keeps the components l it covers. The polynomial
 route and the contour realization over a circle in C_iota stay independent
-cross-checks; the module also gives the spectral-measure weights of a
-self-adjoint operator. The contour takes its own Schur form of chi(T) and
-folds its nodes by sphere: s and conj(s) share Delta_s(T), so one
-triangular solve serves both, its right-hand side one product of a 2 x 4
-coefficient matrix with the fixed blocks.
+cross-checks. The contour takes its own Schur form of chi(T) and folds its
+nodes by sphere: s and conj(s) share Delta_s(T), so one triangular solve
+serves both, its right-hand side one product of a 2 x 4 coefficient matrix
+with the fixed blocks.
 
 The decomposition data is bundled in an immutable `CalculusContext`; all
 calculi are pure functions of it and may run concurrently on a shared
 context. `CalculusContext.spectrum()` is sigma_S(T) as a
 `slicefn.CircularSet`, the lambda_m clustered once at CLUSTER_TOL ||T||;
 it is the sup set of the isometry ||f(T)|| = sup |f| and a valid domain.
+The same clusters resolve any normal T: `projections()` gives one P_s per
+sphere s, T = sum_s (alpha_s P_s + beta_s J P_s), and the spectral measure
+at u is ||P_s u||^2 (`spectral_measure_weights`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -50,7 +53,7 @@ from scipy.linalg.lapack import ztrtrs
 
 from .errors import NumericalError, PreconditionError
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
-                      _qmul, chi_embed, chi_extract, is_normal, is_self_adjoint)
+                      _qmul, chi_embed, chi_extract, is_normal)
 from .quaternion import I as QI
 from .quaternion import J as QJ
 from .quaternion import REAL_TOL, Quaternion, SpherePoint
@@ -103,8 +106,7 @@ def _split_schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return evals, v, float(np.linalg.norm(s))
 
 
-def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
-                        ) -> tuple[np.ndarray, np.ndarray, QMatrix, float]:
+def _normal_eigensystem(t: QMatrix) -> tuple[np.ndarray, np.ndarray, QMatrix, float]:
     """Eigenvalues (folded to Im >= 0) and a quaternionic orthonormal
     eigenbasis of a normal operator.
 
@@ -134,7 +136,7 @@ def _normal_eigensystem(t: QMatrix, tol: float = 1e-10
     square that Gram deviation twice, down to rounding level, while moving
     each u_m only within eigenvalues about g away.
     """
-    if not is_normal(t, tol):
+    if not is_normal(t):
         raise PreconditionError("operator is not normal")
     n = t.n
     try:
@@ -201,12 +203,22 @@ class CalculusContext:
         """The left scalar multiplication L_q of the context basis."""
         return self.basis.matrix(q)
 
-    def spectrum(self) -> CircularSet:
-        """sigma_S(T): the eigenvalues lambda_m clustered at CLUSTER_TOL ||T||,
-        each sphere with its multiplicity."""
+    @cached_property
+    def _spheres(self) -> tuple[np.ndarray, list[list[int]]]:
+        """The lambda_m clustered once at CLUSTER_TOL ||T||: (reps, members)."""
         pts = np.column_stack([self.lambdas.real, self.lambdas.imag])
-        reps, members = cluster_points(pts, CLUSTER_TOL * self.tnorm)
+        return cluster_points(pts, CLUSTER_TOL * self.tnorm)
+
+    def spectrum(self) -> CircularSet:
+        """sigma_S(T): one sphere per cluster, each with its multiplicity."""
+        reps, members = self._spheres
         return CircularSet(reps, [len(cluster) for cluster in members])
+
+    def projections(self) -> list[QMatrix]:
+        """The spectral projections P_s = sum_{m in s} u_m u_m*, one per sphere
+        s of `spectrum()` and in its order: the sandwich of a 0/1 indicator."""
+        return [self.basis.diagonal(np.isin(np.arange(self.n), cluster) * 1.0)
+                for cluster in self._spheres[1]]
 
     def to_json(self) -> dict:
         return {
@@ -222,16 +234,15 @@ def construct_J(t: QMatrix) -> QMatrix:
     """Anti-self-adjoint unitary J commuting with T and T*, satisfying
     T = A + JB.
 
-    J = Z diag(iota) Z* on the quaternionic eigenbasis Z of
-    `_normal_eigensystem` (T u_m = u_m lambda_m, lambda_m in C_iota with
-    Im lambda_m >= 0). On Ker(T-T*)^perp this is the unique J with
+    J = Z diag(iota) Z* on the eigenbasis Z of `build_context` (T u_m =
+    u_m lambda_m, lambda_m in C_iota with Im lambda_m >= 0), which also gates
+    the residual. On Ker(T-T*)^perp this is the unique J with
     J |T-T*| = T - T*. On the kernel the paper leaves J free among the
     anti-self-adjoint unitaries completing T = A + JB; the half basis that
     pivoted sigma-orthogonalization picks on each real eigensphere fixes a
     deterministic completion (any valid completion yields the same calculi).
     """
-    _, _, columns, _ = _normal_eigensystem(t)
-    return LeftMultiplication(columns).matrix(IOTA)
+    return build_context(t).j
 
 
 def build_context(t: QMatrix) -> CalculusContext:
@@ -382,17 +393,11 @@ def general_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
     return _eigen_sandwich(ctx, f, 4)
 
 
-def adjoint_similarity(ctx: CalculusContext) -> QMatrix:
-    """Unitary U with U T U* = T*; U = L_kappa works since
-    kappa iota conj(kappa) = -iota."""
-    return ctx.k
-
-
 def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
                           radius: float | None = None, nodes: int = 256) -> QMatrix:
     """Contour realization of the calculus over the circle of the given
     radius in C_iota, by the periodic trapezoid rule (spectrally accurate for
-    polynomial f).
+    polynomial f). The default radius 2 ||T|| (1 for T = 0) scales with T.
 
     The kernel at s is -Delta_s(T)^(-1) (T - L_conj(s)); each node
     contributes kernel composed with L_c1, c1 = w f(s), w the quadrature
@@ -417,7 +422,7 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     """
     tnorm = ctx.tnorm
     if radius is None:
-        radius = 1.25 * tnorm + 1.0
+        radius = 2.0 * tnorm if tnorm > 0.0 else 1.0
     if not math.isfinite(radius):
         raise PreconditionError(f"radius {radius} is not finite")
     if radius <= tnorm:
@@ -486,18 +491,10 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     return chi_extract(-(u @ acc) @ zc.conj().T, tol=1e-8)
 
 
-def spectral_measure_weights(t: QMatrix, u: QVector,
-                             ) -> list[tuple[float, float]]:
-    """Atomic spectral measure of a self-adjoint operator at the vector u:
-    weights are squared norms of the projections of u onto the eigenvalue
-    clusters, so they sum to ||u||^2 and ||f(T)u||^2 = sum f(lambda)^2 w.
-    The eigenvalues are clustered at CLUSTER_TOL ||T||, as the spectrum is,
-    so the atoms are the points of sigma_S(T)."""
-    if not is_self_adjoint(t):
-        raise PreconditionError("operator is not self-adjoint")
-    lambdas, _, columns, tnorm = _normal_eigensystem(t)
-    weights = ((columns.adjoint() @ u).components() ** 2).sum(axis=1)  # |<u_m|u>|^2
-    reps, members = cluster_points(np.column_stack([lambdas.real, np.zeros(t.n)]),
-                                   CLUSTER_TOL * tnorm)
-    return [(float(lam), float(weights[cluster].sum()))
-            for lam, cluster in zip(reps[:, 0], members)]
+def spectral_measure_weights(ctx: CalculusContext, u: QVector) -> np.ndarray:
+    """Atomic spectral measure of the normal T of the context at the vector u:
+    the weights ||P_s u||^2 = sum_{m in s} |<u_m|u>|^2, one per sphere s and
+    aligned with `ctx.spectrum().reps`. They sum to ||u||^2, and
+    ||f(T)u||^2 = sum_s |f(lambda_s)|^2 w_s for intrinsic f."""
+    weights = ((ctx.basis.columns.adjoint() @ u).components() ** 2).sum(axis=1)
+    return np.array([weights[cluster].sum() for cluster in ctx._spheres[1]])

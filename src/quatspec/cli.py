@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="general",
                    choices=[*_MODES, "contour"])
     p.add_argument("--radius", type=float, default=None,
-                   help="contour radius (default 1.25 ||T|| + 1)")
+                   help="contour radius (default 2 ||T||, 1 for T = 0)")
     p.add_argument("--nodes", type=int, default=256,
                    help="contour quadrature nodes")
     p.set_defaults(fn_=_cmd_apply)

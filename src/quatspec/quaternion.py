@@ -196,13 +196,13 @@ K = SpherePoint(0.0, 0.0, 1.0)
 def sphere_decompose(q: Quaternion) -> tuple[float, float, SpherePoint | None]:
     """Split q = alpha + iota*beta with alpha real, beta >= 0, iota in S.
 
-    For real q (|Im q| below the REAL_TOL relative floor) beta is 0 and iota
-    is None: the caller chooses any axis, keeping the non-uniqueness of the
-    decomposition visible at the API boundary.
+    For real q (|Im q| <= REAL_TOL |q|) beta is 0 and iota is None: the
+    caller chooses any axis, keeping the non-uniqueness of the decomposition
+    visible at the API boundary.
     """
     alpha = q.a
     beta = q.im_norm()
-    if beta <= REAL_TOL * max(1.0, q.norm()):
+    if beta <= REAL_TOL * q.norm():
         return alpha, 0.0, None
     return alpha, beta, SpherePoint(q.b / beta, q.c / beta, q.d / beta)
 

@@ -59,12 +59,8 @@ class VerificationReport:
         return self.add(name, identity, residual, tolerance, soft)
 
     @property
-    def hard_failures(self) -> list[Check]:
-        return [c for c in self.checks if c.status == "fail"]
-
-    @property
     def ok(self) -> bool:
-        return not self.hard_failures
+        return all(c.status != "fail" for c in self.checks)
 
     @property
     def exit_code(self) -> int:

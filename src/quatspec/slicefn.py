@@ -411,11 +411,11 @@ class SliceFunction:
     def values(self, qs) -> np.ndarray:
         """(m, 4) array: f at each of the quaternions qs, given as rows of
         components. With q = alpha + iota beta (beta >= 0), f(q) = F1 + iota
-        F2 at alpha + i beta; at a real q (|Im q| below REAL_TOL, relative to
-        max(1, |q|)) it is F1(alpha)."""
+        F2 at alpha + i beta; at a real q (|Im q| <= REAL_TOL |q|) it is
+        F1(alpha)."""
         qs = np.asarray(qs, dtype=float).reshape(-1, 4)
         alpha, beta = qs[:, 0], np.linalg.norm(qs[:, 1:], axis=1)
-        beta[beta <= REAL_TOL * np.maximum(1.0, np.linalg.norm(qs, axis=1))] = 0.0
+        beta[beta <= REAL_TOL * np.linalg.norm(qs, axis=1)] = 0.0
         inside = self.stem.accepts(alpha, beta)
         if not inside.all():
             raise PreconditionError(

@@ -17,7 +17,6 @@ Contents:
 
 - `delta_q(T, q)` - the defining quadratic operator
 - `spherical_spectrum(T)` - eigenvalues of chi(T) folded and clustered
-- `spectral_radius(T)` - max |q| over the spectrum
 - `gelfand_check(T, n_max)` - the sequence ||T^(2^k)||^(1/2^k)
 - `resolvent_series(T, q, tol)` - power-series inverse of Delta_q(T)
 - `verify_spectral_classes(T)` - spectral containments per operator class
@@ -63,11 +62,6 @@ def spherical_spectrum(t: QMatrix) -> CircularSet:
     return CircularSet(reps, mult)
 
 
-def spectral_radius(t: QMatrix) -> float:
-    """max |q| over the spherical spectrum; equals ||T|| for normal T."""
-    return spherical_spectrum(t).radius()
-
-
 def gelfand_check(t: QMatrix, n_max: int) -> np.ndarray:
     """The sequence ||T^(2^k)||^(1/2^k), k = 0..n_max, converging to the
     spectral radius (constant for normal T).
@@ -109,26 +103,25 @@ def resolvent_series(t: QMatrix, q: Quaternion, tol: float,
     if modq <= tnorm * (1.0 + 1e-6):
         raise PreconditionError(
             f"|q| = {modq:.6g} is not strictly outside the spectral bound ||T|| = {tnorm:.6g}")
-    dnorm = op_norm(delta_q(t, q))
-    trace = 2.0 * q.a
-    mod2 = modq * modq
+    # Delta_q(T) = |q|^2 Delta_q'(T') for T' = T/|q| and q' = q/|q|: the series
+    # is summed for |q'| = 1, so no power of T' grows, and scaled by |q|^-2
+    unit = t * (1.0 / modq)
+    dnorm = op_norm(delta_q(unit, q * (1.0 / modq)))
+    trace = 2.0 * q.a / modq
     ratio = tnorm / modq
-    a_prev2 = 0.0
-    a_prev1 = 1.0 / mod2  # a_0
-    total = QMatrix.identity(t.n) * a_prev1
-    power = QMatrix.identity(t.n)
+    a_prev2, a_prev1 = 0.0, 1.0  # a_(-1), a_0
+    total = power = QMatrix.identity(t.n)
     for n in range(1, max_terms):
-        a_n = (trace * a_prev1 - a_prev2) / mod2
-        power = power @ t
+        a_n = trace * a_prev1 - a_prev2
+        power = power @ unit
         total = total + power * a_n
         a_prev2, a_prev1 = a_prev1, a_n
-        # |a_m| <= (m+1) |q|^(-m-2) gives a closed-form tail bound; stopping
-        # on it (not on the term size, which can vanish identically for
-        # imaginary q) keeps ||Delta_q(T) R - I|| <= ||Delta|| * tail <= tol
-        tail = (ratio ** (n + 1) / mod2) * ((n + 2) / (1.0 - ratio)
-                                            + ratio / (1.0 - ratio) ** 2)
-        if tail * max(dnorm, 1e-300) <= tol:
-            return total
+        # |a_m| <= m+1 gives a closed-form tail bound; stopping on it (not on
+        # the term size, which can vanish identically for imaginary q) keeps
+        # ||Delta_q'(T') R' - I|| <= ||Delta_q'(T')|| * tail <= tol
+        tail = ratio ** (n + 1) * ((n + 2) / (1.0 - ratio) + ratio / (1.0 - ratio) ** 2)
+        if tail * dnorm <= tol:
+            return total * (1.0 / (modq * modq))
     raise NumericalError("resolvent series did not converge within the term budget")
 
 

@@ -17,8 +17,8 @@ from .calculus import (alternate_kernel_J, build_context, circular_calculus,
                        cslice_calculus, general_calculus, intrinsic_calculus,
                        polynomial_calculus, slice_regular_contour,
                        spectral_measure_weights)
-from .qmatrix import (QMatrix, _as_qarray, _hc_mul, _hc_norm, _hc_star, _qconj,
-                      _qmul, chi_embed, is_normal, is_self_adjoint, op_norm,
+from .qmatrix import (QMatrix, _as_qarray, _hc_mul, _hc_norm, _hc_star, _pair_product,
+                      _qconj, _qmul, chi_embed, is_normal, is_self_adjoint, op_norm,
                       random_normal, random_qvector)
 from .quaternion import (Quaternion, SpherePoint, fold, random_sphere_point,
                          sphere_grid)
@@ -197,8 +197,7 @@ def verify_spectral(report: VerificationReport, t: QMatrix,
         report.worst(check.name, check.identity, check.residual, check.tolerance,
                      check.soft)
 
-    normal = is_normal(t)
-    if normal:
+    if is_normal(t):
         seq = gelfand_check(t, 5)
         report.worst("gelfand-constant",
                      "||T^(2^k)||^(1/2^k) is constant for normal T",
@@ -269,20 +268,16 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
 
     report.worst("decomposition", "T = A + JB",
                  op_norm(ctx.t - (ctx.a + ctx.j @ ctx.b)), 1e-10 * scale)
-    report.worst("J-unit", "J* = -J, J*J = I",
-                 max((ctx.j + ctx.j.adjoint()).norm(),
-                     (ctx.j.adjoint() @ ctx.j - eye).norm()), 1e-9)
-    report.worst("K-unit", "K* = -K, K*K = I",
-                 max((ctx.k + ctx.k.adjoint()).norm(),
-                     (ctx.k.adjoint() @ ctx.k - eye).norm()), 1e-9)
+    for name, u in (("J", ctx.j), ("K", ctx.k)):
+        report.worst(f"{name}-unit", f"{name}* = -{name}, {name}*{name} = I",
+                     max((u + u.adjoint()).norm(), (u.adjoint() @ u - eye).norm()), 1e-9)
     report.worst("JK-anticommute", "JK = -KJ",
                  (ctx.j @ ctx.k + ctx.k @ ctx.j).norm(), 1e-9 * scale)
     report.worst("J-commutes-T", "JT = TJ",
                  (ctx.j @ ctx.t - ctx.t @ ctx.j).norm(), 1e-9 * scale)
-    report.worst("K-commutes-A", "KA = AK",
-                 (ctx.k @ ctx.a - ctx.a @ ctx.k).norm(), 1e-9 * scale)
-    report.worst("K-commutes-B", "KB = BK",
-                 (ctx.k @ ctx.b - ctx.b @ ctx.k).norm(), 1e-9 * scale)
+    for name, m in (("A", ctx.a), ("B", ctx.b)):
+        report.worst(f"K-commutes-{name}", f"K{name} = {name}K",
+                     (ctx.k @ m - m @ ctx.k).norm(), 1e-9 * scale)
     report.worst("upper-eigenvalues", "restricted spectrum in the closed upper half-plane",
                  max(0.0, -float(ctx.lambdas.imag.min(initial=0.0))), 1e-10)
 
@@ -355,7 +350,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
 
     fcs = _random_cslice_poly(rng, ctx.iota)
     fcs_t = cslice_calculus(ctx, fcs)
-    upper = ctx.spectrum().reps
+    upper = spec_set.reps
     image = _slice_image(fcs, upper, ctx.iota)
     nf_plus = float(np.linalg.norm(image, axis=1).max())
     report.worst("cslice-norm", "||f(T)|| = sup |f| on the upper slice spectrum",
@@ -429,22 +424,40 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
         report.worst(f"contour-{name}", "contour integral matches the calculus",
                      (con - alg).norm(), 1e-7 * max(1.0, op_norm(alg)))
 
-    # adjoint similarity
-    u = ctx.k
     report.worst("adjoint-similarity", "L_kappa T L_kappa* = T*",
-                 (u @ t @ u.adjoint() - t.adjoint()).norm(), 1e-9 * scale)
+                 (ctx.k @ t @ ctx.k.adjoint() - t.adjoint()).norm(), 1e-9 * scale)
 
-    # spectral measure of the self-adjoint part
+    # spectral resolution: the projections P_s = P1 + P2 j of the spheres of
+    # sigma_S(T), checked at once in the Frobenius norm of (S, n, n) stacks of
+    # P1 and P2; residuals that scale with T are relative to ||T|| (T = 0 is exact)
+    rel = 1.0 / (ctx.tnorm or 1.0)
+    projections = ctx.projections()
+    p1, p2 = np.stack([p.x1 for p in projections]), np.stack([p.x2 for p in projections])
+    report.worst("projection-sum", "sum_s P_s = I",
+                 (QMatrix(p1.sum(axis=0), p2.sum(axis=0)) - eye).frobenius(), 1e-12)
+    delta = np.eye(len(p1))[:, :, None, None]
+    pp1, pp2 = _pair_product(p1[:, None], p2[:, None], p1, p2)  # [s, r] = P_s P_r
+    report.worst("projection-orthogonal", "P_s P_r = delta_sr P_s",
+                 np.hypot(np.linalg.norm(pp1 - delta * p1[:, None]),
+                          np.linalg.norm(pp2 - delta * p2[:, None])), 1e-12)
+    for m, weight in ((t, rel), (ctx.j, 1.0), (ctx.k, 1.0)):
+        (a1, a2), (b1, b2) = _pair_product(p1, p2, m.x1, m.x2), _pair_product(m.x1, m.x2, p1, p2)
+        report.worst("projection-commutes", "P_s commutes with T, J and K",
+                     weight * np.hypot(np.linalg.norm(a1 - b1), np.linalg.norm(a2 - b2)), 1e-9)
+    (a1, b1), (a2, b2) = (np.tensordot(spec_set.reps.T, p, 1) for p in (p1, p2))
+    resolution = QMatrix(a1, a2) + ctx.j @ QMatrix(b1, b2)  # sum alpha_s P_s + J beta_s P_s
+    report.worst("spectral-decomposition", "T = sum_s (alpha_s P_s + beta_s J P_s)",
+                 (resolution - t).frobenius() * rel, 1e-10)
+
+    # spectral measure of T at a random vector
     vec = random_qvector(t.n, rng)
-    weights = spectral_measure_weights(ctx.a, vec)
+    weights = spectral_measure_weights(ctx, vec)
     report.worst("measure-total", "weights sum to ||u||^2",
-                 abs(sum(w for _, w in weights) - vec.norm() ** 2)
-                 / max(1.0, vec.norm() ** 2), 1e-9)
-    ctx_a = build_context(ctx.a)
-    fa_u = intrinsic_calculus(ctx_a, SliceFunction.builtin("square")) @ vec
-    expect = sum(l ** 4 * w for l, w in weights)
-    report.worst("measure-moment", "||f(T)u||^2 = sum f(lambda)^2 w",
-                 abs(fa_u.norm() ** 2 - expect) / max(1.0, expect), 1e-9)
+                 abs(weights.sum() - vec.norm() ** 2) / vec.norm() ** 2, 1e-9)
+    expect = float(weights @ (_slice_image(f_sq, spec_set.reps, ctx.iota) ** 2).sum(axis=1))
+    report.worst("measure-moment", "||f(T)u||^2 = sum |f(lambda)|^2 w",
+                 abs((intrinsic_calculus(ctx, f_sq) @ vec).norm() ** 2 - expect)
+                 / (expect or 1.0), 1e-9)
 
     # choice independence of the polynomial calculus
     if ctx.kernel_flags.any():

@@ -7,11 +7,11 @@ one criterion.
 
 import numpy as np
 
-from quatspec.calculus import (adjoint_similarity, alternate_kernel_J,
-                               build_context, circular_calculus,
-                               cslice_calculus, general_calculus,
-                               intrinsic_calculus, polynomial_calculus,
-                               slice_regular_contour, spectral_measure_weights)
+from quatspec.calculus import (alternate_kernel_J, build_context,
+                               circular_calculus, cslice_calculus,
+                               general_calculus, intrinsic_calculus,
+                               polynomial_calculus, slice_regular_contour,
+                               spectral_measure_weights)
 from quatspec.qmatrix import (QMatrix, chi_embed, op_norm, random_normal,
                               random_qmatrix, random_qvector)
 from quatspec.quaternion import (ComplexifiedQuaternion, I, Quaternion, fold,
@@ -334,7 +334,7 @@ def test_criterion_13_adjoint_similarity():
     worst = 0.0
     for t, _ in normal_pool(50):
         ctx = build_context(t)
-        u = adjoint_similarity(ctx)
+        u = ctx.k
         worst = max(worst, (u @ t @ u.adjoint() - t.adjoint()).norm() / op_norm(t))
     report(13, "adjoint-similarity", worst, 1e-9)
 
@@ -345,14 +345,14 @@ def test_criterion_14_spectral_measure():
         n = int(RNG.integers(2, 9))
         t, _ = random_normal(n, RNG, kind="selfadjoint")
         u = random_qvector(n, RNG)
-        weights = spectral_measure_weights(t, u)
-        worst_total = max(worst_total,
-                          abs(sum(w for _, w in weights) - u.norm() ** 2)
-                          / max(1.0, u.norm() ** 2))
         ctx = build_context(t)
+        weights = spectral_measure_weights(ctx, u)
+        worst_total = max(worst_total,
+                          abs(sum(weights) - u.norm() ** 2)
+                          / max(1.0, u.norm() ** 2))
         f = SliceFunction.builtin("square")
         val = (intrinsic_calculus(ctx, f) @ u).norm() ** 2
-        expect = sum(lam ** 4 * w for lam, w in weights)
+        expect = sum(lam ** 4 * w for lam, w in zip(ctx.spectrum().reps[:, 0], weights))
         worst_moment = max(worst_moment, abs(val - expect) / max(1.0, expect))
     report(14, "measure-total-mass", worst_total, 1e-9)
     report(14, "measure-moment-identity", worst_moment, 1e-9)

@@ -10,8 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatspec.calculus import (_SPLIT_MU, adjoint_similarity,
-                               alternate_kernel_J, build_context,
+from quatspec.calculus import (_SPLIT_MU, alternate_kernel_J, build_context,
                                circular_calculus, construct_J, cslice_calculus,
                                general_calculus, intrinsic_calculus,
                                polynomial_calculus, slice_regular_contour,
@@ -26,7 +25,8 @@ from quatspec.quaternion import I, J, Quaternion, fold, random_sphere_point
 from quatspec.slicefn import (CircularSet, SliceFunction, decompose_components, hausdorff,
                               one_sided_hausdorff, slice_product, sup_norm)
 from quatspec.spectral import spherical_spectrum
-from quatspec.verify import _KINDS
+from quatspec.reporting import VerificationReport
+from quatspec.verify import _KINDS, verify_calculus
 
 RNG = np.random.default_rng(2024)
 
@@ -608,12 +608,12 @@ def test_adjoint_similarity():
     for kind in ("normal", "selfadjoint"):
         t, _ = random_normal(5, RNG, kind=kind)
         ctx = build_context(t)
-        u = adjoint_similarity(ctx)
+        u = ctx.k
         assert is_unitary(u)
         assert (u @ t @ u.adjoint() - t.adjoint()).norm() <= 1e-9 * max(1.0, op_norm(t))
     # 1x1: conjugation flips the imaginary part
     ctx = build_context(QMatrix.diag([I]))
-    u = adjoint_similarity(ctx)
+    u = ctx.k
     assert (u @ ctx.t @ u.adjoint() - QMatrix.diag([-I])).norm() <= 1e-12
 
 
@@ -675,7 +675,7 @@ def test_contour_ignores_the_eigenvalue_route():
 def _per_node_contour(ctx, f, nodes: int) -> np.ndarray:
     """chi of the contour sum with one dense solve of Delta_s(chi T) per
     node: no Schur form, no folding of conjugate nodes."""
-    radius = 1.25 * ctx.tnorm + 1.0
+    radius = 2.0 * ctx.tnorm  # the default radius
     chi_t = chi_embed(ctx.t)
     eye = np.eye(2 * ctx.n)
     acc = np.zeros_like(chi_t)
@@ -754,6 +754,21 @@ def test_contour_default_radius_converges_fast():
     coarse = slice_regular_contour(ctx, f, nodes=32)
     fine = slice_regular_contour(ctx, f, nodes=256)
     assert (coarse - fine).norm() <= 1e-7 * max(1.0, op_norm(fine))
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_contour_default_radius_scales_with_t(c):
+    """The default radius 2 ||T|| scales with T, and a node is read as real
+    only relative to |s|, so the contour matches the calculus at any scale."""
+    rng = np.random.default_rng(7)
+    cubic = SliceFunction.polynomial(
+        [(3, 0, 1.0), (1, 2, -3.0), (1, 0, 0.5)], [(2, 1, 3.0), (0, 3, -1.0), (0, 1, 0.5)])
+    for kind in _KINDS:
+        ctx = build_context(random_normal(8, rng, kind=kind)[0] * c)
+        for f in (SliceFunction.builtin("id"), SliceFunction.builtin("square"), cubic):
+            alg = general_calculus(ctx, f)
+            con = slice_regular_contour(ctx, f, nodes=256)
+            assert (con - alg).norm() <= 1e-10 * op_norm(alg)
 
 
 def test_contour_kernel_equals_resolvent_series():
@@ -845,21 +860,23 @@ def test_zero_operator_context():
 def test_spectral_measure_diag_example():
     t = QMatrix.diag([Quaternion(1), Quaternion(2)])
     u = QVector.basis_vector(2, 0)
-    weights = spectral_measure_weights(t, u)
-    assert weights[0][0] == pytest.approx(1.0) and weights[0][1] == pytest.approx(1.0)
-    assert weights[1][0] == pytest.approx(2.0) and abs(weights[1][1]) <= 1e-14
+    ctx = build_context(t)
+    atoms, weights = ctx.spectrum().reps[:, 0], spectral_measure_weights(ctx, u)
+    assert atoms[0] == pytest.approx(1.0) and weights[0] == pytest.approx(1.0)
+    assert atoms[1] == pytest.approx(2.0) and abs(weights[1]) <= 1e-14
 
 
 def test_spectral_measure_total_and_moments():
     t, _ = random_normal(6, RNG, kind="selfadjoint")
     u = random_qvector(6, RNG)
-    weights = spectral_measure_weights(t, u)
-    assert abs(sum(w for _, w in weights) - u.norm() ** 2) <= 1e-9 * u.norm() ** 2
     ctx = build_context(t)
+    weights = spectral_measure_weights(ctx, u)
+    assert abs(sum(weights) - u.norm() ** 2) <= 1e-9 * u.norm() ** 2
     for name in ("square", "exp"):
         f = SliceFunction.builtin(name)
         val = (intrinsic_calculus(ctx, f) @ u).norm() ** 2
-        expect = sum(f.eval(Quaternion(lam)).a ** 2 * w for lam, w in weights)
+        expect = sum(f.eval(Quaternion(lam)).a ** 2 * w
+                     for lam, w in zip(ctx.spectrum().reps[:, 0], weights))
         assert abs(val - expect) <= 1e-9 * max(1.0, expect)
 
 
@@ -867,22 +884,69 @@ def test_spectral_measure_clusters_degenerate_eigenvalues():
     v = random_unitary(4, RNG)
     t = v @ QMatrix.diag([Quaternion(1)] * 3 + [Quaternion(-2)]) @ v.adjoint()
     u = random_qvector(4, RNG)
-    weights = spectral_measure_weights(t, u)
+    ctx = build_context(t)
+    weights = spectral_measure_weights(ctx, u)
     assert len(weights) == 2
-    assert abs(sum(w for _, w in weights) - u.norm() ** 2) <= 1e-9 * u.norm() ** 2
+    assert abs(sum(weights) - u.norm() ** 2) <= 1e-9 * u.norm() ** 2
     # the atoms of c T are those of T with the eigenvalues scaled by c
     for c in (1e-9, 1.0, 1e9):
-        scaled = spectral_measure_weights(t * c, u)
+        scaled_ctx = build_context(t * c)
+        scaled = spectral_measure_weights(scaled_ctx, u)
         assert len(scaled) == 2
-        for (lam, w), (lam0, w0) in zip(scaled, weights):
+        for lam, w, lam0, w0 in zip(scaled_ctx.spectrum().reps[:, 0], scaled,
+                                    ctx.spectrum().reps[:, 0], weights):
             assert abs(lam - c * lam0) <= 1e-12 * c
             assert abs(w - w0) <= 1e-12 * u.norm() ** 2
 
 
-def test_spectral_measure_rejects_non_self_adjoint():
-    t, _ = random_normal(3, RNG, kind="antiselfadjoint")
-    with pytest.raises(PreconditionError):
-        spectral_measure_weights(t, random_qvector(3, RNG))
+def test_spectral_measure_of_anti_self_adjoint_sums_to_norm():
+    """The measure is read off any normal T's context, not only a
+    self-adjoint one: one weight per sphere, summing to ||u||^2."""
+    t, _ = random_normal(5, RNG, kind="antiselfadjoint")
+    u = random_qvector(5, RNG)
+    ctx = build_context(t)
+    weights = spectral_measure_weights(ctx, u)
+    assert weights.shape == (ctx.spectrum().size,)
+    assert abs(weights.sum() - u.norm() ** 2) <= 1e-12 * u.norm() ** 2
+
+
+# -- spectral projections ---------------------------------------------------------------------
+
+def test_projections_resolve_the_identity_and_t():
+    """T = V diag(0.7, 0.7, 1 + 2i, 1 + 2j, -0.5 + k) V*: a two-dimensional
+    real sphere, a repeated non-real sphere and a simple one."""
+    v = random_unitary(5, RNG)
+    diag = [Quaternion(0.7), Quaternion(0.7), Quaternion(1, 2, 0, 0), Quaternion(1, 0, 2, 0),
+            Quaternion(-0.5, 0, 0, 1)]
+    t = v @ QMatrix.diag(diag) @ v.adjoint()
+    ctx = build_context(t)
+    spec, projections = ctx.spectrum(), ctx.projections()
+    assert np.allclose(spec.reps, [[-0.5, 1.0], [0.7, 0.0], [1.0, 2.0]], atol=1e-12)
+    assert spec.mult == (1, 2, 2) and len(projections) == 3
+    eye, tol = QMatrix.identity(5), 1e-12 * op_norm(t)
+    assert (sum(projections, QMatrix.zeros(5)) - eye).norm() <= 1e-12
+    for s, ps in enumerate(projections):
+        assert abs(np.trace(ps.x1).real - spec.mult[s]) <= 1e-12  # Re tr P_s = mult_s
+        for r, pr in enumerate(projections):
+            assert (ps @ pr - ps * float(r == s)).norm() <= 1e-12
+        assert (ps @ t - t @ ps).norm() <= tol
+        assert (ps @ ctx.j - ctx.j @ ps).norm() <= 1e-12
+        assert (ps @ ctx.k - ctx.k @ ps).norm() <= 1e-12
+    resolution = sum((ps * alpha + ctx.j @ ps * beta
+                      for ps, (alpha, beta) in zip(projections, spec.reps)), QMatrix.zeros(5))
+    assert (resolution - t).norm() <= tol
+
+
+def test_verify_calculus_takes_one_eigensystem(monkeypatch):
+    """Every check of the calculus suite reads the one context of T."""
+    import quatspec.calculus as calculus
+    calls = []
+    real = calculus._normal_eigensystem
+    monkeypatch.setattr(calculus, "_normal_eigensystem",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    report = VerificationReport()
+    verify_calculus(report, random_normal(6, RNG)[0], np.random.default_rng(0))
+    assert len(calls) == 1 and report.ok
 
 
 # -- the eigenvalue calculi against their component definitions ---------------------------

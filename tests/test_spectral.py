@@ -12,8 +12,7 @@ from quatspec.qmatrix import (QMatrix, chi_embed, op_norm, random_normal,
 from quatspec.quaternion import I, J, K, Quaternion, fold, random_sphere_point
 from quatspec.slicefn import CircularSet, hausdorff
 from quatspec.spectral import (delta_q, gelfand_check, resolvent_series,
-                               spectral_radius, spherical_spectrum,
-                               verify_spectral_classes)
+                               spherical_spectrum, verify_spectral_classes)
 
 RNG = np.random.default_rng(9)
 
@@ -106,15 +105,15 @@ def test_spectrum_json_roundtrip():
 # -- spectral radius and the Gelfand sequence -------------------------------------------
 
 def test_spectral_radius_examples():
-    assert abs(spectral_radius(QMatrix.identity(3)) - 1.0) <= 1e-13
-    assert abs(spectral_radius(QMatrix.diag([I * 3.0])) - 3.0) <= 1e-13
+    assert abs(spherical_spectrum(QMatrix.identity(3)).radius() - 1.0) <= 1e-13
+    assert abs(spherical_spectrum(QMatrix.diag([I * 3.0])).radius() - 3.0) <= 1e-13
     t, _ = random_normal(5, RNG)
-    assert abs(spectral_radius(t) - op_norm(t)) <= 1e-9 * op_norm(t)
+    assert abs(spherical_spectrum(t).radius() - op_norm(t)) <= 1e-9 * op_norm(t)
 
 
 def test_spectral_radius_bounded_by_norm():
     m = random_qmatrix(5, RNG)
-    assert spectral_radius(m) <= op_norm(m) * (1 + 1e-10)
+    assert spherical_spectrum(m).radius() <= op_norm(m) * (1 + 1e-10)
 
 
 def test_gelfand_sequence():
@@ -127,7 +126,7 @@ def test_gelfand_sequence():
                                 [Quaternion(), Quaternion()]])
     seq = gelfand_check(nil, 3)
     assert seq[0] == 1.0 and np.all(seq[1:] <= 1e-12)
-    assert spectral_radius(nil) <= 1e-12
+    assert spherical_spectrum(nil).radius() <= 1e-12
     with pytest.raises(PreconditionError):
         gelfand_check(t, 0)
 
@@ -165,6 +164,18 @@ def test_resolvent_series_trivial_cases():
     # a_0 = |q|^(-2): for T = 0 the series is exactly I |q|^(-2)
     res = resolvent_series(QMatrix.zeros(2), Quaternion(0, 2, 0, 0), 1e-12)
     assert (res - QMatrix.identity(2) * 0.25).norm() <= 1e-14
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_resolvent_series_scales_with_t(c):
+    """R(cT, cq) = R(T, q) / c^2: the series is summed for T/|q|, so no power
+    of T overflows or underflows at any scale."""
+    t, _ = random_normal(5, np.random.default_rng(7))
+    q = Quaternion(0.3) + I * (2.0 * op_norm(t))
+    base = resolvent_series(t, q, 1e-10)
+    res = resolvent_series(t * c, q * c, 1e-10)
+    assert np.isfinite(chi_embed(res)).all()
+    assert (res * (c * c) - base).norm() <= 1e-12 * base.norm()
 
 
 def test_resolvent_series_rejects_small_q():
