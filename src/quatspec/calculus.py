@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -393,11 +394,20 @@ def general_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
     return _eigen_sandwich(ctx, f, 4)
 
 
-def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
-                          radius: float | None = None, nodes: int = 256) -> QMatrix:
+def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[SliceFunction],
+                          radius: float | None = None,
+                          nodes: int = 256) -> QMatrix | list[QMatrix]:
     """Contour realization of the calculus over the circle of the given
     radius in C_iota, by the periodic trapezoid rule (spectrally accurate for
     polynomial f). The default radius 2 ||T|| (1 for T = 0) scales with T.
+
+    `f` is one slice function, whose image is returned, or a sequence of
+    them, whose images are returned as a list in the same order. A sequence
+    shares the Schur form and the triangular solves below: the right-hand
+    sides of its functions are stacked as columns. Each function is checked
+    on its own (domain, finiteness at the nodes, the symmetry of its image);
+    a domain or finiteness error of a sequence names the function by its
+    index.
 
     The kernel at s is -Delta_s(T)^(-1) (T - L_conj(s)); each node
     contributes kernel composed with L_c1, c1 = w f(s), w the quadrature
@@ -417,9 +427,14 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     as rows. Delta_s(T) depends on s only through its sphere (Re s and
     |s|), and node nodes - m is the mirror conj(s) of node m, so the gammas
     of a mirror pair are added and the nodes are folded by sphere:
-    nodes // 2 + 1 triangular solves. Matches the algebraic calculus within
-    quadrature error for slice functions induced by holomorphic stems.
+    nodes // 2 + 1 triangular solves, however many functions are given.
+    Matches the algebraic calculus within quadrature error for slice
+    functions induced by holomorphic stems.
     """
+    single = isinstance(f, SliceFunction)
+    fns = [f] if single else list(f)
+    if not fns:
+        raise PreconditionError("no slice function given")
     tnorm = ctx.tnorm
     if radius is None:
         radius = 2.0 * tnorm if tnorm > 0.0 else 1.0
@@ -438,25 +453,31 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     theta = 2.0 * math.pi * np.arange(half) / nodes
     alpha, beta = radius * np.cos(theta), radius * np.sin(theta)
     alpha, beta = np.concatenate([alpha, alpha[mirror]]), np.concatenate([beta, -beta[mirror]])
-    inside = f.stem.accepts(alpha, beta)
-    if not inside.all():
-        raise PreconditionError(
-            f"quadrature node {np.argmin(inside)} lies outside the function domain")
     s = np.outer(beta, _as_qarray(ctx.iota))
     s[:, 0] = alpha
-    with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
-        c1 = _qmul(s / nodes, f.values(s))
-    finite = np.isfinite(c1).all(axis=1)
-    if not finite.all():
-        raise NumericalError(f"f is not finite at quadrature node {np.argmin(finite)}")
-    c2 = _qmul(_qconj(s), c1)
+    weights, s_conj = s / nodes, _qconj(s)
     # c = z1 + z2 j with z1, z2 in C. gamma[m] takes the rows SP, SQ, P, Q of
-    # blocks to the two halves of node m's right-hand side; it is additive in
-    # (a1, b1, a2, b2) and a mirror pair shares Delta_s(T), so each mirror's
-    # gamma is added to its partner's and nodes half..nodes-1 need no solve
-    a1, b1, a2, b2 = np.concatenate([c1.view(complex), c2.view(complex)], axis=1).T
-    gamma = np.ascontiguousarray(np.array([[a1, -b1.conj(), -a2, b2.conj()],
-                                           [b1, a1.conj(), -b2, -a2.conj()]]).transpose(2, 0, 1))
+    # blocks to the two halves of node m's right-hand side, two rows per
+    # function; it is additive in (a1, b1, a2, b2) and a mirror pair shares
+    # Delta_s(T), so each mirror's gamma is added to its partner's and nodes
+    # half..nodes-1 need no solve
+    gamma = np.empty((nodes, len(fns), 2, 4), dtype=complex)
+    for k, fk in enumerate(fns):
+        which = "" if single else f"function {k}: "
+        inside = fk.stem.accepts(alpha, beta)
+        if not inside.all():
+            raise PreconditionError(
+                f"{which}quadrature node {np.argmin(inside)} lies outside the function domain")
+        with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
+            c1 = _qmul(weights, fk.values(s))
+        finite = np.isfinite(c1).all(axis=1)
+        if not finite.all():
+            raise NumericalError(f"{which}f is not finite at quadrature node {np.argmin(finite)}")
+        c2 = _qmul(s_conj, c1)
+        a1, b1, a2, b2 = np.concatenate([c1.view(complex), c2.view(complex)], axis=1).T
+        gamma[:, k] = np.array([[a1, -b1.conj(), -a2, b2.conj()],
+                                [b1, a1.conj(), -b2, -a2.conj()]]).transpose(2, 0, 1)
+    gamma = gamma.reshape(nodes, 2 * len(fns), 4)
     gamma[mirror] += gamma[half:]
     n = ctx.n
     try:
@@ -475,9 +496,11 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
     np.matmul(u.conj().T, zc, out=pq)
     np.matmul(tri, pq, out=spq)
     delta = np.empty_like(tri, order="F")
-    rhs = np.empty_like(tri, order="F")
-    halves = rhs.T.reshape(2, -1)  # rhs[:, :n] and rhs[:, n:], column-major
-    acc = np.zeros_like(tri)
+    # one (2n, 2n) right-hand side per function, side by side; its transpose
+    # has the halves rhs[:, :n] and rhs[:, n:] of each function as rows
+    rhs = np.empty((2 * n, 2 * n * len(fns)), dtype=complex, order="F")
+    halves = rhs.T.reshape(2 * len(fns), -1)
+    acc = np.zeros_like(rhs)
     for m in range(half):
         np.multiply(tri, -2.0 * alpha[m], out=delta)
         delta += shifted
@@ -488,7 +511,10 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction,
             raise NumericalError(
                 f"quadrature {pair} hit the spectrum (triangular solve info {info})")
         acc += x
-    return chi_extract(-(u @ acc) @ zc.conj().T, tol=1e-8)
+    acc, zh = u @ acc, zc.conj().T
+    images = [chi_extract(-acc[:, 2 * n * k:2 * n * (k + 1)] @ zh, tol=1e-8)
+              for k in range(len(fns))]
+    return images[0] if single else images
 
 
 def spectral_measure_weights(ctx: CalculusContext, u: QVector) -> np.ndarray:

@@ -9,6 +9,13 @@ inverses run through numpy/scipy on it), is one block matrix of the pair.
 Quaternion components (..., 4) are read and written only at the boundary
 (`from_components`, `components`, JSON, entries).
 
+At small n a kernel call costs more in numpy's per-call wrappers than in
+arithmetic, so the kernels avoid them and stay bit-identical to the plain
+formulas: `chi_embed` writes its four blocks into one preallocated array
+(no `np.block`), `op_norm` is the first singular value of one `svd` (no
+`np.linalg.norm(., 2)`), and `_qmul` / `_hc_mul` index the last axes and
+write one output array (no `moveaxis`, no `np.stack`).
+
 Main contents:
 
 - `QVector`, `QMatrix` - vectors/operators on H^n as complex pairs
@@ -44,17 +51,18 @@ from .quaternion import Quaternion, SpherePoint, _cstar_norm
 
 
 def _qmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    a1, b1, c1, d1 = np.moveaxis(x, -1, 0)
-    a2, b2, c2, d2 = np.moveaxis(y, -1, 0)
-    return np.stack(
-        [
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        ],
-        axis=-1,
-    )
+    """The quaternion product of (..., 4) component arrays, broadcast over
+    the leading axes; each component is written into one output array."""
+    x, y = np.asarray(x), np.asarray(y)
+    a1, b1, c1, d1 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    a2, b2, c2, d2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    real = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2  # of the broadcast shape and type
+    out = np.empty(np.shape(real) + (4,), dtype=real.dtype)
+    out[..., 0] = real
+    out[..., 1] = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
+    out[..., 2] = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
+    out[..., 3] = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
+    return out
 
 
 def _qconj(x: np.ndarray) -> np.ndarray:
@@ -68,9 +76,13 @@ def _qconj(x: np.ndarray) -> np.ndarray:
 
 def _hc_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(q + Ip)(q' + Ip') = qq' - pp' + I(qp' + pq') over the leading axes."""
-    (q1, p1), (q2, p2) = np.moveaxis(x, -2, 0), np.moveaxis(y, -2, 0)
-    return np.stack([_qmul(q1, q2) - _qmul(p1, p2), _qmul(q1, p2) + _qmul(p1, q2)],
-                    axis=-2)
+    x, y = np.asarray(x), np.asarray(y)
+    q1, p1, q2, p2 = x[..., 0, :], x[..., 1, :], y[..., 0, :], y[..., 1, :]
+    q = _qmul(q1, q2) - _qmul(p1, p2)
+    out = np.empty(q.shape[:-1] + (2, 4), dtype=q.dtype)
+    out[..., 0, :] = q
+    out[..., 1, :] = _qmul(q1, p2) + _qmul(p1, q2)
+    return out
 
 
 def _hc_star(x: np.ndarray) -> np.ndarray:
@@ -285,8 +297,14 @@ class QMatrix(_QArray):
 
 
 def chi_embed(m: QMatrix) -> np.ndarray:
-    """Complex 2n x 2n image of M; an injective real-algebra *-homomorphism."""
-    return np.block([[m.x1, m.x2], [-m.x2.conj(), m.x1.conj()]])
+    """Complex 2n x 2n image of M; an injective real-algebra *-homomorphism.
+    The four blocks are written into one array."""
+    n = m.n
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[:n, :n], out[:n, n:] = m.x1, m.x2
+    np.negative(np.conjugate(m.x2, out=out[n:, :n]), out=out[n:, :n])
+    np.conjugate(m.x1, out=out[n:, n:])
+    return out
 
 
 def chi_extract(c: np.ndarray, tol: float = 1e-10) -> QMatrix:
@@ -320,8 +338,9 @@ def chi_vec_extract(v: np.ndarray) -> QVector:
 
 
 def op_norm(m: QMatrix) -> float:
-    """Operator norm sup ||Mu||/||u||, the largest singular value of chi(M)."""
-    return float(np.linalg.norm(chi_embed(m), 2))
+    """Operator norm sup ||Mu||/||u||, the largest singular value of chi(M)
+    (the first one `svd` returns, in descending order)."""
+    return float(np.linalg.svd(chi_embed(m), compute_uv=False)[0])
 
 
 # -- operator classes -----------------------------------------------------------

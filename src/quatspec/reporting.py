@@ -3,7 +3,19 @@ the verification suites and the CLI."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def _excess(residual: float, tolerance: float) -> float:
+    """residual / tolerance, the order in which `worst` ranks the calls under
+    one name; a NaN residual, or a positive one against a zero tolerance,
+    ranks above every finite ratio."""
+    if math.isnan(residual):
+        return math.inf
+    if tolerance > 0.0:
+        return residual / tolerance
+    return math.inf if residual > tolerance else 0.0
 
 
 @dataclass
@@ -41,22 +53,34 @@ class VerificationReport:
     checks: list[Check] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    # the first check under each name, the one `worst` aggregates into
+    _by_name: dict[str, Check] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_name = {}
+        for check in self.checks:
+            self._by_name.setdefault(check.name, check)
 
     def add(self, name: str, identity: str, residual: float, tolerance: float,
             soft: bool = False) -> Check:
         check = Check(name, identity, float(residual), float(tolerance), soft)
         self.checks.append(check)
+        self._by_name.setdefault(name, check)
         return check
 
     def worst(self, name: str, identity: str, residual: float, tolerance: float,
               soft: bool = False) -> Check:
-        """Like `add`, but aggregates repeated checks by keeping the largest
-        residual seen under the same name."""
-        for check in self.checks:
-            if check.name == name:
-                check.residual = max(check.residual, float(residual))
-                return check
-        return self.add(name, identity, residual, tolerance, soft)
+        """Like `add`, but aggregates repeated checks under one name: each
+        call is judged against its own tolerance, and the row keeps the
+        residual and tolerance of the call with the largest
+        residual / tolerance."""
+        check = self._by_name.get(name)
+        if check is None:
+            return self.add(name, identity, residual, tolerance, soft)
+        residual, tolerance = float(residual), float(tolerance)
+        if _excess(residual, tolerance) > _excess(check.residual, check.tolerance):
+            check.residual, check.tolerance = residual, tolerance
+        return check
 
     @property
     def ok(self) -> bool:

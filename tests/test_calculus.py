@@ -737,6 +737,62 @@ def test_contour_solve_failure_names_both_nodes(monkeypatch):
         slice_regular_contour(ctx, SliceFunction.builtin("exp"), nodes=64)
 
 
+def _cubic() -> SliceFunction:
+    return SliceFunction.polynomial(
+        [(3, 0, 1.0), (1, 2, -3.0), (1, 0, 0.5), (0, 0, -1.0)],
+        [(2, 1, 3.0), (0, 3, -1.0), (0, 1, 0.5)])  # z^3 + 0.5 z - 1
+
+
+def test_contour_on_a_sequence_equals_the_single_calls():
+    """A sequence shares the Schur form and the solves; each image equals
+    its single call up to the rounding of the wider triangular solve."""
+    ctx = build_context(random_normal(8, np.random.default_rng(69))[0])
+    fns = [SliceFunction.builtin("exp"), SliceFunction.builtin("square"), _cubic()]
+    batch = slice_regular_contour(ctx, fns, nodes=64)
+    assert isinstance(batch, list) and len(batch) == 3
+    for f, got in zip(fns, batch):
+        alone = slice_regular_contour(ctx, f, nodes=64)
+        assert isinstance(alone, QMatrix)
+        assert (got - alone).frobenius() <= 1e-14 * alone.frobenius()
+    assert (slice_regular_contour(ctx, fns[:1], nodes=64)[0]
+            - slice_regular_contour(ctx, fns[0], nodes=64)).frobenius() == 0.0
+
+
+def test_contour_sequence_errors_name_the_function():
+    ctx = build_context(random_normal(3, np.random.default_rng(31))[0])
+    ok = SliceFunction.builtin("square")
+    with pytest.raises(PreconditionError, match="function 1: quadrature node 1 lies outside"):
+        slice_regular_contour(ctx, [ok, SliceFunction.builtin("sqrt")])
+    big = build_context(QMatrix.diag([Quaternion(1), Quaternion(800)]))
+    with pytest.raises(NumericalError, match="function 2: f is not finite at quadrature node 0"):
+        slice_regular_contour(big, [ok, ok, SliceFunction.builtin("exp")])
+    with pytest.raises(PreconditionError, match="no slice function"):
+        slice_regular_contour(ctx, [])
+
+
+def test_verified_matrix_takes_one_contour_quadrature(monkeypatch):
+    """verify_calculus runs its four contour checks through one call: one
+    Schur form of chi(T) and nodes // 2 + 1 triangular solves, not four of
+    each. The context is built before counting, so only the contour's
+    factorizations are seen."""
+    import quatspec.calculus as calculus
+    import quatspec.verify as verify
+    t = random_normal(8, np.random.default_rng(70))[0]
+    ctx = build_context(t)
+    monkeypatch.setattr(verify, "build_context", lambda _: ctx)
+    solves, schurs = [], []
+    real_ztrtrs, real_schur = calculus.ztrtrs, scipy.linalg.schur
+    monkeypatch.setattr(calculus, "ztrtrs",
+                        lambda *a, **k: solves.append(1) or real_ztrtrs(*a, **k))
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        lambda *a, **k: schurs.append(1) or real_schur(*a, **k))
+    report = VerificationReport()
+    verify_calculus(report, t, np.random.default_rng(71))
+    assert report.ok, report.table()
+    assert len(schurs) == 1
+    assert len(solves) == 256 // 2 + 1
+
+
 def test_contour_radius_and_node_validation():
     t, _ = random_normal(3, RNG)
     ctx = build_context(t)

@@ -9,7 +9,7 @@ import pytest
 from quatspec.calculus import build_context, construct_J
 from quatspec.errors import PreconditionError
 from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, _hc_mul,
-                              _hc_norm, _hc_star, chi_embed,
+                              _hc_norm, _hc_star, _qmul, chi_embed,
                               chi_extract, chi_vec, chi_vec_extract,
                               extend_complex_operator,
                               is_anti_self_adjoint, is_normal, is_self_adjoint,
@@ -529,3 +529,61 @@ def test_hc_array_ops_are_the_complexified_quaternion_ops():
         assert abs(norm[m] - cw.norm()) <= 1e-14 * cw.norm()
     # the product broadcasts over leading axes
     assert np.array_equal(_hc_mul(w[:, None], y[None])[3, 7], _hc_mul(w[3], y[7]))
+
+
+# -- the kernels against their plain numpy formulas, bit for bit --------------------------
+
+def _stack_qmul(x, y):
+    """The quaternion product as four component arrays and one `np.stack`."""
+    a1, b1, c1, d1 = np.moveaxis(x, -1, 0)
+    a2, b2, c2, d2 = np.moveaxis(y, -1, 0)
+    return np.stack([a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                     a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                     a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                     a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2], axis=-1)
+
+
+def _stack_hc_mul(x, y):
+    (q1, p1), (q2, p2) = np.moveaxis(x, -2, 0), np.moveaxis(y, -2, 0)
+    return np.stack([_stack_qmul(q1, q2) - _stack_qmul(p1, p2),
+                     _stack_qmul(q1, p2) + _stack_qmul(p1, q2)], axis=-2)
+
+
+def _odd_floats(rng, shape):
+    """Normal draws with -0.0, +0.0 and subnormals of both signs mixed in."""
+    x = rng.normal(size=shape)
+    flat = x.reshape(-1)
+    picks = rng.choice(flat.size, size=min(flat.size, 12), replace=False)
+    flat[picks] = np.resize([-0.0, 0.0, 5e-324, -5e-324, 2.2e-310, -1e-315], picks.size)
+    return x
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("xs, ys", [((13, 4), (13, 4)), ((13, 4), (4,)), ((4,), (13, 4)),
+                                    ((4,), (4,)), ((5, 1, 4), (1, 6, 4))])
+def test_qmul_is_the_stacked_formula_bit_for_bit(xs, ys):
+    rng = np.random.default_rng(150)
+    x, y = _odd_floats(rng, xs), _odd_floats(rng, ys)
+    assert _same_bits(_qmul(x, y), _stack_qmul(x, y))
+
+
+@pytest.mark.parametrize("xs, ys", [((13, 2, 4), (13, 2, 4)), ((13, 2, 4), (2, 4)),
+                                    ((5, 1, 2, 4), (1, 6, 2, 4))])
+def test_hc_mul_is_the_stacked_formula_bit_for_bit(xs, ys):
+    rng = np.random.default_rng(151)
+    x, y = _odd_floats(rng, xs), _odd_floats(rng, ys)
+    assert _same_bits(_hc_mul(x, y), _stack_hc_mul(x, y))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_chi_embed_and_op_norm_are_the_block_formulas_bit_for_bit(n):
+    rng = np.random.default_rng(152 + n)
+    m = QMatrix.from_components(_odd_floats(rng, (n, n, 4)))
+    want = np.block([[m.x1, m.x2], [-m.x2.conj(), m.x1.conj()]])
+    assert _same_bits(chi_embed(m), want)
+    assert chi_embed(m).flags.c_contiguous
+    assert _same_bits(np.float64(op_norm(m)), np.float64(np.linalg.norm(want, 2)))

@@ -28,6 +28,36 @@ def test_report_aggregation_and_exit_code():
     assert report.counts() == {"pass": 1, "fail": 1, "soft-warn": 1}
 
 
+def test_worst_judges_each_call_against_its_own_tolerance():
+    """The row keeps the call with the largest residual / tolerance: a later
+    call over its own smaller tolerance fails, though its residual is the
+    smaller one, and a zero tolerance fails on any positive residual."""
+    report = VerificationReport()
+    report.worst("c", "x = y", 1e-3, 1e-2)
+    report.worst("c", "x = y", 1e-5, 1e-6)
+    report.worst("c", "x = y", 1e-4, 1e-1)
+    (check,) = report.checks
+    assert (check.residual, check.tolerance, check.status) == (1e-5, 1e-6, "fail")
+    report.worst("z", "closed", 0.0, 0.0)
+    assert report.checks[1].status == "pass"
+    report.worst("z", "closed", 1e-300, 0.0)
+    report.worst("z", "closed", 0.0, 0.0)
+    assert (report.checks[1].residual, report.checks[1].status) == (1e-300, "fail")
+    report.worst("n", "finite", 1.0, 2.0)
+    report.worst("n", "finite", float("nan"), 2.0)
+    assert report.checks[2].status == "fail"
+
+
+def test_scaled_pool_passes_with_tolerances_per_call():
+    """T x 100 alone used to fail intrinsic-spectral-map against the
+    tolerance of its first call (the id image, not the exp one), and the
+    pool [T, 100 T] intrinsic-homomorphism and circular-homomorphism."""
+    t = random_normal(8, np.random.default_rng(7))[0]
+    for pool in ([t * 100.0], [t, t * 100.0]):
+        report = run_verification(matrices=[(m, None) for m in pool])
+        assert report.ok, report.table()
+
+
 def test_report_table_and_json():
     report = VerificationReport()
     report.add("alpha", "x = y", 1e-12, 1e-10)
