@@ -26,10 +26,9 @@ f(T) = Z diag(F1(lambda_m) + iota F2(lambda_m)) Z*, since
 f_l(T) E_l = Z diag(f_l(lambda_m) e_l) Z* for E_l = L_{e_l}. Each calculus
 checks its class of f and keeps the components l it covers. The polynomial
 route and the contour realization over a circle in C_iota stay independent
-cross-checks. The contour takes its own Schur form of chi(T) and folds its
-nodes by sphere: s and conj(s) share Delta_s(T), so one triangular solve
-serves both, its right-hand side one product of a 2 x 4 coefficient matrix
-with the fixed blocks.
+cross-checks. The contour takes its own Schur form of chi(T), which is
+diagonal up to rounding for normal T, and sums the quadrature on that
+diagonal: one weight array over all nodes, no solve per node.
 
 The decomposition data is bundled in an immutable `CalculusContext`; all
 calculi are pure functions of it and may run concurrently on a shared
@@ -50,7 +49,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import ztrtrs
 
 from .errors import NumericalError, PreconditionError
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
@@ -403,11 +401,10 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
 
     `f` is one slice function, whose image is returned, or a sequence of
     them, whose images are returned as a list in the same order. A sequence
-    shares the Schur form and the triangular solves below: the right-hand
-    sides of its functions are stacked as columns. Each function is checked
-    on its own (domain, finiteness at the nodes, the symmetry of its image);
-    a domain or finiteness error of a sequence names the function by its
-    index.
+    shares the Schur form and the quadrature weights below. Each function is
+    checked on its own (domain, finiteness at the nodes, the symmetry of its
+    image); a domain or finiteness error of a sequence names the function by
+    its index.
 
     The kernel at s is -Delta_s(T)^(-1) (T - L_conj(s)); each node
     contributes kernel composed with L_c1, c1 = w f(s), w the quadrature
@@ -417,17 +414,20 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
 
     The route is independent of the eigendecomposition in the context: it
     reads only T, ||T|| and the basis inducing L. It takes one complex
-    Schur form chi(T) = U S U^H, so Delta_s(T) = U (S^2 - 2Re(s) S + |s|^2)
-    U^H is triangular in the Schur basis. With [P Q] = U^H chi(Z), Z the
-    basis columns, chi(L_c) = chi(Z) C(c) chi(Z)^H where
+    Schur form chi(T) = U S U^H. With [P Q] = U^H chi(Z), Z the basis
+    columns, chi(L_c) = chi(Z) C(c) chi(Z)^H where
     C(c) = [[z1, z2], [-conj z2, conj z1]] (times I) for c = z1 + z2 j, so
-    a node's term is a triangular solve of S [P Q] C(c1) - [P Q] C(c2). That
-    right-hand side is one product gamma [SP; SQ; P; Q] of a 2 x 4 matrix
-    gamma, real-linear in (z1, z2) of c1 and c2, with the fixed blocks stacked
-    as rows. Delta_s(T) depends on s only through its sphere (Re s and
-    |s|), and node nodes - m is the mirror conj(s) of node m, so the gammas
-    of a mirror pair are added and the nodes are folded by sphere:
-    nodes // 2 + 1 triangular solves, however many functions are given.
+    a node's term is U Delta_s(S)^(-1) (S [P Q] C(c1) - [P Q] C(c2)), whose
+    right-hand side is gamma_s [SP; SQ; P; Q] for a 2 x 4 matrix gamma_s,
+    real-linear in (z1, z2) of c1 and c2, applied to the fixed blocks. T is
+    normal, so S is diagonal up to rounding: its strictly upper mass must
+    stay below 1e-10 ||T|| (the bound of the `build_context` residual gate),
+    and then S = diag(d), Delta_s(S) = diag(delta_s(d)) with
+    delta_s(d) = d^2 - 2 Re(s) d + |s|^2, and SP = d P. The whole sum is one
+    weight array W[r, c, i] = sum_s gamma_s[r, c] / delta_s(d_i), one
+    contraction over the nodes, applied entrywise to the rows of d P, d Q,
+    P, Q: no solve per node. A node on the spectrum (1/delta_s not finite)
+    raises `NumericalError` naming it.
     Matches the algebraic calculus within quadrature error for slice
     functions induced by holomorphic stems.
     """
@@ -445,22 +445,14 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
             f"radius {radius:.6g} does not enclose the spectrum (||T|| = {tnorm:.6g})")
     if nodes < 16:
         raise PreconditionError("at least 16 quadrature nodes are required")
-    # nodes s = alpha + iota beta as a (nodes, 4) array; weights w = s / nodes.
-    # Nodes half..nodes-1 are built as the exact mirrors conj(s) of nodes
-    # nodes-half..1, the slice `mirror`, so that a pair shares Re s exactly.
-    half = nodes // 2 + 1
-    mirror = slice(nodes - half, 0, -1)
-    theta = 2.0 * math.pi * np.arange(half) / nodes
+    # nodes s = alpha + iota beta as a (nodes, 4) array; weights w = s / nodes
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
     alpha, beta = radius * np.cos(theta), radius * np.sin(theta)
-    alpha, beta = np.concatenate([alpha, alpha[mirror]]), np.concatenate([beta, -beta[mirror]])
     s = np.outer(beta, _as_qarray(ctx.iota))
     s[:, 0] = alpha
     weights, s_conj = s / nodes, _qconj(s)
-    # c = z1 + z2 j with z1, z2 in C. gamma[m] takes the rows SP, SQ, P, Q of
-    # blocks to the two halves of node m's right-hand side, two rows per
-    # function; it is additive in (a1, b1, a2, b2) and a mirror pair shares
-    # Delta_s(T), so each mirror's gamma is added to its partner's and nodes
-    # half..nodes-1 need no solve
+    # c = z1 + z2 j with z1, z2 in C. gamma[m] takes the rows SP, SQ, P, Q to
+    # the two halves of node m's right-hand side, two rows per function
     gamma = np.empty((nodes, len(fns), 2, 4), dtype=complex)
     for k, fk in enumerate(fns):
         which = "" if single else f"function {k}: "
@@ -477,43 +469,36 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
         a1, b1, a2, b2 = np.concatenate([c1.view(complex), c2.view(complex)], axis=1).T
         gamma[:, k] = np.array([[a1, -b1.conj(), -a2, b2.conj()],
                                 [b1, a1.conj(), -b2, -a2.conj()]]).transpose(2, 0, 1)
-    gamma = gamma.reshape(nodes, 2 * len(fns), 4)
-    gamma[mirror] += gamma[half:]
     n = ctx.n
     try:
         tri, u = scipy.linalg.schur(chi_embed(ctx.t), output="complex")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"Schur factorization of chi(T) failed: {exc}") from exc
-    # every per-node array is column-major, as LAPACK takes it without a copy
-    shifted = np.asfortranarray(tri @ tri)  # Delta_s(T) without its -2Re(s) S term
-    shifted[np.diag_indices(2 * n)] += radius * radius
+    mass = float(np.linalg.norm(np.triu(tri, 1)))
+    if mass > 1e-10 * tnorm:
+        raise NumericalError(f"Schur form of chi(T) is not diagonal: strictly upper mass "
+                             f"{mass:.3e} exceeds 1e-10 ||T|| = {1e-10 * tnorm:.3e}")
+    d = np.diag(tri)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        inv = 1.0 / (d * d - 2.0 * alpha[:, None] * d + radius * radius)  # (nodes, 2n)
+    finite = np.isfinite(inv).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"quadrature node {np.argmin(finite)} hit the spectrum")
+    if np.abs(d).max(initial=0.0) >= radius:
+        raise PreconditionError(f"radius {radius:.6g} does not enclose the spectrum "
+                                f"(max |eigenvalue| of chi(T) = {np.abs(d).max():.6g})")
+    # W applied to the rows of d P, d Q, P, Q is two row scalings per half:
+    # W_SP d + W_P of P and W_SQ d + W_Q of Q
+    # one BLAS contraction over the nodes: (functions, halves, blocks, 2n)
+    weight = np.tensordot(gamma, inv, axes=(0, 0))
+    rows = weight[:, :, :2] * d + weight[:, :, 2:]  # (functions, halves, [P, Q], 2n)
     zc = chi_embed(ctx.basis.columns)
-    # rows SP, SQ, P, Q of blocks, each a column-major (2n, n) block:
-    # spq = S [P Q] and pq = [P Q] = U^H chi(Z) are column-major views of it
-    blocks = np.empty((4, 2 * n * n), dtype=complex)
-    spq = blocks[:2].reshape(2 * n, 2 * n).T
-    pq = blocks[2:].reshape(2 * n, 2 * n).T
-    np.matmul(u.conj().T, zc, out=pq)
-    np.matmul(tri, pq, out=spq)
-    delta = np.empty_like(tri, order="F")
-    # one (2n, 2n) right-hand side per function, side by side; its transpose
-    # has the halves rhs[:, :n] and rhs[:, n:] of each function as rows
-    rhs = np.empty((2 * n, 2 * n * len(fns)), dtype=complex, order="F")
-    halves = rhs.T.reshape(2 * len(fns), -1)
-    acc = np.zeros_like(rhs)
-    for m in range(half):
-        np.multiply(tri, -2.0 * alpha[m], out=delta)
-        delta += shifted
-        np.dot(gamma[m], blocks, out=halves)
-        x, info = ztrtrs(delta, rhs, overwrite_b=1)
-        if info != 0:
-            pair = f"node {m}" if 2 * m % nodes == 0 else f"nodes {m} and {nodes - m}"
-            raise NumericalError(
-                f"quadrature {pair} hit the spectrum (triangular solve info {info})")
-        acc += x
-    acc, zh = u @ acc, zc.conj().T
-    images = [chi_extract(-acc[:, 2 * n * k:2 * n * (k + 1)] @ zh, tol=1e-8)
-              for k in range(len(fns))]
+    pq = u.conj().T @ zc
+    p, q = pq[:, :n], pq[:, n:]
+    images = []
+    for rk in rows:
+        halves = [rk[h, 0, :, None] * p + rk[h, 1, :, None] * q for h in (0, 1)]
+        images.append(chi_extract(-(u @ np.hstack(halves)) @ zc.conj().T, tol=1e-8))
     return images[0] if single else images
 
 

@@ -271,9 +271,6 @@ class QMatrix(_QArray):
             k >>= 1
         return out
 
-    def norm(self) -> float:
-        return op_norm(self)
-
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:

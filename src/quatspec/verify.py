@@ -8,6 +8,9 @@ The algebra suite checks each identity at once on arrays of samples: (m, 4)
 quaternions, (m, 2, 4) elements of H(x)C (`_hc_mul`, `_hc_star`, `_hc_norm`)
 and slice functions at (m, 4) points (`SliceFunction.values`); a bulk draw
 takes the same numbers from the generator as one draw per sample would.
+Operator residuals are Frobenius norms, which bound the operator norm from
+above and need no SVD; `op_norm` is taken only where the operator norm is
+the quantity under test and for tolerance scales.
 """
 
 from __future__ import annotations
@@ -220,8 +223,8 @@ def verify_spectral(report: VerificationReport, t: QMatrix,
     res = resolvent_series(t, qv, 1e-10)
     eye = QMatrix.identity(t.n)
     report.worst("resolvent-series", "series sums to the inverse of Delta_q(T)",
-                 max((delta_q(t, qv) @ res - eye).norm(),
-                     (res @ delta_q(t, qv) - eye).norm()), 1e-8)
+                 max((delta_q(t, qv) @ res - eye).frobenius(),
+                     (res @ delta_q(t, qv) - eye).frobenius()), 1e-8)
 
     # eigensphere membership: Delta at a representative is singular
     worst = 0.0
@@ -253,7 +256,7 @@ def verify_spectral(report: VerificationReport, t: QMatrix,
             scale_prod *= (tnorm + abs(a) + 1.0)
         report.worst("vanishing-polynomial",
                      "P = 0 on sigma_S(T) implies P(T) = 0",
-                     op_norm(prod) / scale_prod, 1e-7)
+                     prod.frobenius() / scale_prod, 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +271,18 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     eye = QMatrix.identity(t.n)
 
     report.worst("decomposition", "T = A + JB",
-                 op_norm(ctx.t - (ctx.a + ctx.j @ ctx.b)), 1e-10 * scale)
+                 (ctx.t - (ctx.a + ctx.j @ ctx.b)).frobenius(), 1e-10 * scale)
     for name, u in (("J", ctx.j), ("K", ctx.k)):
         report.worst(f"{name}-unit", f"{name}* = -{name}, {name}*{name} = I",
-                     max((u + u.adjoint()).norm(), (u.adjoint() @ u - eye).norm()), 1e-9)
+                     max((u + u.adjoint()).frobenius(), (u.adjoint() @ u - eye).frobenius()),
+                     1e-9)
     report.worst("JK-anticommute", "JK = -KJ",
-                 (ctx.j @ ctx.k + ctx.k @ ctx.j).norm(), 1e-9 * scale)
+                 (ctx.j @ ctx.k + ctx.k @ ctx.j).frobenius(), 1e-9 * scale)
     report.worst("J-commutes-T", "JT = TJ",
-                 (ctx.j @ ctx.t - ctx.t @ ctx.j).norm(), 1e-9 * scale)
+                 (ctx.j @ ctx.t - ctx.t @ ctx.j).frobenius(), 1e-9 * scale)
     for name, m in (("A", ctx.a), ("B", ctx.b)):
         report.worst(f"K-commutes-{name}", f"K{name} = {name}K",
-                     (ctx.k @ m - m @ ctx.k).norm(), 1e-9 * scale)
+                     (ctx.k @ m - m @ ctx.k).frobenius(), 1e-9 * scale)
     report.worst("upper-eigenvalues", "restricted spectrum in the closed upper half-plane",
                  max(0.0, -float(ctx.lambdas.imag.min(initial=0.0))), 1e-10)
 
@@ -289,18 +293,18 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     f_sq = SliceFunction.builtin("square")
     t_sq = t @ t
     report.worst("square-intrinsic", "intrinsic route reproduces T^2",
-                 (intrinsic_calculus(ctx, f_sq) - t_sq).norm(), 1e-9 * sq_scale)
+                 (intrinsic_calculus(ctx, f_sq) - t_sq).frobenius(), 1e-9 * sq_scale)
     report.worst("square-polynomial", "polynomial route reproduces T^2",
                  (polynomial_calculus(ctx, [(2, 0, 1.0), (0, 2, -1.0)], [(1, 1, 2.0)])
-                  - t_sq).norm(), 1e-9 * sq_scale)
+                  - t_sq).frobenius(), 1e-9 * sq_scale)
     report.worst("identity-recovered", "g = id recovers A + JB",
-                 (polynomial_calculus(ctx, [(1, 0, 1.0)], [(0, 1, 1.0)]) - t).norm(),
+                 (polynomial_calculus(ctx, [(1, 0, 1.0)], [(0, 1, 1.0)]) - t).frobenius(),
                  1e-9 * scale)
     report.worst("unity-recovered", "constant 1 maps to the identity",
-                 (intrinsic_calculus(ctx, SliceFunction.builtin("one")) - eye).norm(),
+                 (intrinsic_calculus(ctx, SliceFunction.builtin("one")) - eye).frobenius(),
                  1e-12)
     report.worst("id-recovered", "id maps to T",
-                 (intrinsic_calculus(ctx, SliceFunction.builtin("id")) - t).norm(),
+                 (intrinsic_calculus(ctx, SliceFunction.builtin("id")) - t).frobenius(),
                  1e-10 * scale)
 
     # intrinsic calculus: isometry, spectral map, homomorphism, star
@@ -320,13 +324,13 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     nfti = op_norm(fti)
     hom_scale = max(1.0, nfti * op_norm(gti))
     report.worst("intrinsic-homomorphism", "(f g)(T) = f(T) g(T)",
-                 (intrinsic_calculus(ctx, slice_product(fi, gi)) - fti @ gti).norm(),
+                 (intrinsic_calculus(ctx, slice_product(fi, gi)) - fti @ gti).frobenius(),
                  1e-8 * hom_scale)
     report.worst("intrinsic-star", "f*(T) = f(T)*",
-                 (intrinsic_calculus(ctx, fi.star()) - fti.adjoint()).norm(),
+                 (intrinsic_calculus(ctx, fi.star()) - fti.adjoint()).frobenius(),
                  1e-8 * max(1.0, nfti))
     report.worst("K-transport", "f(T) K = K f*(T)",
-                 (fti @ ctx.k - ctx.k @ intrinsic_calculus(ctx, fi.star())).norm(),
+                 (fti @ ctx.k - ctx.k @ intrinsic_calculus(ctx, fi.star())).frobenius(),
                  1e-8 * max(1.0, nfti))
 
     # restriction to H+: matrix elements in the eigenbasis are the stem values
@@ -341,13 +345,13 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
 
     # C_iota-slice calculus
     report.worst("cslice-constant-J", "constant iota maps to J",
-                 (cslice_calculus(ctx, SliceFunction.constant(ctx.iota)) - ctx.j).norm(),
+                 (cslice_calculus(ctx, SliceFunction.constant(ctx.iota)) - ctx.j).frobenius(),
                  1e-12)
     report.worst("cslice-extends-intrinsic", "slice calculus extends the intrinsic one",
-                 (cslice_calculus(ctx, fi) - fti).norm(), 1e-10 * max(1.0, nfti))
+                 (cslice_calculus(ctx, fi) - fti).frobenius(), 1e-10 * max(1.0, nfti))
     f_lin = SliceFunction.builtin("id") + SliceFunction.constant(ctx.iota)
     report.worst("cslice-linearity", "(id + c_iota)(T) = T + J",
-                 (cslice_calculus(ctx, f_lin) - (t + ctx.j)).norm(), 1e-10 * scale)
+                 (cslice_calculus(ctx, f_lin) - (t + ctx.j)).frobenius(), 1e-10 * scale)
 
     fcs = _random_cslice_poly(rng, ctx.iota)
     fcs_t = cslice_calculus(ctx, fcs)
@@ -366,24 +370,26 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
         fk = _upper_vanishing_function(ctx.iota)
         report.worst("cslice-kernel",
                      "functions vanishing on the upper slice spectrum map to 0",
-                     op_norm(cslice_calculus(ctx, fk)), 1e-8 * scale)
+                     cslice_calculus(ctx, fk).frobenius(), 1e-8 * scale)
 
     # circular calculus
     report.worst("circular-constant-K", "constant kappa maps to K",
-                 (circular_calculus(ctx, SliceFunction.constant(ctx.kappa)) - ctx.k).norm(),
+                 (circular_calculus(ctx, SliceFunction.constant(ctx.kappa))
+                  - ctx.k).frobenius(),
                  1e-12)
     qv = Quaternion(*(rng.normal(size=4) * 2.0))
     report.worst("circular-constant-L", "constant q maps to L_q",
-                 (circular_calculus(ctx, SliceFunction.constant(qv)) - ctx.left(qv)).norm(),
+                 (circular_calculus(ctx, SliceFunction.constant(qv))
+                  - ctx.left(qv)).frobenius(),
                  1e-10 * max(1.0, qv.norm()))
     fc, gc = _random_poly_slice(rng, circular=True), _random_poly_slice(rng, circular=True)
     fct, gct = circular_calculus(ctx, fc), circular_calculus(ctx, gc)
     nfct = op_norm(fct)
     report.worst("circular-homomorphism", "(f g)(T) = f(T) g(T) for circular f, g",
-                 (circular_calculus(ctx, slice_product(fc, gc)) - fct @ gct).norm(),
+                 (circular_calculus(ctx, slice_product(fc, gc)) - fct @ gct).frobenius(),
                  1e-8 * max(1.0, nfct * op_norm(gct)))
     report.worst("circular-star", "f*(T) = f(T)* for circular f",
-                 (circular_calculus(ctx, fc.star()) - fct.adjoint()).norm(),
+                 (circular_calculus(ctx, fc.star()) - fct.adjoint()).frobenius(),
                  1e-8 * max(1.0, nfct))
     mapped = _folded(_slice_image(fc, upper, ctx.iota))
     report.worst("circular-spectral-containment",
@@ -402,14 +408,14 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     nfgt = op_norm(fgt)
     report.worst("general-right-scalar", "(f q)(T) = f(T) q",
                  (general_calculus(ctx, slice_product(fg, SliceFunction.constant(qv)))
-                  - fgt @ ctx.left(qv)).norm(),
+                  - fgt @ ctx.left(qv)).frobenius(),
                  1e-9 * max(1.0, nfgt * qv.norm()))
     f0, f1, f2, f3 = decompose_components(fg, ctx.iota, ctx.kappa)
     twisted = f0 + slice_product(f1, SliceFunction.constant(ctx.iota)) \
         + slice_product(f2.star(), SliceFunction.constant(ctx.kappa)) \
         + slice_product(f3.star(), SliceFunction.constant(ctx.iota * ctx.kappa))
     report.worst("general-adjoint-rule", "f(T)* equals the twisted star image",
-                 (fgt.adjoint() - general_calculus(ctx, twisted.star())).norm(),
+                 (fgt.adjoint() - general_calculus(ctx, twisted.star())).frobenius(),
                  1e-9 * max(1.0, nfgt))
 
     # contour realization
@@ -424,10 +430,10 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     for (name, f), con in zip(contour_fns, images):
         alg = general_calculus(ctx, f)
         report.worst(f"contour-{name}", "contour integral matches the calculus",
-                     (con - alg).norm(), 1e-7 * max(1.0, op_norm(alg)))
+                     (con - alg).frobenius(), 1e-7 * max(1.0, op_norm(alg)))
 
     report.worst("adjoint-similarity", "L_kappa T L_kappa* = T*",
-                 (ctx.k @ t @ ctx.k.adjoint() - t.adjoint()).norm(), 1e-9 * scale)
+                 (ctx.k @ t @ ctx.k.adjoint() - t.adjoint()).frobenius(), 1e-9 * scale)
 
     # spectral resolution: the projections P_s = P1 + P2 j of the spheres of
     # sigma_S(T), checked at once in the Frobenius norm of (S, n, n) stacks of
@@ -468,7 +474,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
         report.worst("kernel-choice-independence",
                      "polynomial calculus is independent of the J completion",
                      (polynomial_calculus(ctx, q1, q2)
-                      - polynomial_calculus(ctx, q1, q2, j=alt)).norm(), 1e-9)
+                      - polynomial_calculus(ctx, q1, q2, j=alt)).frobenius(), 1e-9)
 
 
 def _slice_image(f: SliceFunction, reps: np.ndarray, iota: SpherePoint) -> np.ndarray:

@@ -162,8 +162,8 @@ def test_criterion_05_resolvent_series():
         q = q * (2.0 * op_norm(t) / q.norm())
         res = resolvent_series(t, q, 1e-10)
         eye = QMatrix.identity(t.n)
-        worst = max(worst, (delta_q(t, q) @ res - eye).norm(),
-                    (res @ delta_q(t, q) - eye).norm())
+        worst = max(worst, op_norm(delta_q(t, q) @ res - eye),
+                    op_norm(res @ delta_q(t, q) - eye))
     report(5, "resolvent-series-inverse", worst, 1e-8)
 
 
@@ -175,14 +175,14 @@ def test_criterion_06_decomposition():
         eye = QMatrix.identity(t.n)
         worst_dec = max(worst_dec, op_norm(ctx.t - (ctx.a + ctx.j @ ctx.b)) / scale)
         for u in (ctx.j, ctx.k):
-            worst_unit = max(worst_unit, (u + u.adjoint()).norm(),
-                             (u.adjoint() @ u - eye).norm())
+            worst_unit = max(worst_unit, op_norm(u + u.adjoint()),
+                             op_norm(u.adjoint() @ u - eye))
         worst_comm = max(
             worst_comm,
-            (ctx.j @ ctx.k + ctx.k @ ctx.j).norm() / scale,
-            (ctx.j @ ctx.t - ctx.t @ ctx.j).norm() / scale,
-            (ctx.k @ ctx.a - ctx.a @ ctx.k).norm() / scale,
-            (ctx.k @ ctx.b - ctx.b @ ctx.k).norm() / scale)
+            op_norm(ctx.j @ ctx.k + ctx.k @ ctx.j) / scale,
+            op_norm(ctx.j @ ctx.t - ctx.t @ ctx.j) / scale,
+            op_norm(ctx.k @ ctx.a - ctx.a @ ctx.k) / scale,
+            op_norm(ctx.k @ ctx.b - ctx.b @ ctx.k) / scale)
     report(6, "T-equals-A-plus-JB", worst_dec, 1e-10)
     report(6, "J-K-anti-self-adjoint-unitary", worst_unit, 1e-9)
     report(6, "commutation-relations", worst_comm, 1e-9)
@@ -205,10 +205,10 @@ def test_criterion_07_intrinsic_calculus():
         gt = intrinsic_calculus(ctx, g)
         scale = max(1.0, op_norm(ft) * op_norm(gt))
         worst_hom = max(worst_hom,
-                        (intrinsic_calculus(ctx, slice_product(f, g)) - ft @ gt).norm()
+                        op_norm(intrinsic_calculus(ctx, slice_product(f, g)) - ft @ gt)
                         / scale)
         worst_star = max(worst_star,
-                         (intrinsic_calculus(ctx, f.star()) - ft.adjoint()).norm()
+                         op_norm(intrinsic_calculus(ctx, f.star()) - ft.adjoint())
                          / max(1.0, op_norm(ft)))
     report(7, "intrinsic-isometry", worst_iso, 1e-8)
     report(7, "intrinsic-spectral-map", worst_map, 1e-7)
@@ -224,9 +224,9 @@ def test_criterion_08_polynomial_cross_check():
         t_sq = t @ t
         via_eig = intrinsic_calculus(ctx, SliceFunction.builtin("square"))
         via_poly = polynomial_calculus(ctx, SQUARE_Q1, SQUARE_Q2)
-        worst = max(worst, (via_eig - t_sq).norm() / scale,
-                    (via_poly - t_sq).norm() / scale,
-                    (via_eig - via_poly).norm() / scale)
+        worst = max(worst, op_norm(via_eig - t_sq) / scale,
+                    op_norm(via_poly - t_sq) / scale,
+                    op_norm(via_eig - via_poly) / scale)
     report(8, "square-both-routes", worst, 1e-9)
 
 
@@ -243,7 +243,7 @@ def test_criterion_09_cslice_calculus():
         worst_map = max(worst_map,
                         hausdorff(spherical_spectrum(ft).reps, mapped) / max(1.0, nf))
         worst_const = max(worst_const,
-                          (cslice_calculus(ctx, SliceFunction.constant(I)) - ctx.j).norm())
+                          op_norm(cslice_calculus(ctx, SliceFunction.constant(I)) - ctx.j))
         if float(upper[:, 1].max()) > 0.1:
             fk = SliceFunction.tabulated(
                 lambda z: (-I * abs(z.imag), Quaternion(z.imag)), validate=False)
@@ -264,14 +264,14 @@ def test_criterion_10_circular_calculus():
         ft, gt = circular_calculus(ctx, f), circular_calculus(ctx, g)
         scale = max(1.0, op_norm(ft) * op_norm(gt))
         worst_hom = max(worst_hom,
-                        (circular_calculus(ctx, slice_product(f, g)) - ft @ gt).norm()
+                        op_norm(circular_calculus(ctx, slice_product(f, g)) - ft @ gt)
                         / scale)
         worst_star = max(worst_star,
-                         (circular_calculus(ctx, f.star()) - ft.adjoint()).norm()
+                         op_norm(circular_calculus(ctx, f.star()) - ft.adjoint())
                          / max(1.0, op_norm(ft)))
         worst_const = max(worst_const,
-                          (circular_calculus(ctx, SliceFunction.constant(ctx.kappa))
-                           - ctx.k).norm())
+                          op_norm(circular_calculus(ctx, SliceFunction.constant(ctx.kappa))
+                                  - ctx.k))
         upper = ctx.spectrum().reps
         mapped = np.array([fold(f.eval(Quaternion(a) + I * b)) for a, b in upper])
         worst_contain = max(worst_contain,
@@ -300,14 +300,14 @@ def test_criterion_11_general_calculus():
         q = random_quat()
         lhs = general_calculus(ctx, slice_product(f, SliceFunction.constant(q)))
         worst_scalar = max(worst_scalar,
-                           (lhs - ft @ ctx.left(q)).norm()
+                           op_norm(lhs - ft @ ctx.left(q))
                            / max(1.0, op_norm(ft) * q.norm()))
         f0, f1, f2, f3 = decompose_components(f, ctx.iota, ctx.kappa)
         twisted = f0 + slice_product(f1, SliceFunction.constant(ctx.iota)) \
             + slice_product(f2.star(), SliceFunction.constant(ctx.kappa)) \
             + slice_product(f3.star(), SliceFunction.constant(ctx.iota * ctx.kappa))
         worst_adjoint = max(worst_adjoint,
-                            (ft.adjoint() - general_calculus(ctx, twisted.star())).norm()
+                            op_norm(ft.adjoint() - general_calculus(ctx, twisted.star()))
                             / max(1.0, op_norm(ft)))
     report(11, "general-right-scalar", worst_scalar, 1e-9)
     report(11, "general-adjoint-rule", worst_adjoint, 1e-9)
@@ -326,7 +326,7 @@ def test_criterion_12_contour_calculus():
         for f in functions:
             alg = general_calculus(ctx, f)
             con = slice_regular_contour(ctx, f, radius=radius, nodes=256)
-            worst = max(worst, (con - alg).norm() / max(1.0, op_norm(alg)))
+            worst = max(worst, op_norm(con - alg) / max(1.0, op_norm(alg)))
     report(12, "contour-matches-calculus", worst, 1e-7)
 
 
@@ -335,7 +335,7 @@ def test_criterion_13_adjoint_similarity():
     for t, _ in normal_pool(50):
         ctx = build_context(t)
         u = ctx.k
-        worst = max(worst, (u @ t @ u.adjoint() - t.adjoint()).norm() / op_norm(t))
+        worst = max(worst, op_norm(u @ t @ u.adjoint() - t.adjoint()) / op_norm(t))
     report(13, "adjoint-similarity", worst, 1e-9)
 
 
@@ -371,6 +371,6 @@ def test_criterion_15_choice_independence():
         alt = alternate_kernel_J(ctx)
         q1 = [(2, 0, 1.0), (0, 2, -1.0), (1, 0, 0.3)]
         q2 = [(1, 1, 2.0), (0, 1, -0.4)]
-        worst = max(worst, (polynomial_calculus(ctx, q1, q2)
-                            - polynomial_calculus(ctx, q1, q2, j=alt)).norm())
+        worst = max(worst, op_norm(polynomial_calculus(ctx, q1, q2)
+                                   - polynomial_calculus(ctx, q1, q2, j=alt)))
     report(15, "kernel-choice-independence", worst, 1e-9)

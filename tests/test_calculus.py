@@ -63,7 +63,7 @@ def random_cslice(iota) -> SliceFunction:
 def test_construct_J_diag_example():
     # T = diag(2i): T - T* = diag(4i) has polar factor diag(i)
     j = construct_J(QMatrix.diag([I * 2.0]))
-    assert (j - QMatrix.diag([I])).norm() <= 1e-13
+    assert op_norm(j - QMatrix.diag([I])) <= 1e-13
 
 
 def test_construct_J_properties():
@@ -72,18 +72,18 @@ def test_construct_J_properties():
         j = construct_J(t)
         scale = max(1.0, op_norm(t))
         assert is_anti_self_adjoint(j) and is_unitary(j)
-        assert (j @ t - t @ j).norm() <= 1e-10 * scale
-        assert (j @ t.adjoint() - t.adjoint() @ j).norm() <= 1e-10 * scale
+        assert op_norm(j @ t - t @ j) <= 1e-10 * scale
+        assert op_norm(j @ t.adjoint() - t.adjoint() @ j) <= 1e-10 * scale
         # polar-factor identity pins J on Ker(T - T*)^perp: J |T-T*| = T - T*
         d = t - t.adjoint()
         absd = polar_decompose(d)[1]
-        assert (j @ absd - d).norm() <= 1e-9 * scale
+        assert op_norm(j @ absd - d) <= 1e-9 * scale
 
 
 def test_construct_J_squares_to_minus_identity():
     t, _ = random_normal(4, RNG, kind="selfadjoint")
     j = construct_J(t)
-    assert (j @ j + QMatrix.identity(4)).norm() <= 1e-11
+    assert op_norm(j @ j + QMatrix.identity(4)) <= 1e-11
 
 
 def test_construct_J_rejects_non_normal():
@@ -101,7 +101,7 @@ def test_build_context_invariants():
         eye = QMatrix.identity(6)
         assert op_norm(ctx.t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * scale
         # B = |T - T*| / 2 and ||T|| as read off the eigensystem
-        assert (ctx.b - polar_decompose(t - t.adjoint())[1] * 0.5).norm() <= 1e-10 * scale
+        assert op_norm(ctx.b - polar_decompose(t - t.adjoint())[1] * 0.5) <= 1e-10 * scale
         assert abs(ctx.tnorm - op_norm(t)) <= 1e-12 * op_norm(t)
         # the basis vectors lie in H+: J u_m = u_m i
         for m in range(6):
@@ -111,12 +111,12 @@ def test_build_context_invariants():
         assert is_self_adjoint(ctx.b)
         assert np.linalg.eigvalsh(chi_embed(ctx.b)).min() >= -1e-10 * scale
         for u in (ctx.j, ctx.k):
-            assert (u + u.adjoint()).norm() <= 1e-10
-            assert (u.adjoint() @ u - eye).norm() <= 1e-10
-        assert (ctx.j @ ctx.k + ctx.k @ ctx.j).norm() <= 1e-9 * scale
-        assert (ctx.j @ ctx.t - ctx.t @ ctx.j).norm() <= 1e-9 * scale
-        assert (ctx.k @ ctx.a - ctx.a @ ctx.k).norm() <= 1e-9 * scale
-        assert (ctx.k @ ctx.b - ctx.b @ ctx.k).norm() <= 1e-9 * scale
+            assert op_norm(u + u.adjoint()) <= 1e-10
+            assert op_norm(u.adjoint() @ u - eye) <= 1e-10
+        assert op_norm(ctx.j @ ctx.k + ctx.k @ ctx.j) <= 1e-9 * scale
+        assert op_norm(ctx.j @ ctx.t - ctx.t @ ctx.j) <= 1e-9 * scale
+        assert op_norm(ctx.k @ ctx.a - ctx.a @ ctx.k) <= 1e-9 * scale
+        assert op_norm(ctx.k @ ctx.b - ctx.b @ ctx.k) <= 1e-9 * scale
         assert ctx.lambdas.imag.min() >= -1e-10
 
 
@@ -242,9 +242,9 @@ def test_context_1x1_example():
     # T = diag(1 + 2i): A = diag(1), B = diag(2), J = diag(i), lambda = 1 + 2i
     t = QMatrix.diag([Quaternion(1) + I * 2.0])
     ctx = build_context(t)
-    assert (ctx.a - QMatrix.diag([Quaternion(1)])).norm() <= 1e-13
-    assert (ctx.b - QMatrix.diag([Quaternion(2)])).norm() <= 1e-13
-    assert (ctx.j - QMatrix.diag([I])).norm() <= 1e-13
+    assert op_norm(ctx.a - QMatrix.diag([Quaternion(1)])) <= 1e-13
+    assert op_norm(ctx.b - QMatrix.diag([Quaternion(2)])) <= 1e-13
+    assert op_norm(ctx.j - QMatrix.diag([I])) <= 1e-13
     assert abs(ctx.lambdas[0] - (1 + 2j)) <= 1e-13
 
 
@@ -258,10 +258,10 @@ def test_context_real_diag_is_degenerate_case():
               QMatrix.from_entries([[half, -J * 0.5], [J * 0.5, half]]),
               v @ QMatrix.diag([Quaternion(1)] * 3 + [Quaternion(-2)]) @ v.adjoint()):
         ctx = build_context(t)
-        assert (ctx.a - t).norm() <= 1e-13
-        assert ctx.b.norm() <= 1e-13
+        assert op_norm(ctx.a - t) <= 1e-13
+        assert op_norm(ctx.b) <= 1e-13
         assert ctx.kernel_flags.all()
-        assert (ctx.j @ ctx.k + ctx.k @ ctx.j).norm() <= 1e-12
+        assert op_norm(ctx.j @ ctx.k + ctx.k @ ctx.j) <= 1e-12
         z = ctx.basis.columns
         assert (z.adjoint() @ z - QMatrix.identity(t.n)).frobenius() <= 1e-14
         assert op_norm(t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
@@ -314,8 +314,8 @@ def test_context_left_multiplication_commutes_with_parts():
     for _ in range(3):
         q = Quaternion(*RNG.normal(size=4))
         lq = ctx.left(q)
-        assert (lq @ ctx.a - ctx.a @ lq).norm() <= 1e-10 * max(1.0, q.norm())
-        assert (lq @ ctx.b - ctx.b @ lq).norm() <= 1e-10 * max(1.0, q.norm())
+        assert op_norm(lq @ ctx.a - ctx.a @ lq) <= 1e-10 * max(1.0, q.norm())
+        assert op_norm(lq @ ctx.b - ctx.b @ lq) <= 1e-10 * max(1.0, q.norm())
 
 
 # -- polynomial calculus ------------------------------------------------------------
@@ -324,11 +324,11 @@ def test_polynomial_calculus_examples():
     t, _ = random_normal(5, RNG)
     ctx = build_context(t)
     scale = max(1.0, op_norm(t))
-    assert (polynomial_calculus(ctx, [(1, 0, 1.0)], [(0, 1, 1.0)]) - t).norm() <= \
+    assert op_norm(polynomial_calculus(ctx, [(1, 0, 1.0)], [(0, 1, 1.0)]) - t) <= \
         1e-10 * scale
-    assert (polynomial_calculus(ctx, [(0, 0, 1.0)], []) -
-            QMatrix.identity(5)).norm() <= 1e-13
-    assert (polynomial_calculus(ctx, SQUARE_Q1, SQUARE_Q2) - t @ t).norm() <= \
+    assert op_norm(polynomial_calculus(ctx, [(0, 0, 1.0)], []) -
+                   QMatrix.identity(5)) <= 1e-13
+    assert op_norm(polynomial_calculus(ctx, SQUARE_Q1, SQUARE_Q2) - t @ t) <= \
         1e-9 * scale ** 2
 
 
@@ -338,7 +338,7 @@ def test_polynomial_calculus_result_is_normal_and_commutes_with_J():
     g = polynomial_calculus(ctx, [(2, 0, 0.5), (0, 2, 1.0), (0, 0, -1.0)],
                             [(1, 1, -2.0), (0, 1, 0.3)])
     assert is_normal(g, 1e-9)
-    assert (g @ ctx.j - ctx.j @ g).norm() <= 1e-9 * max(1.0, op_norm(g))
+    assert op_norm(g @ ctx.j - ctx.j @ g) <= 1e-9 * max(1.0, op_norm(g))
 
 
 def test_polynomial_calculus_rejects_wrong_parity():
@@ -356,12 +356,12 @@ def test_choice_independence_on_kernel():
     t, _ = random_normal(5, RNG, kind="selfadjoint")
     ctx = build_context(t)
     alt = alternate_kernel_J(ctx)
-    assert (alt - ctx.j).norm() > 0.5  # genuinely different completion
+    assert op_norm(alt - ctx.j) > 0.5  # genuinely different completion
     assert is_anti_self_adjoint(alt) and is_unitary(alt)
-    assert (alt @ ctx.a - ctx.a @ alt).norm() <= 1e-10 * max(1.0, op_norm(t))
+    assert op_norm(alt @ ctx.a - ctx.a @ alt) <= 1e-10 * max(1.0, op_norm(t))
     g1 = polynomial_calculus(ctx, SQUARE_Q1, SQUARE_Q2)
     g2 = polynomial_calculus(ctx, SQUARE_Q1, SQUARE_Q2, j=alt)
-    assert (g1 - g2).norm() <= 1e-9
+    assert op_norm(g1 - g2) <= 1e-9
 
 
 def test_alternate_J_requires_kernel():
@@ -377,9 +377,9 @@ def test_alternate_J_requires_kernel():
 def test_intrinsic_unity_and_id():
     t, _ = random_normal(5, RNG)
     ctx = build_context(t)
-    assert (intrinsic_calculus(ctx, SliceFunction.builtin("one"))
-            - QMatrix.identity(5)).norm() <= 1e-12
-    assert (intrinsic_calculus(ctx, SliceFunction.builtin("id")) - t).norm() <= \
+    assert op_norm(intrinsic_calculus(ctx, SliceFunction.builtin("one"))
+                   - QMatrix.identity(5)) <= 1e-12
+    assert op_norm(intrinsic_calculus(ctx, SliceFunction.builtin("id")) - t) <= \
         1e-10 * max(1.0, op_norm(t))
 
 
@@ -389,8 +389,8 @@ def test_intrinsic_square_cross_check():
     scale = max(1.0, op_norm(t)) ** 2
     via_eig = intrinsic_calculus(ctx, SliceFunction.builtin("square"))
     via_poly = polynomial_calculus(ctx, SQUARE_Q1, SQUARE_Q2)
-    assert (via_eig - t @ t).norm() <= 1e-9 * scale
-    assert (via_eig - via_poly).norm() <= 1e-9 * scale
+    assert op_norm(via_eig - t @ t) <= 1e-9 * scale
+    assert op_norm(via_eig - via_poly) <= 1e-9 * scale
 
 
 def test_intrinsic_isometry_and_spectral_map():
@@ -413,11 +413,11 @@ def test_intrinsic_star_homomorphism():
     f, g = random_intrinsic(), random_intrinsic()
     ft, gt = intrinsic_calculus(ctx, f), intrinsic_calculus(ctx, g)
     scale = max(1.0, op_norm(ft) * op_norm(gt))
-    assert (intrinsic_calculus(ctx, slice_product(f, g)) - ft @ gt).norm() <= 1e-8 * scale
-    assert (intrinsic_calculus(ctx, f.star()) - ft.adjoint()).norm() <= \
+    assert op_norm(intrinsic_calculus(ctx, slice_product(f, g)) - ft @ gt) <= 1e-8 * scale
+    assert op_norm(intrinsic_calculus(ctx, f.star()) - ft.adjoint()) <= \
         1e-8 * max(1.0, op_norm(ft))
     # transport through K: f(T) K = K f*(T)
-    assert (ft @ ctx.k - ctx.k @ intrinsic_calculus(ctx, f.star())).norm() <= \
+    assert op_norm(ft @ ctx.k - ctx.k @ intrinsic_calculus(ctx, f.star())) <= \
         1e-8 * max(1.0, op_norm(ft))
 
 
@@ -435,7 +435,7 @@ def test_sqrt_calculus_on_positive_operator():
     m = c.adjoint() @ c
     ctx = build_context(m)
     root = intrinsic_calculus(ctx, SliceFunction.builtin("sqrt"))
-    assert (root @ root - m).norm() <= 1e-9 * max(1.0, op_norm(m))
+    assert op_norm(root @ root - m) <= 1e-9 * max(1.0, op_norm(m))
 
 
 # -- C_iota calculus --------------------------------------------------------------------
@@ -443,17 +443,17 @@ def test_sqrt_calculus_on_positive_operator():
 def test_cslice_constant_maps_to_J():
     t, _ = random_normal(5, RNG)
     ctx = build_context(t)
-    assert (cslice_calculus(ctx, SliceFunction.constant(I)) - ctx.j).norm() <= 1e-12
+    assert op_norm(cslice_calculus(ctx, SliceFunction.constant(I)) - ctx.j) <= 1e-12
 
 
 def test_cslice_extends_intrinsic_and_is_linear():
     t, _ = random_normal(4, RNG)
     ctx = build_context(t)
     f = random_intrinsic()
-    assert (cslice_calculus(ctx, f) - intrinsic_calculus(ctx, f)).norm() <= 1e-10 * \
+    assert op_norm(cslice_calculus(ctx, f) - intrinsic_calculus(ctx, f)) <= 1e-10 * \
         max(1.0, op_norm(t)) ** 2
     f_lin = SliceFunction.builtin("id") + SliceFunction.constant(I)
-    assert (cslice_calculus(ctx, f_lin) - (t + ctx.j)).norm() <= \
+    assert op_norm(cslice_calculus(ctx, f_lin) - (t + ctx.j)) <= \
         1e-10 * max(1.0, op_norm(t))
 
 
@@ -474,9 +474,9 @@ def test_cslice_homomorphism():
     ctx = build_context(t)
     f, g = random_cslice(I), random_cslice(I)
     ft, gt = cslice_calculus(ctx, f), cslice_calculus(ctx, g)
-    assert (cslice_calculus(ctx, slice_product(f, g)) - ft @ gt).norm() <= \
+    assert op_norm(cslice_calculus(ctx, slice_product(f, g)) - ft @ gt) <= \
         1e-8 * max(1.0, op_norm(ft) * op_norm(gt))
-    assert (cslice_calculus(ctx, f.star()) - ft.adjoint()).norm() <= \
+    assert op_norm(cslice_calculus(ctx, f.star()) - ft.adjoint()) <= \
         1e-8 * max(1.0, op_norm(ft))
 
 
@@ -508,9 +508,9 @@ def test_cslice_rejects_wrong_class():
 def test_circular_constants():
     t, _ = random_normal(5, RNG)
     ctx = build_context(t)
-    assert (circular_calculus(ctx, SliceFunction.constant(J)) - ctx.k).norm() <= 1e-12
+    assert op_norm(circular_calculus(ctx, SliceFunction.constant(J)) - ctx.k) <= 1e-12
     q = Quaternion(*RNG.normal(size=4))
-    assert (circular_calculus(ctx, SliceFunction.constant(q)) - ctx.left(q)).norm() <= \
+    assert op_norm(circular_calculus(ctx, SliceFunction.constant(q)) - ctx.left(q)) <= \
         1e-10 * max(1.0, q.norm())
 
 
@@ -519,9 +519,9 @@ def test_circular_homomorphism_and_adjoint():
     ctx = build_context(t)
     f, g = random_circular(), random_circular()
     ft, gt = circular_calculus(ctx, f), circular_calculus(ctx, g)
-    assert (circular_calculus(ctx, slice_product(f, g)) - ft @ gt).norm() <= \
+    assert op_norm(circular_calculus(ctx, slice_product(f, g)) - ft @ gt) <= \
         1e-8 * max(1.0, op_norm(ft) * op_norm(gt))
-    assert (circular_calculus(ctx, f.star()) - ft.adjoint()).norm() <= \
+    assert op_norm(circular_calculus(ctx, f.star()) - ft.adjoint()) <= \
         1e-8 * max(1.0, op_norm(ft))
 
 
@@ -551,7 +551,7 @@ def test_general_extends_intrinsic():
     t, _ = random_normal(4, RNG)
     ctx = build_context(t)
     f = random_intrinsic()
-    assert (general_calculus(ctx, f) - intrinsic_calculus(ctx, f)).norm() <= \
+    assert op_norm(general_calculus(ctx, f) - intrinsic_calculus(ctx, f)) <= \
         1e-10 * max(1.0, op_norm(t)) ** 2
 
 
@@ -563,7 +563,7 @@ def test_general_right_scalar_compatibility():
     for _ in range(3):
         q = Quaternion(*RNG.normal(size=4))
         lhs = general_calculus(ctx, slice_product(f, SliceFunction.constant(q)))
-        assert (lhs - ft @ ctx.left(q)).norm() <= \
+        assert op_norm(lhs - ft @ ctx.left(q)) <= \
             1e-9 * max(1.0, op_norm(ft) * q.norm())
 
 
@@ -576,7 +576,7 @@ def test_general_adjoint_rule():
         + slice_product(f2.star(), SliceFunction.constant(ctx.kappa)) \
         + slice_product(f3.star(), SliceFunction.constant(ctx.iota * ctx.kappa))
     ft = general_calculus(ctx, f)
-    assert (ft.adjoint() - general_calculus(ctx, twisted.star())).norm() <= \
+    assert op_norm(ft.adjoint() - general_calculus(ctx, twisted.star())) <= \
         1e-9 * max(1.0, op_norm(ft))
 
 
@@ -594,12 +594,12 @@ def test_general_product_rules():
     g = random_general()
     lhs = general_calculus(ctx, slice_product(f_slice, g))
     rhs = general_calculus(ctx, f_slice) @ general_calculus(ctx, g)
-    assert (lhs - rhs).norm() <= 1e-8 * max(1.0, op_norm(rhs))
+    assert op_norm(lhs - rhs) <= 1e-8 * max(1.0, op_norm(rhs))
     g_circ = random_circular()
     f = random_general()
     lhs = general_calculus(ctx, slice_product(f, g_circ))
     rhs = general_calculus(ctx, f) @ general_calculus(ctx, g_circ)
-    assert (lhs - rhs).norm() <= 1e-8 * max(1.0, op_norm(rhs))
+    assert op_norm(lhs - rhs) <= 1e-8 * max(1.0, op_norm(rhs))
 
 
 # -- adjoint similarity ----------------------------------------------------------------------
@@ -610,11 +610,11 @@ def test_adjoint_similarity():
         ctx = build_context(t)
         u = ctx.k
         assert is_unitary(u)
-        assert (u @ t @ u.adjoint() - t.adjoint()).norm() <= 1e-9 * max(1.0, op_norm(t))
+        assert op_norm(u @ t @ u.adjoint() - t.adjoint()) <= 1e-9 * max(1.0, op_norm(t))
     # 1x1: conjugation flips the imaginary part
     ctx = build_context(QMatrix.diag([I]))
     u = ctx.k
-    assert (u @ ctx.t @ u.adjoint() - QMatrix.diag([-I])).norm() <= 1e-12
+    assert op_norm(u @ ctx.t @ u.adjoint() - QMatrix.diag([-I])) <= 1e-12
 
 
 # -- contour calculus ------------------------------------------------------------------------
@@ -629,7 +629,7 @@ def test_contour_matches_algebraic_route():
               SliceFunction.builtin("square"), cubic):
         alg = general_calculus(ctx, f)
         con = slice_regular_contour(ctx, f, nodes=256)
-        assert (con - alg).norm() <= 1e-7 * max(1.0, op_norm(alg))
+        assert op_norm(con - alg) <= 1e-7 * max(1.0, op_norm(alg))
 
 
 def right_coefficient_polynomial() -> SliceFunction:
@@ -646,7 +646,7 @@ def test_contour_non_intrinsic_polynomial():
     f = right_coefficient_polynomial()
     alg = general_calculus(ctx, f)
     con = slice_regular_contour(ctx, f, nodes=256)
-    assert (con - alg).norm() <= 1e-7 * max(1.0, op_norm(alg))
+    assert op_norm(con - alg) <= 1e-7 * max(1.0, op_norm(alg))
 
 
 def test_contour_matches_algebraic_route_n32():
@@ -657,7 +657,7 @@ def test_contour_matches_algebraic_route_n32():
     for f in (SliceFunction.builtin("exp"), right_coefficient_polynomial()):
         alg = general_calculus(ctx, f)
         con = slice_regular_contour(ctx, f)
-        assert (con - alg).norm() <= 1e-7 * max(1.0, op_norm(alg))
+        assert op_norm(con - alg) <= 1e-7 * max(1.0, op_norm(alg))
 
 
 def test_contour_ignores_the_eigenvalue_route():
@@ -668,8 +668,8 @@ def test_contour_ignores_the_eigenvalue_route():
     bent = dataclasses.replace(ctx, lambdas=ctx.lambdas + 1.0,
                                kernel_flags=~ctx.kernel_flags)
     f = SliceFunction.builtin("exp")
-    assert (slice_regular_contour(bent, f) - slice_regular_contour(ctx, f)).norm() <= 1e-12
-    assert (general_calculus(bent, f) - general_calculus(ctx, f)).norm() > 1e-3
+    assert op_norm(slice_regular_contour(bent, f) - slice_regular_contour(ctx, f)) <= 1e-12
+    assert op_norm(general_calculus(bent, f) - general_calculus(ctx, f)) > 1e-3
 
 
 def _per_node_contour(ctx, f, nodes: int) -> np.ndarray:
@@ -701,40 +701,99 @@ def test_contour_matches_per_node_solves(nodes):
 
 
 @pytest.mark.parametrize("nodes", [16, 17, 64])
-def test_contour_solves_once_per_sphere_of_nodes(nodes, monkeypatch):
-    """Nodes s and conj(s) share Delta_s(T): nodes // 2 + 1 triangular
-    solves, one Schur form, and f still read at every node."""
-    import quatspec.calculus as calculus
-    solves, points = [], []
-    real_ztrtrs, real_schur, real_values = calculus.ztrtrs, scipy.linalg.schur, SliceFunction.values
-    monkeypatch.setattr(calculus, "ztrtrs",
-                        lambda *a, **k: solves.append(1) or real_ztrtrs(*a, **k))
+def test_contour_takes_one_schur_form_and_reads_f_at_every_node(nodes, monkeypatch):
+    """The quadrature is summed on the diagonal of one Schur form: one
+    `scipy.linalg.schur` call, no linear solve, and f read once at all
+    `nodes` points."""
+    schurs, points = [], []
+    real_schur, real_values = scipy.linalg.schur, SliceFunction.values
     monkeypatch.setattr(SliceFunction, "values",
                         lambda self, qs: points.append(len(qs)) or real_values(self, qs))
     ctx = build_context(random_normal(4, np.random.default_rng(67))[0])
-    schurs = []
     monkeypatch.setattr(scipy.linalg, "schur",
                         lambda *a, **k: schurs.append(1) or real_schur(*a, **k))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the contour makes no linear solve")
+
+    for module, name in ((np.linalg, "solve"), (scipy.linalg, "solve"),
+                         (scipy.linalg, "solve_triangular"), (scipy.linalg.lapack, "ztrtrs")):
+        monkeypatch.setattr(module, name, no_solve)
     slice_regular_contour(ctx, SliceFunction.builtin("exp"), nodes=nodes)
-    assert len(solves) == nodes // 2 + 1
     assert len(schurs) == 1
     assert points == [nodes]
 
 
-def test_contour_solve_failure_names_both_nodes(monkeypatch):
-    import quatspec.calculus as calculus
-    real_ztrtrs = calculus.ztrtrs
-    calls = []
+@pytest.mark.parametrize("value, node", [(1.0, 0), (-1.0, 8)])
+def test_contour_node_on_the_spectrum_names_the_node(value, node):
+    """A node that meets an eigenvalue of chi(T) makes 1/delta_s(d) infinite:
+    a `NumericalError` naming the node. The context's ||T|| is understated so
+    that the radius check lets the unit circle through."""
+    ctx = dataclasses.replace(build_context(QMatrix.identity(2) * value), tnorm=0.5)
+    with pytest.raises(NumericalError, match=f"quadrature node {node} hit the spectrum"):
+        slice_regular_contour(ctx, SliceFunction.builtin("exp"), radius=1.0, nodes=16)
+    with pytest.raises(PreconditionError, match="does not enclose the spectrum"):
+        slice_regular_contour(ctx, SliceFunction.builtin("exp"), radius=0.9, nodes=16)
 
-    def failing(*args, **kwargs):
-        x, info = real_ztrtrs(*args, **kwargs)
-        calls.append(1)
-        return x, (1 if len(calls) == 4 else info)
 
-    monkeypatch.setattr(calculus, "ztrtrs", failing)
-    ctx = build_context(random_normal(3, np.random.default_rng(68))[0])
-    with pytest.raises(NumericalError, match="quadrature nodes 3 and 61 hit the spectrum"):
-        slice_regular_contour(ctx, SliceFunction.builtin("exp"), nodes=64)
+def test_contour_rejects_schur_mass_off_the_diagonal(monkeypatch):
+    """A Schur factor whose strictly upper mass is 2e-10 ||T|| is refused,
+    and the error quotes the mass."""
+    ctx = build_context(random_normal(6, np.random.default_rng(72))[0])
+    real_schur = scipy.linalg.schur
+    mass = 2e-10 * ctx.tnorm
+
+    def bent(*args, **kwargs):
+        tri, u = real_schur(*args, **kwargs)
+        tri[0, -1] += mass
+        return tri, u
+
+    monkeypatch.setattr(scipy.linalg, "schur", bent)
+    with pytest.raises(NumericalError, match=f"strictly upper mass {mass:.3e}"):
+        slice_regular_contour(ctx, SliceFunction.builtin("exp"), nodes=16)
+
+
+def _close_spheres(n: int, seed: int, gap: float) -> QMatrix:
+    """A normal n x n T whose eigenspheres come in pairs `gap` apart."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-2.0, 2.0, n)
+    beta = rng.uniform(0.3, 2.0, n)
+    alpha[1::2], beta[1::2] = alpha[0::2] + gap, beta[0::2]
+    d = QMatrix.diag([Quaternion(a) + random_sphere_point(rng) * b
+                      for a, b in zip(alpha, beta)])
+    v = random_unitary(n, rng)
+    return v @ d @ v.adjoint()
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_contour_gate_passes_wherever_the_context_is_built(n):
+    """The contour reads its Schur form as diagonal. On repeated spheres
+    (`imaginaryunit`) and close spheres (gaps 1e-12 to 1e-5), which
+    `build_context` accepts, and on T + E with ||E||_F = 3e-11 ||T|| and
+    3e-12 ||T|| wherever `build_context` accepts it, the contour passes its
+    gate and matches the dense per-node oracle within 1e-8."""
+    rng = np.random.default_rng(73 + n)
+    exact = [random_normal(n, rng, kind="imaginaryunit")[0]]
+    exact += [_close_spheres(n, 74 + n, gap) for gap in (1e-12, 1e-10, 1e-8, 1e-5)]
+    perturbed = []
+    for size in (3e-11, 3e-11, 3e-12, 3e-12):
+        t = random_normal(n, rng)[0]
+        e = QMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                    rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        perturbed.append(t + e * (size * op_norm(t) / e.frobenius()))
+    f = SliceFunction.builtin("exp")
+    built = []
+    for t in exact + perturbed:
+        try:
+            ctx = build_context(t)
+        except NumericalError:
+            built.append(False)
+            continue
+        built.append(True)
+        expect = _per_node_contour(ctx, f, 64)
+        got = chi_embed(slice_regular_contour(ctx, f, nodes=64))
+        assert np.linalg.norm(got - expect, 2) <= 1e-8 * np.linalg.norm(expect, 2)
+    assert all(built[:len(exact)]) and any(built[len(exact):])
 
 
 def _cubic() -> SliceFunction:
@@ -772,25 +831,23 @@ def test_contour_sequence_errors_name_the_function():
 
 def test_verified_matrix_takes_one_contour_quadrature(monkeypatch):
     """verify_calculus runs its four contour checks through one call: one
-    Schur form of chi(T) and nodes // 2 + 1 triangular solves, not four of
-    each. The context is built before counting, so only the contour's
-    factorizations are seen."""
-    import quatspec.calculus as calculus
+    Schur form of chi(T), not four. The context is built before counting,
+    so only the contour's factorization is seen."""
     import quatspec.verify as verify
     t = random_normal(8, np.random.default_rng(70))[0]
     ctx = build_context(t)
     monkeypatch.setattr(verify, "build_context", lambda _: ctx)
-    solves, schurs = [], []
-    real_ztrtrs, real_schur = calculus.ztrtrs, scipy.linalg.schur
-    monkeypatch.setattr(calculus, "ztrtrs",
-                        lambda *a, **k: solves.append(1) or real_ztrtrs(*a, **k))
+    contours, schurs = [], []
+    real_contour, real_schur = verify.slice_regular_contour, scipy.linalg.schur
+    monkeypatch.setattr(verify, "slice_regular_contour",
+                        lambda *a, **k: contours.append(len(a[1])) or real_contour(*a, **k))
     monkeypatch.setattr(scipy.linalg, "schur",
                         lambda *a, **k: schurs.append(1) or real_schur(*a, **k))
     report = VerificationReport()
     verify_calculus(report, t, np.random.default_rng(71))
     assert report.ok, report.table()
+    assert contours == [4]
     assert len(schurs) == 1
-    assert len(solves) == 256 // 2 + 1
 
 
 def test_contour_radius_and_node_validation():
@@ -809,7 +866,7 @@ def test_contour_default_radius_converges_fast():
     f = SliceFunction.builtin("square")
     coarse = slice_regular_contour(ctx, f, nodes=32)
     fine = slice_regular_contour(ctx, f, nodes=256)
-    assert (coarse - fine).norm() <= 1e-7 * max(1.0, op_norm(fine))
+    assert op_norm(coarse - fine) <= 1e-7 * max(1.0, op_norm(fine))
 
 
 @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
@@ -824,7 +881,7 @@ def test_contour_default_radius_scales_with_t(c):
         for f in (SliceFunction.builtin("id"), SliceFunction.builtin("square"), cubic):
             alg = general_calculus(ctx, f)
             con = slice_regular_contour(ctx, f, nodes=256)
-            assert (con - alg).norm() <= 1e-10 * op_norm(alg)
+            assert op_norm(con - alg) <= 1e-10 * op_norm(alg)
 
 
 def test_contour_kernel_equals_resolvent_series():
@@ -860,10 +917,10 @@ def test_eigenbasis_orthonormal_on_verify_matrices(seed, index):
     ctx = build_context(t)
     eye = QMatrix.identity(8)
     z = ctx.basis.columns
-    assert (z.adjoint() @ z - eye).norm() <= 1e-14
-    assert (intrinsic_calculus(ctx, SliceFunction.builtin("one")) - eye).norm() <= 1e-12
-    assert (cslice_calculus(ctx, SliceFunction.constant(ctx.iota)) - ctx.j).norm() <= 1e-12
-    assert (circular_calculus(ctx, SliceFunction.constant(ctx.kappa)) - ctx.k).norm() <= 1e-12
+    assert op_norm(z.adjoint() @ z - eye) <= 1e-14
+    assert op_norm(intrinsic_calculus(ctx, SliceFunction.builtin("one")) - eye) <= 1e-12
+    assert op_norm(cslice_calculus(ctx, SliceFunction.constant(ctx.iota)) - ctx.j) <= 1e-12
+    assert op_norm(circular_calculus(ctx, SliceFunction.constant(ctx.kappa)) - ctx.k) <= 1e-12
 
 
 # -- degenerate and tiny inputs ----------------------------------------------------------------
@@ -897,18 +954,18 @@ def test_one_by_one_context_and_contour():
     ctx = build_context(t)
     assert op_norm(ctx.t - (ctx.a + ctx.j @ ctx.b)) <= 1e-12
     sq = slice_regular_contour(ctx, SliceFunction.builtin("square"))
-    assert (sq - t @ t).norm() <= 1e-8
+    assert op_norm(sq - t @ t) <= 1e-8
 
 
 def test_zero_operator_context():
     t = QMatrix.zeros(3)
     ctx = build_context(t)
-    assert ctx.a.norm() == 0.0 and ctx.b.norm() == 0.0
+    assert op_norm(ctx.a) == 0.0 and op_norm(ctx.b) == 0.0
     assert ctx.kernel_flags.all()
     spec = spherical_spectrum(t)
     assert spec.mult == (3,) and np.allclose(spec.reps, [[0.0, 0.0]])
-    assert (intrinsic_calculus(ctx, SliceFunction.builtin("exp"))
-            - QMatrix.identity(3)).norm() <= 1e-12
+    assert op_norm(intrinsic_calculus(ctx, SliceFunction.builtin("exp"))
+                   - QMatrix.identity(3)) <= 1e-12
 
 
 # -- spectral measure --------------------------------------------------------------------------
@@ -980,17 +1037,17 @@ def test_projections_resolve_the_identity_and_t():
     assert np.allclose(spec.reps, [[-0.5, 1.0], [0.7, 0.0], [1.0, 2.0]], atol=1e-12)
     assert spec.mult == (1, 2, 2) and len(projections) == 3
     eye, tol = QMatrix.identity(5), 1e-12 * op_norm(t)
-    assert (sum(projections, QMatrix.zeros(5)) - eye).norm() <= 1e-12
+    assert op_norm(sum(projections, QMatrix.zeros(5)) - eye) <= 1e-12
     for s, ps in enumerate(projections):
         assert abs(np.trace(ps.x1).real - spec.mult[s]) <= 1e-12  # Re tr P_s = mult_s
         for r, pr in enumerate(projections):
-            assert (ps @ pr - ps * float(r == s)).norm() <= 1e-12
-        assert (ps @ t - t @ ps).norm() <= tol
-        assert (ps @ ctx.j - ctx.j @ ps).norm() <= 1e-12
-        assert (ps @ ctx.k - ctx.k @ ps).norm() <= 1e-12
+            assert op_norm(ps @ pr - ps * float(r == s)) <= 1e-12
+        assert op_norm(ps @ t - t @ ps) <= tol
+        assert op_norm(ps @ ctx.j - ctx.j @ ps) <= 1e-12
+        assert op_norm(ps @ ctx.k - ctx.k @ ps) <= 1e-12
     resolution = sum((ps * alpha + ctx.j @ ps * beta
                       for ps, (alpha, beta) in zip(projections, spec.reps)), QMatrix.zeros(5))
-    assert (resolution - t).norm() <= tol
+    assert op_norm(resolution - t) <= tol
 
 
 def test_verify_calculus_takes_one_eigensystem(monkeypatch):
@@ -1034,14 +1091,14 @@ def test_eigenvalue_calculi_are_their_component_definitions():
         expect = QMatrix.zeros(6)
         for f_l, unit in zip(parts, units):
             expect = expect + intrinsic_calculus(ctx, f_l) @ unit
-        assert (ft - expect).norm() <= 1e-10 * max(1.0, op_norm(ft))
+        assert op_norm(ft - expect) <= 1e-10 * max(1.0, op_norm(ft))
     tabulated_cslice = slice_product(SliceFunction.builtin("exp"),
                                      SliceFunction.constant(I)) + SliceFunction.builtin("square")
     for g in (random_cslice(I), tabulated_cslice):
         gt = cslice_calculus(ctx, g)
         g0, g1, _, _ = decompose_components(g, ctx.iota, ctx.kappa)
         expect = intrinsic_calculus(ctx, g0) + intrinsic_calculus(ctx, g1) @ ctx.j
-        assert (gt - expect).norm() <= 1e-10 * max(1.0, op_norm(gt))
+        assert op_norm(gt - expect) <= 1e-10 * max(1.0, op_norm(gt))
 
 
 def test_contour_rejects_nodes_outside_the_domain():
@@ -1051,7 +1108,7 @@ def test_contour_rejects_nodes_outside_the_domain():
     with pytest.raises(PreconditionError, match="quadrature node 1 lies outside"):
         slice_regular_contour(ctx, SliceFunction.builtin("sqrt"))
     ranged = SliceFunction.polynomial(SQUARE_Q1, SQUARE_Q2, domain=ctx.spectrum())
-    assert (general_calculus(ctx, ranged) - t @ t).norm() <= 1e-9 * max(1.0, ctx.tnorm) ** 2
+    assert op_norm(general_calculus(ctx, ranged) - t @ t) <= 1e-9 * max(1.0, ctx.tnorm) ** 2
     with pytest.raises(PreconditionError, match="quadrature node 0 lies outside"):
         slice_regular_contour(ctx, ranged)
 
@@ -1071,10 +1128,10 @@ def test_polynomial_calculus_reads_its_terms_as_a_stem():
     ctx = build_context(t)
     a_sq = ctx.a @ ctx.a
     scale = max(1.0, op_norm(a_sq))
-    assert (polynomial_calculus(ctx, [(2, 0, 0.5), (2, 0, 0.5)], []) - a_sq).norm() <= \
+    assert op_norm(polynomial_calculus(ctx, [(2, 0, 0.5), (2, 0, 0.5)], []) - a_sq) <= \
         1e-12 * scale
-    assert (polynomial_calculus(ctx, [(2, 0, Quaternion(1.0, 1e-14, 0.0, 0.0))], [])
-            - a_sq).norm() <= 1e-12 * scale
+    assert op_norm(polynomial_calculus(ctx, [(2, 0, Quaternion(1.0, 1e-14, 0.0, 0.0))], [])
+                   - a_sq) <= 1e-12 * scale
     with pytest.raises(PreconditionError, match="must be real"):
         polynomial_calculus(ctx, [(2, 0, Quaternion(1.0, 1e-9, 0.0, 0.0))], [])
     for exponent in (1.5, -1, True, "2"):
@@ -1093,7 +1150,7 @@ def test_polynomial_calculus_powers_by_squaring():
     t = v @ QMatrix.diag([Quaternion(1), Quaternion(1), Quaternion(), Quaternion()]) \
         @ v.adjoint()
     ctx = build_context(t)
-    assert (polynomial_calculus(ctx, [(1000000, 0, 1.0)], []) - t).norm() <= 1e-8
+    assert op_norm(polynomial_calculus(ctx, [(1000000, 0, 1.0)], []) - t) <= 1e-8
 
 
 def test_overflowing_function_raises_numerical_error():

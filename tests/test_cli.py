@@ -52,7 +52,7 @@ def test_apply_identity_echoes_matrix(normal_file, capsys):
                  "--mode", "intrinsic"]) == 0
     out = json.loads(capsys.readouterr().out)
     t = QMatrix.from_json(json.load(open(normal_file)))
-    assert (QMatrix.from_json(out) - t).norm() <= 1e-10 * max(1.0, op_norm(t))
+    assert op_norm(QMatrix.from_json(out) - t) <= 1e-10 * max(1.0, op_norm(t))
 
 
 def test_apply_circular_and_cslice_modes(normal_file, capsys):
@@ -61,11 +61,11 @@ def test_apply_circular_and_cslice_modes(normal_file, capsys):
     assert main(["apply", "--input", normal_file, "--fn", "builtin:re",
                  "--mode", "circular"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert (QMatrix.from_json(out) - a).norm() <= 1e-9 * max(1.0, op_norm(t))
+    assert op_norm(QMatrix.from_json(out) - a) <= 1e-9 * max(1.0, op_norm(t))
     assert main(["apply", "--input", normal_file, "--fn", "builtin:conj",
                  "--mode", "cslice"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert (QMatrix.from_json(out) - t.adjoint()).norm() <= 1e-9 * max(1.0, op_norm(t))
+    assert op_norm(QMatrix.from_json(out) - t.adjoint()) <= 1e-9 * max(1.0, op_norm(t))
 
 
 def test_apply_contour_mode(normal_file, capsys):
@@ -73,7 +73,7 @@ def test_apply_contour_mode(normal_file, capsys):
                  "--mode", "contour", "--nodes", "128"]) == 0
     out = json.loads(capsys.readouterr().out)
     t = QMatrix.from_json(json.load(open(normal_file)))
-    assert (QMatrix.from_json(out) - t @ t).norm() <= 1e-7 * max(1.0, op_norm(t)) ** 2
+    assert op_norm(QMatrix.from_json(out) - t @ t) <= 1e-7 * max(1.0, op_norm(t)) ** 2
 
 
 def test_apply_function_file(normal_file, tmp_path, capsys):
@@ -85,7 +85,7 @@ def test_apply_function_file(normal_file, tmp_path, capsys):
                  "--mode", "general"]) == 0
     out = json.loads(capsys.readouterr().out)
     t = QMatrix.from_json(json.load(open(normal_file)))
-    assert (QMatrix.from_json(out) - t @ t).norm() <= 1e-9 * max(1.0, op_norm(t)) ** 2
+    assert op_norm(QMatrix.from_json(out) - t @ t) <= 1e-9 * max(1.0, op_norm(t)) ** 2
 
 
 def test_decompose_command(normal_file, tmp_path, capsys):
@@ -95,7 +95,7 @@ def test_decompose_command(normal_file, tmp_path, capsys):
     assert set(data) == {"A", "B", "J", "K", "eigs"}
     a = QMatrix.from_json(data["A"])
     t = QMatrix.from_json(json.load(open(normal_file)))
-    assert (a - (t + t.adjoint()) * 0.5).norm() <= 1e-10 * max(1.0, op_norm(t))
+    assert op_norm(a - (t + t.adjoint()) * 0.5) <= 1e-10 * max(1.0, op_norm(t))
     assert len(data["eigs"]) == 4
 
 
@@ -106,7 +106,7 @@ def test_resolvent_command(matrix_file, capsys):
     r = QMatrix.from_json(out)
     t = QMatrix.from_json(json.load(open(matrix_file)))
     from quatspec.spectral import delta_q
-    assert (delta_q(t, Quaternion(0, 2, 0, 0)) @ r - QMatrix.identity(2)).norm() <= 1e-8
+    assert op_norm(delta_q(t, Quaternion(0, 2, 0, 0)) @ r - QMatrix.identity(2)) <= 1e-8
 
 
 def test_verify_random(tmp_path, capsys):

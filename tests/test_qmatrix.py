@@ -174,9 +174,9 @@ def test_sqrt_of_gram_matrix():
         m = c.adjoint() @ c
         s = sqrt_positive(m)
         assert is_self_adjoint(s)
-        assert (s @ s - m).norm() <= 1e-9 * max(1.0, op_norm(m))
+        assert op_norm(s @ s - m) <= 1e-9 * max(1.0, op_norm(m))
         # commutes with operators commuting with m (spot check with m itself)
-        assert (s @ m - m @ s).norm() <= 1e-9 * max(1.0, op_norm(m)) ** 1.5
+        assert op_norm(s @ m - m @ s) <= 1e-9 * max(1.0, op_norm(m)) ** 1.5
 
 
 def test_sqrt_rejects_bad_input():
@@ -191,8 +191,8 @@ def test_sqrt_rejects_bad_input():
 def test_polar_unitary_and_zero():
     v = random_unitary(4, RNG)
     w, p = polar_decompose(v)
-    assert (w - v).norm() <= 1e-12
-    assert (p - QMatrix.identity(4)).norm() <= 1e-12
+    assert op_norm(w - v) <= 1e-12
+    assert op_norm(p - QMatrix.identity(4)) <= 1e-12
     w, p = polar_decompose(QMatrix.zeros(3))
     assert w.frobenius() == 0.0 and p.frobenius() == 0.0
 
@@ -200,8 +200,8 @@ def test_polar_unitary_and_zero():
 def test_polar_diag_example():
     #  diag(2i) = diag(i) diag(2), with anti-self-adjoint isometric factor
     w, p = polar_decompose(QMatrix.diag([I * 2.0]))
-    assert (w - QMatrix.diag([I])).norm() <= 1e-13
-    assert (p - QMatrix.diag([Quaternion(2)])).norm() <= 1e-13
+    assert op_norm(w - QMatrix.diag([I])) <= 1e-13
+    assert op_norm(p - QMatrix.diag([Quaternion(2)])) <= 1e-13
     assert is_anti_self_adjoint(w)
 
 
@@ -209,10 +209,10 @@ def test_polar_reconstruction_and_kernel():
     for _ in range(5):
         m = random_qmatrix(5, RNG)
         w, p = polar_decompose(m)
-        assert (w @ p - m).norm() <= 1e-9 * max(1.0, op_norm(m))
+        assert op_norm(w @ p - m) <= 1e-9 * max(1.0, op_norm(m))
         assert is_self_adjoint(p)
         # P = |M| = sqrt(M* M)
-        assert (p - sqrt_positive(m.adjoint() @ m)).norm() <= 1e-9 * max(1.0, op_norm(m))
+        assert op_norm(p - sqrt_positive(m.adjoint() @ m)) <= 1e-9 * max(1.0, op_norm(m))
     # rank-deficient: W vanishes on Ker(P)
     m = QMatrix.diag([Quaternion(2, 1, 0, 0), Quaternion()])
     w, p = polar_decompose(m)
@@ -287,9 +287,9 @@ def test_split_rejects_bad_j():
 
 def test_extend_identity_and_j():
     j, basis = make_j(4, RNG)
-    assert (extend_complex_operator(np.eye(4), basis, I)
-            - QMatrix.identity(4)).norm() <= 1e-12
-    assert (extend_complex_operator(1j * np.eye(4), basis, I) - j).norm() <= 1e-12
+    assert op_norm(extend_complex_operator(np.eye(4), basis, I)
+                   - QMatrix.identity(4)) <= 1e-12
+    assert op_norm(extend_complex_operator(1j * np.eye(4), basis, I) - j) <= 1e-12
 
 
 def test_extend_is_a_star_homomorphism_with_equal_norm():
@@ -298,13 +298,13 @@ def test_extend_is_a_star_homomorphism_with_equal_norm():
     s2 = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
     e1, e2 = (extend_complex_operator(s, basis, I) for s in (s1, s2))
     assert abs(op_norm(e1) - np.linalg.norm(s1, 2)) <= 1e-11 * np.linalg.norm(s1, 2)
-    assert (extend_complex_operator(s1 @ s2, basis, I) - e1 @ e2).norm() <= 1e-11 * \
+    assert op_norm(extend_complex_operator(s1 @ s2, basis, I) - e1 @ e2) <= 1e-11 * \
         np.linalg.norm(s1, 2) * np.linalg.norm(s2, 2)
-    assert (extend_complex_operator(s1.conj().T, basis, I) - e1.adjoint()).norm() <= 1e-12 * \
+    assert op_norm(extend_complex_operator(s1.conj().T, basis, I) - e1.adjoint()) <= 1e-12 * \
         np.linalg.norm(s1, 2)
     # commutes with J and restricts correctly on basis vectors
     j = basis.matrix(I)
-    assert (e1 @ j - j @ e1).norm() <= 1e-11 * np.linalg.norm(s1, 2)
+    assert op_norm(e1 @ j - j @ e1) <= 1e-11 * np.linalg.norm(s1, 2)
 
 
 def test_extend_rejects_bad_basis():
@@ -318,18 +318,18 @@ def test_extend_rejects_bad_basis():
 
 def test_left_mult_identities():
     basis = LeftMultiplication(random_unitary(5, RNG))
-    assert (basis.matrix(ONE) - QMatrix.identity(5)).norm() <= 1e-12
+    assert op_norm(basis.matrix(ONE) - QMatrix.identity(5)) <= 1e-12
     # L_r acts as right multiplication for real r
     u = random_qvector(5, RNG)
     assert (basis.matrix(Quaternion(1.5)) @ u - u * 1.5).norm() <= 1e-12 * u.norm()
     # homomorphism: L_i L_j = L_k, norm preservation, adjoint
-    assert (basis.matrix(I) @ basis.matrix(J) - basis.matrix(K)).norm() <= 1e-11
+    assert op_norm(basis.matrix(I) @ basis.matrix(J) - basis.matrix(K)) <= 1e-11
     q = Quaternion(1, -2, 3, 0.5)
     assert abs(op_norm(basis.matrix(q)) - q.norm()) <= 1e-11 * q.norm()
-    assert (basis.matrix(q).adjoint() - basis.matrix(q.conjugate())).norm() <= 1e-11
+    assert op_norm(basis.matrix(q).adjoint() - basis.matrix(q.conjugate())) <= 1e-11
     # additivity in q
     p = Quaternion(0.25, 1, 1, -1)
-    assert (basis.matrix(q) + basis.matrix(p) - basis.matrix(q + p)).norm() <= 1e-11
+    assert op_norm(basis.matrix(q) + basis.matrix(p) - basis.matrix(q + p)) <= 1e-11
 
 
 def test_standard_left_mult_is_diagonal():
@@ -344,7 +344,7 @@ def test_left_mult_diagonal_is_the_basis_sandwich():
     values = rng.normal(size=(5, 4))
     z = basis.columns
     expect = z @ QMatrix.diag([Quaternion(*v) for v in values]) @ z.adjoint()
-    assert (basis.diagonal(values) - expect).norm() <= 1e-12 * np.abs(values).max()
+    assert op_norm(basis.diagonal(values) - expect) <= 1e-12 * np.abs(values).max()
 
 
 def test_plus_subspace_basis_recovers_j():
@@ -355,7 +355,7 @@ def test_plus_subspace_basis_recovers_j():
     for m in range(4):
         u = basis.vector(m)
         assert (j @ u - u.rmul(I)).norm() <= 1e-10
-    assert (basis.matrix(I) - j).norm() <= 1e-10
+    assert op_norm(basis.matrix(I) - j) <= 1e-10
 
 
 # -- random generators ----------------------------------------------------
@@ -393,7 +393,7 @@ def test_random_unitary_is_the_polar_factor_of_its_gaussian_draw():
     assert rng.normal() == ref.normal()
     assert is_unitary(v)
     p = v.adjoint() @ m
-    assert (p - sqrt_positive(m.adjoint() @ m)).norm() <= 1e-10 * op_norm(m)
+    assert op_norm(p - sqrt_positive(m.adjoint() @ m)) <= 1e-10 * op_norm(m)
 
 
 # -- scalar-loop oracle for the complex-pair arithmetic ------------------------------------

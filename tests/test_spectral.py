@@ -25,11 +25,11 @@ def flag_matrix() -> QMatrix:
 
 def test_delta_q_examples():
     t, _ = random_normal(4, RNG)
-    assert (delta_q(t, Quaternion()) - t @ t).norm() <= 1e-14
+    assert op_norm(delta_q(t, Quaternion()) - t @ t) <= 1e-14
     r = 1.7
     shifted = t - QMatrix.identity(4) * r
-    assert (delta_q(t, Quaternion(r)) - shifted @ shifted).norm() <= 1e-12
-    assert (delta_q(QMatrix.identity(3), I) - QMatrix.identity(3) * 2.0).norm() <= 1e-14
+    assert op_norm(delta_q(t, Quaternion(r)) - shifted @ shifted) <= 1e-12
+    assert op_norm(delta_q(QMatrix.identity(3), I) - QMatrix.identity(3) * 2.0) <= 1e-14
 
 
 def test_delta_q_constant_on_conjugacy_classes():
@@ -37,7 +37,7 @@ def test_delta_q_constant_on_conjugacy_classes():
     alpha, beta = 0.4, 1.1
     d1 = delta_q(t, Quaternion(alpha) + random_sphere_point(RNG) * beta)
     d2 = delta_q(t, Quaternion(alpha) + random_sphere_point(RNG) * beta)
-    assert (d1 - d2).norm() <= 1e-13
+    assert op_norm(d1 - d2) <= 1e-13
 
 
 # -- spherical spectrum --------------------------------------------------------------
@@ -154,16 +154,16 @@ def test_resolvent_series_against_direct_inverse():
         direct = np.linalg.inv(chi_embed(delta))
         assert np.linalg.norm(chi_embed(res) - direct, 2) <= 1e-8
         eye = QMatrix.identity(4)
-        assert (delta @ res - eye).norm() <= 1e-8
-        assert (res @ delta - eye).norm() <= 1e-8
+        assert op_norm(delta @ res - eye) <= 1e-8
+        assert op_norm(res @ delta - eye) <= 1e-8
 
 
 def test_resolvent_series_trivial_cases():
     res = resolvent_series(QMatrix.zeros(3), Quaternion(1), 1e-12)
-    assert (res - QMatrix.identity(3)).norm() <= 1e-14
+    assert op_norm(res - QMatrix.identity(3)) <= 1e-14
     # a_0 = |q|^(-2): for T = 0 the series is exactly I |q|^(-2)
     res = resolvent_series(QMatrix.zeros(2), Quaternion(0, 2, 0, 0), 1e-12)
-    assert (res - QMatrix.identity(2) * 0.25).norm() <= 1e-14
+    assert op_norm(res - QMatrix.identity(2) * 0.25) <= 1e-14
 
 
 @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
@@ -175,7 +175,7 @@ def test_resolvent_series_scales_with_t(c):
     base = resolvent_series(t, q, 1e-10)
     res = resolvent_series(t * c, q * c, 1e-10)
     assert np.isfinite(chi_embed(res)).all()
-    assert (res * (c * c) - base).norm() <= 1e-12 * base.norm()
+    assert op_norm(res * (c * c) - base) <= 1e-12 * op_norm(base)
 
 
 def test_resolvent_series_rejects_small_q():
@@ -190,7 +190,7 @@ def test_resolvent_series_pure_imaginary_q():
     t, _ = random_normal(3, RNG)
     q = random_sphere_point(RNG) * (2.0 * op_norm(t))
     res = resolvent_series(t, q, 1e-10)
-    assert (delta_q(t, q) @ res - QMatrix.identity(3)).norm() <= 1e-8
+    assert op_norm(delta_q(t, q) @ res - QMatrix.identity(3)) <= 1e-8
 
 
 # -- spectral classes -------------------------------------------------------------------
