@@ -4,9 +4,11 @@ Every normal T decomposes as T = A + JB with A = (T+T*)/2 self-adjoint,
 B = |T-T*|/2 positive, and J an anti-self-adjoint unitary commuting with
 both. J extends to a full left scalar multiplication L commuting with A and
 B; fixing iota = i, kappa = j gives the operators J = L_i, K = L_j used by
-the calculi. All of them are read off one eigensystem T u_m = u_m lambda_m,
-lambda_m = alpha_m + iota beta_m, with Z = [u_m] an orthonormal basis of
-H+: J = Z diag(iota) Z*, B = Z diag(beta_m) Z* and ||T|| = max |lambda_m|.
+the calculi. `build_context(T)` is the one entry point: `ctx.j` is J and
+L_q is `ctx.basis.matrix(q)`. J, K and B are read off one eigensystem
+T u_m = u_m lambda_m, lambda_m = alpha_m + iota beta_m, with Z = [u_m] an
+orthonormal basis of H+: J = Z diag(iota) Z*, B = Z diag(beta_m) Z* and
+||T|| = max |lambda_m|.
 The eigensystem takes one Hermitian eigensolve of H + mu K, H and K the
 commuting self-adjoint and skew parts of chi(T), which separates the
 eigenvalues by alpha + mu beta; a complex Schur form is taken only of the
@@ -55,7 +57,7 @@ from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
                       _qmul, chi_embed, chi_extract, is_normal)
 from .quaternion import I as QI
 from .quaternion import J as QJ
-from .quaternion import REAL_TOL, Quaternion, SpherePoint
+from .quaternion import REAL_TOL, SpherePoint
 from .slicefn import (CircularSet, SliceFunction, StemFunction, _within,
                       cluster_points, is_circular, is_cslice, is_intrinsic)
 from .spectral import CLUSTER_TOL
@@ -198,10 +200,6 @@ class CalculusContext:
     def n(self) -> int:
         return self.t.n
 
-    def left(self, q: Quaternion) -> QMatrix:
-        """The left scalar multiplication L_q of the context basis."""
-        return self.basis.matrix(q)
-
     @cached_property
     def _spheres(self) -> tuple[np.ndarray, list[list[int]]]:
         """The lambda_m clustered once at CLUSTER_TOL ||T||: (reps, members)."""
@@ -229,27 +227,19 @@ class CalculusContext:
         }
 
 
-def construct_J(t: QMatrix) -> QMatrix:
-    """Anti-self-adjoint unitary J commuting with T and T*, satisfying
-    T = A + JB.
-
-    J = Z diag(iota) Z* on the eigenbasis Z of `build_context` (T u_m =
-    u_m lambda_m, lambda_m in C_iota with Im lambda_m >= 0), which also gates
-    the residual. On Ker(T-T*)^perp this is the unique J with
-    J |T-T*| = T - T*. On the kernel the paper leaves J free among the
-    anti-self-adjoint unitaries completing T = A + JB; the half basis that
-    pivoted sigma-orthogonalization picks on each real eigensphere fixes a
-    deterministic completion (any valid completion yields the same calculi).
-    """
-    return build_context(t).j
-
-
 def build_context(t: QMatrix) -> CalculusContext:
     """Assemble the full decomposition bundle for a normal operator.
 
     Everything is read off one eigensystem T = Z diag(lambda_m) Z*,
-    lambda_m = alpha_m + iota beta_m: J = Z diag(iota) Z*, B = |T - T*|/2 =
-    Z diag(beta_m) Z* and ||T|| = max |lambda_m|; A = (T + T*)/2 is exact.
+    lambda_m = alpha_m + iota beta_m with Im lambda_m >= 0:
+    J = Z diag(iota) Z*, B = |T - T*|/2 = Z diag(beta_m) Z* and
+    ||T|| = max |lambda_m|; A = (T + T*)/2 is exact. J is an
+    anti-self-adjoint unitary commuting with T and T*. On Ker(T - T*)^perp
+    it is the unique J with J |T - T*| = T - T*. On the kernel the paper
+    leaves J free among the anti-self-adjoint unitaries completing
+    T = A + JB; the half basis that pivoted sigma-orthogonalization picks on
+    each real eigensphere fixes a deterministic completion (any valid
+    completion yields the same calculi).
     The eigen-residual ||T - Z diag(lambda_m) Z*||_F bounds
     ||T - (A + JB)|| from above and must stay below 1e-10 ||T||. When it
     does not, or the eigenbasis is not orthonormal, the `NumericalError`

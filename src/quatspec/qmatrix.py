@@ -25,14 +25,13 @@ Main contents:
 - `chi_embed` / `chi_extract` - the complex adjoint representation
   M = M1 + M2*j  ->  [[M1, M2], [-conj(M2), conj(M1)]]
 - `op_norm` - operator norm sup ||Mu||/||u|| (largest singular value of chi)
-- `sqrt_positive` - square root of a positive operator
 - `polar_decompose` - M = W P with P = |M|, W isometric on Ker(P)^perp
+- `sqrt_positive` - square root of a positive operator, the reference for P
 - `split_plus_minus` - the splitting H = H+ (+) H- attached to (J, iota)
 - `LeftMultiplication` - basis-induced left scalar
   multiplication L_q u = sum_z z q <z|u>, and the diagonal sandwich
-  Z diag(q_m) Z* on the basis columns Z
-- `extend_complex_operator` - unique right-H-linear, J-commuting extension of
-  a complex operator given on an orthonormal basis of H+
+  Z diag(q_m) Z* on the basis columns Z, which realizes every operator the
+  calculi build from an eigenbasis
 - random generators for matrices, Haar unitaries (the polar factor of a
   Gaussian matrix) and normal operators with a prescribed ground-truth
   spectrum
@@ -40,7 +39,7 @@ Main contents:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -188,10 +187,6 @@ class QVector(_QArray):
     _ndim = 1
 
     @classmethod
-    def from_quaternions(cls, entries: Iterable[Quaternion]) -> "QVector":
-        return cls.from_components([q.components() for q in entries])
-
-    @classmethod
     def basis_vector(cls, n: int, k: int) -> "QVector":
         x1 = np.zeros(n)
         x1[k] = 1.0
@@ -323,17 +318,6 @@ def chi_extract(c: np.ndarray, tol: float = 1e-10) -> QMatrix:
     return QMatrix(0.5 * (c11 + c22.conj()), 0.5 * (c12 - c21.conj()))
 
 
-def chi_vec(u: QVector) -> np.ndarray:
-    """Complex coordinates of u consistent with chi_embed: chi(M)chi(u) = chi(Mu)."""
-    return np.concatenate([u.x1, -u.x2.conj()])
-
-
-def chi_vec_extract(v: np.ndarray) -> QVector:
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0] // 2
-    return QVector(v[:n], -v[n:].conj())
-
-
 def op_norm(m: QMatrix) -> float:
     """Operator norm sup ||Mu||/||u||, the largest singular value of chi(M)
     (the first one `svd` returns, in descending order)."""
@@ -437,10 +421,6 @@ class LeftMultiplication:
                 f"basis is not orthonormal (Gram deviation {defect:.3e})")
         self.columns = columns
 
-    @classmethod
-    def standard(cls, n: int) -> "LeftMultiplication":
-        return cls(QMatrix.identity(n))
-
     @property
     def n(self) -> int:
         return self.columns.n
@@ -461,26 +441,6 @@ class LeftMultiplication:
     def matrix(self, q: Quaternion) -> QMatrix:
         """The operator L_q as a quaternionic matrix."""
         return self.diagonal(np.tile(_as_qarray(q), (self.n, 1)))
-
-
-def extend_complex_operator(s: np.ndarray, basis: LeftMultiplication,
-                            iota: SpherePoint) -> QMatrix:
-    """Extend a complex operator on H+ to a right-H-linear operator on H^n.
-
-    `s` is the n x n complex matrix of the operator in the orthonormal basis
-    of H+^{J iota} whose vectors are the columns of `basis` (those vectors
-    also form a Hilbert basis of H^n). The result is the unique right-H-linear
-    extension commuting with J = L_iota; it satisfies ||extension|| = ||s||
-    and respects products and adjoints.
-    """
-    s = np.asarray(s, dtype=complex)
-    n = basis.n
-    if s.shape != (n, n):
-        raise PreconditionError(f"expected a {n} x {n} complex matrix, got {s.shape}")
-    # s.real + iota s.imag with iota = b i + (c + d i) j
-    ext = QMatrix(s.real + 1j * iota.b * s.imag, complex(iota.c, iota.d) * s.imag)
-    z = basis.columns
-    return z @ ext @ z.adjoint()
 
 
 # -- random generators ------------------------------------------------------------

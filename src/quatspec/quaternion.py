@@ -4,11 +4,15 @@ This module contains:
 
 - `Quaternion` - an element a + b*i + c*j + d*k of the real quaternion algebra
 - `SpherePoint` - a unit imaginary quaternion (a square root of -1)
-- `ComplexifiedQuaternion` - an element q + I*p of H(x)C with central I, I^2 = -1
-- `sphere_decompose(q)` - split q = alpha + iota*beta with beta >= 0
+- `fold(q)` - the upper-half-plane representative (Re q, |Im q|) of S_q
 - `_cstar_norm` - the C*-norm on H(x)C, on floats or on arrays of elements
 - `sphere_grid(count)` - deterministic quasi-uniform sample of S
 - `random_sphere_point(rng)` - uniform random element of S
+
+Two scalar forms are kept as references for the array kernels that the
+program runs: `ComplexifiedQuaternion` (an element q + I*p of H(x)C, against
+`qmatrix._hc_mul` and `_hc_norm`) and `sphere_decompose(q)` (q = alpha +
+iota*beta with beta >= 0, against `SliceFunction.values`).
 """
 
 from __future__ import annotations
@@ -112,15 +116,6 @@ class Quaternion:
     def im_norm(self) -> float:
         return math.sqrt(self.b * self.b + self.c * self.c + self.d * self.d)
 
-    def is_real(self, tol: float = REAL_TOL) -> bool:
-        return self.im_norm() <= tol * max(1.0, self.norm())
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.a**2 + self.b**2 + self.c**2 + self.d**2
-        if n2 == 0.0:
-            raise ZeroDivisionError("0 has no inverse in H")
-        return self.conjugate() / n2
-
     def isclose(self, other: "Quaternion | float", tol: float = 1e-12) -> bool:
         return (self - _coerce(other)).norm() <= tol
 
@@ -162,12 +157,6 @@ class SpherePoint(Quaternion):
         if abs(n - 1.0) > 1e-9:
             raise PreconditionError(f"not a unit imaginary quaternion: |Im| = {n}")
         super().__init__(0.0, b / n, c / n, d / n)
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion, tol: float = 1e-9) -> "SpherePoint":
-        if abs(q.a) > tol * max(1.0, q.norm()):
-            raise PreconditionError("quaternion has a nonzero real part")
-        return cls(q.b, q.c, q.d)
 
 
 def _cstar_norm(q, p):
@@ -278,15 +267,3 @@ def random_sphere_point(rng: np.random.Generator) -> SpherePoint:
         n = float(np.linalg.norm(v))
     return SpherePoint(v[0] / n, v[1] / n, v[2] / n)
 
-
-def orthogonal_sphere_point(iota: SpherePoint, rng: np.random.Generator | None = None) -> SpherePoint:
-    """Some kappa in S with iota*kappa = -kappa*iota (axes orthogonal in R^3)."""
-    axis = np.array([iota.b, iota.c, iota.d])
-    probe = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    if rng is not None:
-        probe = rng.normal(size=3)
-    v = probe - axis * float(np.dot(axis, probe))
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        return orthogonal_sphere_point(iota, np.random.default_rng(0))
-    return SpherePoint(v[0] / n, v[1] / n, v[2] / n)

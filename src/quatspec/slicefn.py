@@ -14,7 +14,8 @@ written once on such arrays: the product (`_hc_mul`), the star (`_hc_star`),
 the sum and the component projection act on the coefficients when every
 operand is a polynomial (the product on every pair, exponents added) and on
 the values otherwise. `SliceFunction.values(qs)` gives f at (m, 4) arrays of
-quaternions; `eval` is either evaluator at one point.
+quaternions; `eval` is either evaluator at one point, the scalar oracle
+of the tests.
 
 Contents:
 
@@ -23,15 +24,15 @@ Contents:
 - `cluster_points` - the greedy point merge behind every spectrum clustering
 - `StemFunction` - poly / builtin / tabulated / derived stem with its domain
 - `SliceFunction` - the induced function, with evaluation and the algebra
-- `slice_product`, `slice_star`, `classify_slice`,
-  `decompose_components`, `sup_norm`
-- predicates `is_intrinsic`, `is_circular`, `is_cslice`
+- `slice_product`, `slice_add`, `slice_star`, `decompose_components`,
+  `sup_norm`
+- the class predicates `is_intrinsic`, `is_circular`, `is_cslice`, each
+  the gate of one calculus
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,9 +69,6 @@ class CircularSet:
 
     def radius(self) -> float:
         return float(np.hypot(self.reps[:, 0], self.reps[:, 1]).max(initial=0.0))
-
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(a), float(b)) for a, b in self.reps]
 
     def as_complex(self) -> np.ndarray:
         return self.reps[:, 0] + 1j * self.reps[:, 1]
@@ -358,25 +356,6 @@ class StemFunction:
         raise PreconditionError(f"unknown stem kind {data['kind']!r}")
 
 
-# -- slice class tags -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SliceClass:
-    kind: str  # "intrinsic" | "cslice" | "circular" | "general"
-    iota: SpherePoint | None = None
-
-    def __str__(self) -> str:
-        if self.kind == "cslice":
-            return f"cslice({self.iota.b:+.3f},{self.iota.c:+.3f},{self.iota.d:+.3f})"
-        return self.kind
-
-
-INTRINSIC = SliceClass("intrinsic")
-CIRCULAR = SliceClass("circular")
-GENERAL = SliceClass("general")
-
-
 class SliceFunction:
     """Slice function induced by a stem: f(alpha + iota beta) = F1 + iota F2."""
 
@@ -542,23 +521,6 @@ def is_cslice(f: SliceFunction, iota: SpherePoint, tol: float = 1e-9) -> bool:
     axis = np.array([iota.b, iota.c, iota.d])
     ims = vals[:, 1:]
     return _within(ims - np.outer(ims @ axis, axis), vals, tol)
-
-
-def classify_slice(f: SliceFunction, tol: float = 1e-9) -> SliceClass:
-    """Most specific class tag: Intrinsic, else Circular, else CSlice(iota),
-    else General. Intrinsic functions are CSlice(iota) for every iota, and a
-    circular function may also be CSlice; use the `is_*` predicates for
-    membership tests."""
-    if is_intrinsic(f, tol):
-        return INTRINSIC
-    if is_circular(f, tol):
-        return CIRCULAR
-    ims = np.concatenate(_class_values(f))[:, 1:]
-    lead = ims[int(np.argmax(np.linalg.norm(ims, axis=1)))]
-    iota = SpherePoint(*lead / np.linalg.norm(lead))
-    if is_cslice(f, iota, tol):
-        return SliceClass("cslice", iota)
-    return GENERAL
 
 
 def decompose_components(f: SliceFunction, iota: SpherePoint, kappa: SpherePoint,

@@ -130,13 +130,14 @@ def verify_spectral_classes(t: QMatrix) -> VerificationReport:
     containments, plus sigma_S(T) = sigma_S(T*) and the circularity contract.
     The class is read off the `qmatrix` predicates at their default
     tolerances, which are relative to ||T||_F (unitarity fixes the scale), so
-    c T has the class of T for every c > 0 except the unitary ones.
+    c T has the class of T for every c > 0 except the unitary ones. Every
+    tolerance is relative to ||T|| with no floor, so it scales with T.
 
     In finite dimension the residual and continuous parts of the spectrum are
     empty; the report records this instead of representing them.
     """
     report = VerificationReport()
-    scale = max(1.0, op_norm(t))
+    tnorm = op_norm(t)
     sa = is_self_adjoint(t)
     asa = is_anti_self_adjoint(t)
     unitary = is_unitary(t)
@@ -156,7 +157,7 @@ def verify_spectral_classes(t: QMatrix) -> VerificationReport:
     report.meta["class"] = detected
 
     spec = spherical_spectrum(t)
-    tol = 1e-8 * scale
+    tol = 1e-8 * tnorm
     if sa:
         report.add("spectrum-real", "T = T*  =>  sigma_S(T) subset R",
                    float(spec.reps[:, 1].max(initial=0.0)), tol)
@@ -174,7 +175,7 @@ def verify_spectral_classes(t: QMatrix) -> VerificationReport:
                    hausdorff(spec.reps, target), tol)
     if normal:
         report.add("radius-equals-norm", "T normal  =>  r_S(T) = ||T||",
-                   abs(spec.radius() - op_norm(t)), 1e-9 * scale)
+                   abs(spec.radius() - tnorm), 1e-9 * tnorm)
     spec_star = spherical_spectrum(t.adjoint())
     report.add("adjoint-same-spectrum", "sigma_S(T) = sigma_S(T*)",
                hausdorff(spec.reps, spec_star.reps), tol)

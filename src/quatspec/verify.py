@@ -11,6 +11,14 @@ takes the same numbers from the generator as one draw per sample would.
 Operator residuals are Frobenius norms, which bound the operator norm from
 above and need no SVD; `op_norm` is taken only where the operator norm is
 the quantity under test and for tolerance scales.
+
+Two rows of the calculus suite check the paper's definitions on their own
+terms, not through the context's eigensystem. `B-definition`: by uniqueness
+of the positive square root, B = |T - T*|/2 exactly when B* = B, chi(B) >= 0
+(one `eigvalsh`) and (2B)^2 = (T - T*)*(T - T*), each relative to ||T||
+(||T||^2 for the square). `plus-minus-splitting`: `split_plus_minus` of the
+measure rows' vector gives u = u+ + u- with J u+- = +-u+- iota and <u+|u->
+in span{kappa, iota kappa}, at the 1e-9 of `J-unit`.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .calculus import (alternate_kernel_J, build_context, circular_calculus,
                        spectral_measure_weights)
 from .qmatrix import (QMatrix, _as_qarray, _hc_mul, _hc_norm, _hc_star, _pair_product,
                       _qconj, _qmul, chi_embed, is_normal, is_self_adjoint, op_norm,
-                      random_normal, random_qvector)
+                      random_normal, random_qvector, split_plus_minus)
 from .quaternion import (Quaternion, SpherePoint, fold, random_sphere_point,
                          sphere_grid)
 from .reporting import VerificationReport
@@ -268,10 +276,18 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
                     rng: np.random.Generator) -> None:
     ctx = build_context(t)
     scale = max(1.0, ctx.tnorm)
+    rel = 1.0 / (ctx.tnorm or 1.0)  # residuals that scale with T; T = 0 is exact
     eye = QMatrix.identity(t.n)
 
     report.worst("decomposition", "T = A + JB",
                  (ctx.t - (ctx.a + ctx.j @ ctx.b)).frobenius(), 1e-10 * scale)
+    # B = |T - T*|/2 by uniqueness of the positive square root: B is the one
+    # self-adjoint B >= 0 with (2B)^2 = (T - T*)*(T - T*)
+    d, b2 = t - t.adjoint(), ctx.b * 2.0
+    report.worst("B-definition", "B* = B >= 0, (2B)^2 = (T - T*)*(T - T*)",
+                 max((ctx.b - ctx.b.adjoint()).frobenius() * rel,
+                     max(0.0, -float(np.linalg.eigvalsh(chi_embed(ctx.b))[0])) * rel,
+                     (b2 @ b2 - d.adjoint() @ d).frobenius() * rel ** 2), 1e-10)
     for name, u in (("J", ctx.j), ("K", ctx.k)):
         report.worst(f"{name}-unit", f"{name}* = -{name}, {name}*{name} = I",
                      max((u + u.adjoint()).frobenius(), (u.adjoint() @ u - eye).frobenius()),
@@ -380,7 +396,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     qv = Quaternion(*(rng.normal(size=4) * 2.0))
     report.worst("circular-constant-L", "constant q maps to L_q",
                  (circular_calculus(ctx, SliceFunction.constant(qv))
-                  - ctx.left(qv)).frobenius(),
+                  - ctx.basis.matrix(qv)).frobenius(),
                  1e-10 * max(1.0, qv.norm()))
     fc, gc = _random_poly_slice(rng, circular=True), _random_poly_slice(rng, circular=True)
     fct, gct = circular_calculus(ctx, fc), circular_calculus(ctx, gc)
@@ -408,7 +424,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     nfgt = op_norm(fgt)
     report.worst("general-right-scalar", "(f q)(T) = f(T) q",
                  (general_calculus(ctx, slice_product(fg, SliceFunction.constant(qv)))
-                  - fgt @ ctx.left(qv)).frobenius(),
+                  - fgt @ ctx.basis.matrix(qv)).frobenius(),
                  1e-9 * max(1.0, nfgt * qv.norm()))
     f0, f1, f2, f3 = decompose_components(fg, ctx.iota, ctx.kappa)
     twisted = f0 + slice_product(f1, SliceFunction.constant(ctx.iota)) \
@@ -437,8 +453,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
 
     # spectral resolution: the projections P_s = P1 + P2 j of the spheres of
     # sigma_S(T), checked at once in the Frobenius norm of (S, n, n) stacks of
-    # P1 and P2; residuals that scale with T are relative to ||T|| (T = 0 is exact)
-    rel = 1.0 / (ctx.tnorm or 1.0)
+    # P1 and P2
     projections = ctx.projections()
     p1, p2 = np.stack([p.x1 for p in projections]), np.stack([p.x2 for p in projections])
     report.worst("projection-sum", "sum_s P_s = I",
@@ -466,6 +481,18 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     report.worst("measure-moment", "||f(T)u||^2 = sum |f(lambda)|^2 w",
                  abs((intrinsic_calculus(ctx, f_sq) @ vec).norm() ** 2 - expect)
                  / (expect or 1.0), 1e-9)
+    # the splitting H = H+ (+) H- of the same vector; <u+|u-> itself is not
+    # zero, but its C_iota part is: it lies in span{kappa, iota kappa}
+    u_plus, u_minus = split_plus_minus(vec, ctx.j, ctx.iota)
+    inner = u_plus.inner(u_minus).components()
+    size = vec.norm()
+    report.worst("plus-minus-splitting",
+                 "u = u+ + u-, J u+- = +-u+- iota, <u+|u-> in span{kappa, iota kappa}",
+                 max(max((u_plus + u_minus - vec).norm(),
+                         (ctx.j @ u_plus - u_plus.rmul(ctx.iota)).norm(),
+                         (ctx.j @ u_minus + u_minus.rmul(ctx.iota)).norm()) / size,
+                     np.hypot(inner[0], inner[1:] @ _as_qarray(ctx.iota)[1:]) / size ** 2),
+                 1e-9)
 
     # choice independence of the polynomial calculus
     if ctx.kernel_flags.any():

@@ -300,7 +300,7 @@ def test_criterion_11_general_calculus():
         q = random_quat()
         lhs = general_calculus(ctx, slice_product(f, SliceFunction.constant(q)))
         worst_scalar = max(worst_scalar,
-                           op_norm(lhs - ft @ ctx.left(q))
+                           op_norm(lhs - ft @ ctx.basis.matrix(q))
                            / max(1.0, op_norm(ft) * q.norm()))
         f0, f1, f2, f3 = decompose_components(f, ctx.iota, ctx.kappa)
         twisted = f0 + slice_product(f1, SliceFunction.constant(ctx.iota)) \

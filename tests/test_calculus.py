@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatspec.calculus import (_SPLIT_MU, alternate_kernel_J, build_context,
-                               circular_calculus, construct_J, cslice_calculus,
+                               circular_calculus, cslice_calculus,
                                general_calculus, intrinsic_calculus,
                                polynomial_calculus, slice_regular_contour,
                                spectral_measure_weights)
@@ -58,18 +58,18 @@ def random_cslice(iota) -> SliceFunction:
                                               SliceFunction.constant(iota))
 
 
-# -- construct_J -----------------------------------------------------------------
+# -- J = build_context(t).j ------------------------------------------------------
 
 def test_construct_J_diag_example():
     # T = diag(2i): T - T* = diag(4i) has polar factor diag(i)
-    j = construct_J(QMatrix.diag([I * 2.0]))
+    j = build_context(QMatrix.diag([I * 2.0])).j
     assert op_norm(j - QMatrix.diag([I])) <= 1e-13
 
 
 def test_construct_J_properties():
     for kind in ("normal", "selfadjoint", "antiselfadjoint"):
         t, _ = random_normal(5, RNG, kind=kind)
-        j = construct_J(t)
+        j = build_context(t).j
         scale = max(1.0, op_norm(t))
         assert is_anti_self_adjoint(j) and is_unitary(j)
         assert op_norm(j @ t - t @ j) <= 1e-10 * scale
@@ -82,13 +82,13 @@ def test_construct_J_properties():
 
 def test_construct_J_squares_to_minus_identity():
     t, _ = random_normal(4, RNG, kind="selfadjoint")
-    j = construct_J(t)
+    j = build_context(t).j
     assert op_norm(j @ j + QMatrix.identity(4)) <= 1e-11
 
 
 def test_construct_J_rejects_non_normal():
     with pytest.raises(PreconditionError):
-        construct_J(random_qmatrix(3, RNG))
+        build_context(random_qmatrix(3, RNG))
 
 
 # -- context ---------------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_context_left_multiplication_commutes_with_parts():
     ctx = build_context(t)
     for _ in range(3):
         q = Quaternion(*RNG.normal(size=4))
-        lq = ctx.left(q)
+        lq = ctx.basis.matrix(q)
         assert op_norm(lq @ ctx.a - ctx.a @ lq) <= 1e-10 * max(1.0, q.norm())
         assert op_norm(lq @ ctx.b - ctx.b @ lq) <= 1e-10 * max(1.0, q.norm())
 
@@ -510,7 +510,7 @@ def test_circular_constants():
     ctx = build_context(t)
     assert op_norm(circular_calculus(ctx, SliceFunction.constant(J)) - ctx.k) <= 1e-12
     q = Quaternion(*RNG.normal(size=4))
-    assert op_norm(circular_calculus(ctx, SliceFunction.constant(q)) - ctx.left(q)) <= \
+    assert op_norm(circular_calculus(ctx, SliceFunction.constant(q)) - ctx.basis.matrix(q)) <= \
         1e-10 * max(1.0, q.norm())
 
 
@@ -563,7 +563,7 @@ def test_general_right_scalar_compatibility():
     for _ in range(3):
         q = Quaternion(*RNG.normal(size=4))
         lhs = general_calculus(ctx, slice_product(f, SliceFunction.constant(q)))
-        assert op_norm(lhs - ft @ ctx.left(q)) <= \
+        assert op_norm(lhs - ft @ ctx.basis.matrix(q)) <= \
             1e-9 * max(1.0, op_norm(ft) * q.norm())
 
 
@@ -685,7 +685,8 @@ def _per_node_contour(ctx, f, nodes: int) -> np.ndarray:
         c1 = s * f.eval(s) * (1.0 / nodes)
         c2 = s.conjugate() * c1
         delta = chi_t @ chi_t - 2.0 * s.a * chi_t + radius ** 2 * eye
-        acc -= np.linalg.solve(delta, chi_t @ chi_embed(ctx.left(c1)) - chi_embed(ctx.left(c2)))
+        acc -= np.linalg.solve(delta, chi_t @ chi_embed(ctx.basis.matrix(c1))
+                               - chi_embed(ctx.basis.matrix(c2)))
     return acc
 
 
@@ -895,12 +896,12 @@ def test_contour_kernel_equals_resolvent_series():
     from quatspec.spectral import delta_q
     delta_c = chi_embed(delta_q(t, zq))
     psi = np.linalg.solve(delta_c,
-                          chi_embed(t) - chi_embed(ctx.left(zq.conjugate())))
+                          chi_embed(t) - chi_embed(ctx.basis.matrix(zq.conjugate())))
     series = np.zeros_like(psi)
     power = QMatrix.identity(4)
     for n in range(60):
         c = zc ** (-n - 1)
-        series -= chi_embed(power) @ chi_embed(ctx.left(Quaternion(c.real) + I * c.imag))
+        series -= chi_embed(power) @ chi_embed(ctx.basis.matrix(Quaternion(c.real) + I * c.imag))
         power = power @ t
     assert np.linalg.norm(psi - series, 2) <= 1e-12
 

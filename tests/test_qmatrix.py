@@ -1,20 +1,18 @@
 """Tests for quaternionic matrices, the complex embedding and the operator
-machinery (square root, polar, splitting, extension, left multiplications)."""
+machinery (square root, polar, splitting, left multiplications)."""
 
 import json
 
 import numpy as np
 import pytest
 
-from quatspec.calculus import build_context, construct_J
+from quatspec.calculus import build_context
 from quatspec.errors import PreconditionError
 from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, _hc_mul,
                               _hc_norm, _hc_star, _qmul, chi_embed,
-                              chi_extract, chi_vec, chi_vec_extract,
-                              extend_complex_operator,
-                              is_anti_self_adjoint, is_normal, is_self_adjoint,
-                              is_unitary, op_norm, polar_decompose,
-                              random_normal,
+                              chi_extract, is_anti_self_adjoint, is_normal,
+                              is_self_adjoint, is_unitary, op_norm,
+                              polar_decompose, random_normal,
                               random_qmatrix, random_qvector, random_unitary,
                               split_plus_minus, sqrt_positive)
 from quatspec.quaternion import I, J, K, ONE, ComplexifiedQuaternion, Quaternion
@@ -124,14 +122,6 @@ def test_chi_extract_rejects_non_symplectic_at_every_scale():
     for c in (1e-12, 1.0, 1e12):
         with pytest.raises(PreconditionError, match="not in the image"):
             chi_extract(bad * c)
-
-
-def test_chi_vector_consistency():
-    m = random_qmatrix(4, RNG)
-    u = random_qvector(4, RNG)
-    assert np.linalg.norm(chi_embed(m) @ chi_vec(u) - chi_vec(m @ u)) <= 1e-12
-    assert (chi_vec_extract(chi_vec(u)) - u).norm() == 0.0
-    assert abs(np.linalg.norm(chi_vec(u)) - u.norm()) <= 1e-14
 
 
 # -- operator norm -----------------------------------------------------------------
@@ -274,7 +264,7 @@ def test_split_plus_minus_properties():
 def test_split_diag_example():
     # J = diag(i), u = (j): J j = ij = j(-i), so u lies in the minus subspace
     jd = QMatrix.diag([I])
-    u = QVector.from_quaternions([J])
+    u = QVector.from_components([J.components()])
     up, um = split_plus_minus(u, jd, I)
     assert up.norm() == 0.0
     assert (um - u).norm() == 0.0
@@ -283,28 +273,6 @@ def test_split_diag_example():
 def test_split_rejects_bad_j():
     with pytest.raises(PreconditionError):
         split_plus_minus(random_qvector(3, RNG), random_qmatrix(3, RNG), I)
-
-
-def test_extend_identity_and_j():
-    j, basis = make_j(4, RNG)
-    assert op_norm(extend_complex_operator(np.eye(4), basis, I)
-                   - QMatrix.identity(4)) <= 1e-12
-    assert op_norm(extend_complex_operator(1j * np.eye(4), basis, I) - j) <= 1e-12
-
-
-def test_extend_is_a_star_homomorphism_with_equal_norm():
-    _, basis = make_j(4, RNG)
-    s1 = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-    s2 = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
-    e1, e2 = (extend_complex_operator(s, basis, I) for s in (s1, s2))
-    assert abs(op_norm(e1) - np.linalg.norm(s1, 2)) <= 1e-11 * np.linalg.norm(s1, 2)
-    assert op_norm(extend_complex_operator(s1 @ s2, basis, I) - e1 @ e2) <= 1e-11 * \
-        np.linalg.norm(s1, 2) * np.linalg.norm(s2, 2)
-    assert op_norm(extend_complex_operator(s1.conj().T, basis, I) - e1.adjoint()) <= 1e-12 * \
-        np.linalg.norm(s1, 2)
-    # commutes with J and restricts correctly on basis vectors
-    j = basis.matrix(I)
-    assert op_norm(e1 @ j - j @ e1) <= 1e-11 * np.linalg.norm(s1, 2)
 
 
 def test_extend_rejects_bad_basis():
@@ -333,7 +301,7 @@ def test_left_mult_identities():
 
 
 def test_standard_left_mult_is_diagonal():
-    std = LeftMultiplication.standard(3)
+    std = LeftMultiplication(QMatrix.identity(3))
     q = Quaternion(1, 2, 3, 4)
     assert (std.matrix(q) - QMatrix.diag([q, q, q])).frobenius() <= 1e-14
 
@@ -350,8 +318,8 @@ def test_left_mult_diagonal_is_the_basis_sandwich():
 def test_plus_subspace_basis_recovers_j():
     # the H+ basis of a normal T (J u_m = u_m i) induces L_i = J
     t, _ = random_normal(4, np.random.default_rng(5))
-    j = construct_J(t)
-    basis = build_context(t).basis
+    ctx = build_context(t)
+    j, basis = ctx.j, ctx.basis
     for m in range(4):
         u = basis.vector(m)
         assert (j @ u - u.rmul(I)).norm() <= 1e-10

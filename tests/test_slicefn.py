@@ -10,7 +10,7 @@ from quatspec.qmatrix import _hc_mul, _hc_star
 from quatspec.quaternion import (I, J, K, ONE, Quaternion, SpherePoint,
                                  random_sphere_point, sphere_decompose)
 from quatspec.slicefn import (CircularSet, SliceFunction, StemFunction,
-                              _poly_stem, classify_slice, cluster_points,
+                              _poly_stem, cluster_points,
                               decompose_components, hausdorff,
                               is_circular, is_cslice, is_intrinsic,
                               one_sided_hausdorff, slice_add, slice_product,
@@ -35,7 +35,7 @@ def random_poly(quaternionic=True) -> SliceFunction:
 def test_circular_set_merges_and_sorts():
     k = CircularSet([[1.0, 0.5], [1.0 + 1e-10, 0.5], [-1.0, 0.0]])
     assert k.size == 3  # the input is not merged; clustering is the caller's
-    assert k.points()[0] == (-1.0, 0.0)
+    assert k.reps[0].tolist() == [-1.0, 0.0]
     assert k.contains(1.0, 0.5)
     assert k.contains(1.0, -0.5)  # folded
     assert not k.contains(0.0, 0.0)
@@ -252,17 +252,19 @@ def test_slice_add_and_sub():
 # -- classification ---------------------------------------------------------------------
 
 def test_classify_examples():
-    assert classify_slice(SliceFunction.builtin("id")).kind == "intrinsic"
-    assert classify_slice(SliceFunction.constant(J)).kind == "circular"
+    assert is_intrinsic(SliceFunction.builtin("id"))
+    assert is_circular(SliceFunction.constant(J))
+    assert not is_intrinsic(SliceFunction.constant(J))
     # F1 = alpha + j beta^2, F2 = beta: slice-valued in C_j, not intrinsic/circular
     f = SliceFunction.polynomial([(1, 0, ONE), (0, 2, J)], [(0, 1, ONE)])
-    cls = classify_slice(f)
-    assert cls.kind == "cslice" and cls.iota.isclose(J, 1e-9)
     assert is_cslice(f, J) and not is_intrinsic(f) and not is_circular(f)
-    # fully generic
+    assert not is_cslice(f, I)
+    # fully generic: imaginary parts along i and along (j + k)/sqrt(2)
     g = SliceFunction.polynomial([(1, 0, Quaternion(1, 1, 0, 0))],
                                  [(0, 1, Quaternion(0, 0, 1, 1))])
-    assert classify_slice(g).kind == "general"
+    assert not (is_intrinsic(g) or is_circular(g))
+    assert not any(is_cslice(g, iota)
+                   for iota in (I, SpherePoint(0.0, math.sqrt(0.5), math.sqrt(0.5))))
 
 
 def test_intrinsic_subsets_every_slice():
@@ -300,9 +302,9 @@ def test_decompose_constant():
 def test_decompose_reconstructs():
     f = random_poly()
     for iota, kappa in [(I, J), (J, K), (random_sphere_point(RNG), None)]:
-        if kappa is None:
-            from quatspec.quaternion import orthogonal_sphere_point
-            kappa = orthogonal_sphere_point(iota)
+        if kappa is None:  # an axis orthogonal to iota's
+            v = np.cross([iota.b, iota.c, iota.d], RNG.normal(size=3))
+            kappa = SpherePoint(*v / np.linalg.norm(v))
         f0, f1, f2, f3 = decompose_components(f, iota, kappa)
         for _ in range(5):
             q = random_quat()
@@ -453,7 +455,7 @@ BUILTIN_CIRCULAR_REFERENCE = {"re", "im", "sqrt", "one"}
 
 def reference_sample_zs(stem):
     if stem.domain is not None and stem.domain.size:
-        return [complex(a, b) for a, b in stem.domain.points()]
+        return [complex(a, b) for a, b in stem.domain.reps]
     zs = [complex(a, b) for a in np.linspace(-1.5, 1.5, 8) for b in np.linspace(0.15, 1.6, 8)]
     return zs + [complex(a, 0.0) for a in (-1.0, -0.25, 0.5, 1.25)]
 
@@ -527,11 +529,8 @@ def test_class_tests_agree_with_the_grid_reference():
         for iota in iotas + [I, J]:
             assert is_cslice(f, iota) == is_cslice_reference(f, iota)
         kind, axis = classify_reference(f)
-        cls = classify_slice(f)
-        assert cls.kind == kind
         if kind == "cslice":
-            got = np.array([cls.iota.b, cls.iota.c, cls.iota.d])
-            assert abs(abs(float(got @ axis)) - 1.0) <= 1e-9
+            assert is_cslice(f, SpherePoint(*axis))
         kinds.add(kind)
     assert kinds == {"intrinsic", "circular", "cslice", "general"}
 

@@ -3,10 +3,38 @@
 import numpy as np
 import pytest
 
-from quatspec.qmatrix import QMatrix, random_normal
+from quatspec.qmatrix import QMatrix, random_normal, random_unitary
+from quatspec.quaternion import Quaternion, random_sphere_point
 from quatspec.reporting import Check, VerificationReport
-from quatspec.spectral import gelfand_check
-from quatspec.verify import run_verification
+from quatspec.spectral import gelfand_check, verify_spectral_classes
+from quatspec.verify import _KINDS, run_verification, verify_calculus
+
+# every row of `verify --random 8,20,<seed>`, whatever the seed
+VERIFY_ROWS = frozenset("""
+    B-definition J-commutes-T J-unit JK-anticommute K-commutes-A K-commutes-B
+    K-transport K-unit adjoint-same-spectrum adjoint-similarity
+    circular-constant-K circular-constant-L circular-homomorphism
+    circular-isometry circular-norm-bound circular-spectral-containment
+    circular-star circularity contour-cubic contour-id contour-one
+    contour-square cslice-constant-J cslice-extends-intrinsic cslice-kernel
+    cslice-linearity cslice-norm cslice-spectral-map decomposition
+    eigensphere-membership gelfand-constant general-adjoint-rule
+    general-right-scalar hc-cstar-identity hc-norm-sandwich hc-star-antihom
+    hc-submultiplicative hc-sup-dominates hc-sup-sharp id-recovered
+    identity-recovered intrinsic-homomorphism intrinsic-isometry
+    intrinsic-spectral-map intrinsic-star kernel-choice-independence
+    measure-moment measure-total plus-minus-splitting projection-commutes
+    projection-orthogonal projection-sum quat-conj-antihom
+    quat-norm-multiplicative radius-equals-norm resolvent-series
+    restriction-identity slice-class-closure slice-cslice-commute
+    slice-norm-cstar slice-norm-submult slice-product-assoc
+    slice-representation slice-star-antihom spectral-decomposition
+    spectral-map-polynomial spectral-map-power-2 spectral-map-power-3
+    spectrum-ground-truth spectrum-imaginary spectrum-is-sphere spectrum-real
+    spectrum-unit-modulus square-intrinsic square-polynomial unity-recovered
+    upper-eigenvalues vanishing-polynomial
+""".split())
+DEFINITION_ROWS = ("B-definition", "plus-minus-splitting")
 
 
 def test_check_status():
@@ -106,3 +134,56 @@ def test_gelfand_high_power_does_not_overflow():
     """3^(2^12) overflows a float; the normalized powers do not."""
     seq = gelfand_check(QMatrix.identity(2) * 3.0, 12)
     assert np.all(np.abs(seq - 3.0) <= 1e-12 * 3.0)
+
+
+def test_random_run_has_every_row():
+    report = run_verification(random_spec=(8, 20, 7))
+    names = [c.name for c in report.checks]
+    assert len(names) == len(VERIFY_ROWS) == 78
+    assert set(names) == VERIFY_ROWS
+    assert report.ok, report.table()
+
+
+def _definition_rows(t: QMatrix) -> list[Check]:
+    report = VerificationReport()
+    verify_calculus(report, t, np.random.default_rng(0))
+    return [c for c in report.checks if c.name in DEFINITION_ROWS]
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0])
+def test_definition_rows_pass_at_every_scale(c):
+    """B = |T - T*|/2 and H = H+ (+) H- hold on every kind of the random
+    pool, their residuals relative to ||T||."""
+    rng = np.random.default_rng(7)
+    for kind in _KINDS:
+        rows = _definition_rows(random_normal(8, rng, kind=kind)[0] * c)
+        assert [r.name for r in rows] == list(DEFINITION_ROWS)
+        assert all(r.passed for r in rows), [r.to_json() for r in rows]
+
+
+def test_definition_rows_pass_on_nearly_real_eigenvalues():
+    """The inputs of `test_build_context_on_nearly_real_eigenvalues`: two
+    eigenvalues 1e-10 to 1e-6 off the real axis next to four well off it.
+    Only the two definition rows are read here."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(-2.0, 2.0, 6)
+        beta = rng.uniform(0.3, 2.0, 6)
+        beta[:2] = 10.0 ** rng.uniform(-10.0, -6.0)
+        d = QMatrix.diag([Quaternion(a) + random_sphere_point(rng) * b
+                          for a, b in zip(alpha, beta)])
+        v = random_unitary(6, rng)
+        rows = _definition_rows(v @ d @ v.adjoint())
+        assert len(rows) == 2 and all(r.passed for r in rows), (seed, [r.to_json() for r in rows])
+
+
+@pytest.mark.parametrize("kind", ["normal", "selfadjoint", "antiselfadjoint"])
+def test_spectral_class_tolerances_scale_with_t(kind):
+    """No max(1, ||T||) floor: each row's tolerance for 1e-12 T is 1e-12
+    times its tolerance for T, and the rows are the same."""
+    t = random_normal(6, np.random.default_rng(3), kind=kind)[0]
+    rows, small = verify_spectral_classes(t).checks, verify_spectral_classes(t * 1e-12).checks
+    assert [r.name for r in small] == [r.name for r in rows]
+    for r, r_small in zip(rows, small):
+        assert r_small.tolerance == pytest.approx(1e-12 * r.tolerance, rel=1e-12, abs=0.0)
+        assert r_small.passed
