@@ -13,7 +13,8 @@ The eigensystem takes one Hermitian eigensolve of H + mu K, H and K the
 commuting self-adjoint and skew parts of chi(T), which separates the
 eigenvalues by alpha + mu beta; a complex Schur form is taken only of the
 blocks of eigenvalues that share alpha + mu beta to within 1e-4 of the
-spectrum's scale.
+spectrum's scale, and one Cayley step makes the whole a Schur basis of
+chi(T) when T is normal only to within rounding of its data.
 The calculi are:
 
 - polynomial:  g(T) = Q1(A,B) + J Q2(A,B)
@@ -28,8 +29,9 @@ f(T) = Z diag(F1(lambda_m) + iota F2(lambda_m)) Z*, since
 f_l(T) E_l = Z diag(f_l(lambda_m) e_l) Z* for E_l = L_{e_l}. Each calculus
 checks its class of f and keeps the components l it covers. The polynomial
 route and the contour realization over a circle in C_iota stay independent
-cross-checks. The contour takes its own Schur form of chi(T), which is
-diagonal up to rounding for normal T, and sums the quadrature on that
+cross-checks. chi(T) is diagonalized once per context, chi(T) U = U diag(d)
+with U unitary (`CalculusContext.chi_diag`); the contour certifies that
+factorization against T by its own residual and sums the quadrature on its
 diagonal: one weight array over all nodes, no solve per node.
 
 The decomposition data is bundled in an immutable `CalculusContext`; all
@@ -73,7 +75,8 @@ _SPLIT_GAP = 1e-4  # split of the eigh spectrum, times its largest modulus
 
 
 def _split_schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Eigenvalues, unitary eigenvectors and off-diagonal mass of a normal c.
+    """Complex Schur form c = V S V* of a nearly normal c, diagonal up to
+    rounding for normal c.
 
     H = (c + c*)/2 and K = (c - c*)/(2i) commute for normal c, so one `eigh`
     of H + mu K = w c + (w c)*, w = (1 - i mu)/2, separates the eigenvalues
@@ -83,9 +86,18 @@ def _split_schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     compression is scalar within tau = _EIG_CLUSTER_TOL max |S_mm|, entry by
     entry (a single eigenvalue, a Kramers pair of a real one), keeps its
     vectors; any other block is replaced by the complex Schur form of its
-    compression, its columns rotated to match. Returns diag(S), V and
-    ||S - diag(S)||_F, which holds the off-block mass of the compression and
-    the strictly upper part of each Schur block.
+    compression, its rows and columns of S and its columns of V rotated to
+    match.
+    The eigh vectors of a c that is normal only to within E carry
+    cross-block mass of about ||E|| ||c|| / gap on both sides of the block
+    diagonal, where a Schur form has it above only. When the part L of S
+    below the block diagonal exceeds 1e-11 max |S_mm| (a tenth of the 1e-10
+    residual gates), one Cayley step removes it to first order:
+    A_ij = -S_ij / (S_ii - S_jj) on L, A <- A - A*,
+    Q = (I - A/2)^(-1) (I + A/2), V <- V Q, S <- Q* S Q. Cross-block
+    eigenvalues lie at least _SPLIT_GAP max |w| / sqrt(1 + mu^2) apart, so A
+    stays small. Normal input never takes the step. Returns diag(S), the
+    unitary V and the off-diagonal mass ||S - diag(S)||_F.
     """
     wc = (0.5 - 0.5j * _SPLIT_MU) * c
     w, v = np.linalg.eigh(wc + wc.conj().T)
@@ -97,25 +109,40 @@ def _split_schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     diag = np.diag(s)
     shift = np.diag((np.add.reduceat(diag, starts) / (stops - starts))[block])
     spread = np.abs(np.where(block[:, None] == block, s, 0.0) - shift).max(axis=1, initial=0.0)
-    scalar = (np.maximum.reduceat(spread, starts)
-              <= _EIG_CLUSTER_TOL * np.abs(diag).max(initial=0.0))
+    scale = np.abs(diag).max(initial=0.0)
+    scalar = np.maximum.reduceat(spread, starts) <= _EIG_CLUSTER_TOL * scale
     for lo, hi in zip(starts[~scalar].tolist(), stops[~scalar].tolist()):
-        s[lo:hi, lo:hi], z = scipy.linalg.schur(s[lo:hi, lo:hi], output="complex")
+        tri, z = scipy.linalg.schur(s[lo:hi, lo:hi], output="complex")
         v[:, lo:hi] = v[:, lo:hi] @ z
+        s[:, lo:hi] = s[:, lo:hi] @ z
+        s[lo:hi] = z.conj().T @ s[lo:hi]
+        s[lo:hi, lo:hi] = tri
+    below = block[:, None] > block
+    lower = np.where(below, s, 0.0)
+    if np.linalg.norm(lower) > 1e-11 * scale:
+        d = np.diag(s)
+        a = -lower / np.where(below, d[:, None] - d, 1.0)
+        a -= a.conj().T
+        eye = np.eye(w.size)
+        q = np.linalg.solve(eye - 0.5 * a, eye + 0.5 * a)
+        v = v @ q
+        s = q.conj().T @ s @ q
     evals = np.diag(s).copy()
     np.fill_diagonal(s, 0.0)
     return evals, v, float(np.linalg.norm(s))
 
 
-def _normal_eigensystem(t: QMatrix) -> tuple[np.ndarray, np.ndarray, QMatrix, float]:
+def _normal_eigensystem(t: QMatrix) -> tuple[np.ndarray, np.ndarray, QMatrix, float,
+                                             tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues (folded to Im >= 0) and a quaternionic orthonormal
     eigenbasis of a normal operator.
 
-    Returns (lambdas, is_real, columns, tnorm): T u_m = u_m lambda_m with
-    lambda_m read as alpha + iota*beta in C_iota, is_real flags the
+    Returns (lambdas, is_real, columns, tnorm, (d, U)): T u_m = u_m lambda_m
+    with lambda_m read as alpha + iota*beta in C_iota, is_real flags the
     eigenvectors of the real eigenspheres (the kernel of T - T*), the u_m are
-    the columns of the returned matrix, and tnorm = max |lambda_m|, which is
-    ||T|| for normal T.
+    the columns of the returned matrix, tnorm = max |lambda_m|, which is
+    ||T|| for normal T, and chi(T) U = U diag(d) is the diagonalization of
+    chi(T) the eigensystem was read from, U unitary.
 
     Route: `_split_schur` of chi(T), one Hermitian eigensolve that splits
     the eigenvalues by alpha + mu beta and a complex Schur form only of the
@@ -176,29 +203,47 @@ def _normal_eigensystem(t: QMatrix) -> tuple[np.ndarray, np.ndarray, QMatrix, fl
     for _ in range(2):
         gram = columns.adjoint() @ columns
         columns = columns @ (QMatrix.identity(n) * 3.0 - gram) * 0.5
-    return lambdas[order], is_real[order], columns, tnorm
+    return lambdas[order], is_real[order], columns, tnorm, (evals, q)
 
 
 @dataclass(frozen=True)
 class CalculusContext:
-    """Immutable bundle (T, A, B, J, K, eigendecomposition, basis) consumed
-    by every calculus; safe to share between threads."""
+    """Immutable bundle (T, eigendecomposition, basis) consumed by every
+    calculus, with A, B, J, K computed on first use; safe to share between
+    threads."""
 
     t: QMatrix
-    a: QMatrix
-    b: QMatrix
-    j: QMatrix
-    k: QMatrix
     iota: SpherePoint
     kappa: SpherePoint
     lambdas: np.ndarray            # (n,) complex, Im >= 0
     kernel_flags: np.ndarray       # (n,) bool: eigenvector of Ker(T - T*)
     basis: LeftMultiplication      # simultaneous real-diagonalizing basis
     tnorm: float                   # ||T|| = max |lambda_m|
+    chi_diag: tuple[np.ndarray, np.ndarray]  # (d, U): Schur basis of chi(T), U unitary
 
     @property
     def n(self) -> int:
         return self.t.n
+
+    @cached_property
+    def a(self) -> QMatrix:
+        """A = (T + T*)/2."""
+        return (self.t + self.t.adjoint()) * 0.5
+
+    @cached_property
+    def b(self) -> QMatrix:
+        """B = |T - T*|/2 = Z diag(beta_m) Z*."""
+        return self.basis.diagonal(self.lambdas.imag)
+
+    @cached_property
+    def j(self) -> QMatrix:
+        """J = L_iota = Z diag(iota) Z*."""
+        return self.basis.matrix(self.iota)
+
+    @cached_property
+    def k(self) -> QMatrix:
+        """K = L_kappa."""
+        return self.basis.matrix(self.kappa)
 
     @cached_property
     def _spheres(self) -> tuple[np.ndarray, list[list[int]]]:
@@ -245,8 +290,13 @@ def build_context(t: QMatrix) -> CalculusContext:
     does not, or the eigenbasis is not orthonormal, the `NumericalError`
     quotes the smallest gap between distinct eigenvalues of chi(T) and the
     clustering tolerance tau = 1e-11 ||T||.
+    The context keeps the one diagonalization of chi(T) the eigensystem was
+    read from, `chi_diag` = (d, U) with U unitary and chi(T) U = U diag(d)
+    up to the Schur form's strictly upper mass, which
+    `slice_regular_contour` sums its quadrature on. A, B, J and K are
+    computed on first use.
     """
-    lambdas, kernel_flags, columns, tnorm = _normal_eigensystem(t)
+    lambdas, kernel_flags, columns, tnorm, chi_diag = _normal_eigensystem(t)
 
     def gaps() -> str:
         evals = np.concatenate([lambdas, lambdas.conj()])
@@ -264,13 +314,9 @@ def build_context(t: QMatrix) -> CalculusContext:
     if residual > bound:
         raise NumericalError(f"eigen-residual ||T - Z diag(lambda) Z*|| = {residual:.3e} "
                              f"exceeds {bound:.3e}; {gaps()}")
-    j = basis.matrix(IOTA)
-    k = basis.matrix(KAPPA)
-    a = (t + t.adjoint()) * 0.5
-    b = basis.diagonal(lambdas.imag)
-    return CalculusContext(t=t, a=a, b=b, j=j, k=k, iota=IOTA, kappa=KAPPA,
-                           lambdas=lambdas, kernel_flags=kernel_flags, basis=basis,
-                           tnorm=tnorm)
+    return CalculusContext(t=t, iota=IOTA, kappa=KAPPA, lambdas=lambdas,
+                           kernel_flags=kernel_flags, basis=basis, tnorm=tnorm,
+                           chi_diag=chi_diag)
 
 
 def alternate_kernel_J(ctx: CalculusContext) -> QMatrix:
@@ -391,10 +437,10 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
 
     `f` is one slice function, whose image is returned, or a sequence of
     them, whose images are returned as a list in the same order. A sequence
-    shares the Schur form and the quadrature weights below. Each function is
-    checked on its own (domain, finiteness at the nodes, the symmetry of its
-    image); a domain or finiteness error of a sequence names the function by
-    its index.
+    shares the factorization and the quadrature weights below. Each function
+    is checked on its own (domain, finiteness at the nodes, the symmetry of
+    its image); a domain or finiteness error of a sequence names the
+    function by its index.
 
     The kernel at s is -Delta_s(T)^(-1) (T - L_conj(s)); each node
     contributes kernel composed with L_c1, c1 = w f(s), w the quadrature
@@ -402,17 +448,21 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
     term is -Delta_s(T)^(-1) (T L_c1 - L_c2) with c2 = conj(s) c1. f is read
     at every node in one call of `SliceFunction.values`.
 
-    The route is independent of the eigendecomposition in the context: it
-    reads only T, ||T|| and the basis inducing L. It takes one complex
-    Schur form chi(T) = U S U^H. With [P Q] = U^H chi(Z), Z the basis
+    The route reads T, ||T||, the basis inducing L and the context's
+    diagonalization chi(T) U = U diag(d), U unitary (`ctx.chi_diag`, the
+    Schur basis of `_split_schur`), and takes no factorization of its own.
+    It never reads the lambda_m, their clustering, the
+    sigma-orthogonalization, the Newton-Schulz steps or the sandwich, and it
+    certifies (d, U) against T by its own residual: with S = U^H chi(T) U,
+    ||S - diag(d)||_F = ||chi(T) U - U diag(d)||_F must stay below
+    1e-10 ||T|| (the bound of the `build_context` residual gate), else a
+    `NumericalError` quotes it. With [P Q] = U^H chi(Z), Z the basis
     columns, chi(L_c) = chi(Z) C(c) chi(Z)^H where
     C(c) = [[z1, z2], [-conj z2, conj z1]] (times I) for c = z1 + z2 j, so
     a node's term is U Delta_s(S)^(-1) (S [P Q] C(c1) - [P Q] C(c2)), whose
     right-hand side is gamma_s [SP; SQ; P; Q] for a 2 x 4 matrix gamma_s,
-    real-linear in (z1, z2) of c1 and c2, applied to the fixed blocks. T is
-    normal, so S is diagonal up to rounding: its strictly upper mass must
-    stay below 1e-10 ||T|| (the bound of the `build_context` residual gate),
-    and then S = diag(d), Delta_s(S) = diag(delta_s(d)) with
+    real-linear in (z1, z2) of c1 and c2, applied to the fixed blocks. With
+    S = diag(d), Delta_s(S) = diag(delta_s(d)) with
     delta_s(d) = d^2 - 2 Re(s) d + |s|^2, and SP = d P. The whole sum is one
     weight array W[r, c, i] = sum_s gamma_s[r, c] / delta_s(d_i), one
     contraction over the nodes, applied entrywise to the rows of d P, d Q,
@@ -460,15 +510,12 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
         gamma[:, k] = np.array([[a1, -b1.conj(), -a2, b2.conj()],
                                 [b1, a1.conj(), -b2, -a2.conj()]]).transpose(2, 0, 1)
     n = ctx.n
-    try:
-        tri, u = scipy.linalg.schur(chi_embed(ctx.t), output="complex")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Schur factorization of chi(T) failed: {exc}") from exc
-    mass = float(np.linalg.norm(np.triu(tri, 1)))
+    d, u = ctx.chi_diag
+    mass = float(np.linalg.norm(chi_embed(ctx.t) @ u - u * d))
     if mass > 1e-10 * tnorm:
-        raise NumericalError(f"Schur form of chi(T) is not diagonal: strictly upper mass "
-                             f"{mass:.3e} exceeds 1e-10 ||T|| = {1e-10 * tnorm:.3e}")
-    d = np.diag(tri)
+        raise NumericalError(f"chi(T) is not diagonal in the context's basis: residual "
+                             f"||chi(T) U - U diag(d)|| = {mass:.3e} exceeds "
+                             f"1e-10 ||T|| = {1e-10 * tnorm:.3e}")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         inv = 1.0 / (d * d - 2.0 * alpha[:, None] * d + radius * radius)  # (nodes, 2n)
     finite = np.isfinite(inv).all(axis=1)

@@ -190,7 +190,7 @@ def sphere_decompose(q: Quaternion) -> tuple[float, float, SpherePoint | None]:
     visible at the API boundary.
     """
     alpha = q.a
-    beta = q.im_norm()
+    beta = math.hypot(q.b, q.c, q.d)  # no underflow of the squares at tiny |Im q|
     if beta <= REAL_TOL * q.norm():
         return alpha, 0.0, None
     return alpha, beta, SpherePoint(q.b / beta, q.c / beta, q.d / beta)

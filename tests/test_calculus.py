@@ -10,8 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatspec.calculus import (_SPLIT_MU, alternate_kernel_J, build_context,
-                               circular_calculus, cslice_calculus,
+from quatspec.calculus import (_SPLIT_MU, _split_schur, alternate_kernel_J,
+                               build_context, circular_calculus, cslice_calculus,
                                general_calculus, intrinsic_calculus,
                                polynomial_calculus, slice_regular_contour,
                                spectral_measure_weights)
@@ -702,26 +702,24 @@ def test_contour_matches_per_node_solves(nodes):
 
 
 @pytest.mark.parametrize("nodes", [16, 17, 64])
-def test_contour_takes_one_schur_form_and_reads_f_at_every_node(nodes, monkeypatch):
-    """The quadrature is summed on the diagonal of one Schur form: one
-    `scipy.linalg.schur` call, no linear solve, and f read once at all
-    `nodes` points."""
-    schurs, points = [], []
-    real_schur, real_values = scipy.linalg.schur, SliceFunction.values
+def test_contour_takes_no_factorization_and_reads_f_at_every_node(nodes, monkeypatch):
+    """The quadrature is summed on the context's diagonalization of chi(T):
+    once the context is built, no Schur form, no eigensolve, no linear
+    solve, and f read once at all `nodes` points."""
+    points = []
+    real_values = SliceFunction.values
     monkeypatch.setattr(SliceFunction, "values",
                         lambda self, qs: points.append(len(qs)) or real_values(self, qs))
     ctx = build_context(random_normal(4, np.random.default_rng(67))[0])
-    monkeypatch.setattr(scipy.linalg, "schur",
-                        lambda *a, **k: schurs.append(1) or real_schur(*a, **k))
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the contour makes no linear solve")
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("the contour takes no factorization and makes no solve")
 
-    for module, name in ((np.linalg, "solve"), (scipy.linalg, "solve"),
+    for module, name in ((scipy.linalg, "schur"), (np.linalg, "eigh"), (np.linalg, "eig"),
+                         (np.linalg, "solve"), (scipy.linalg, "solve"),
                          (scipy.linalg, "solve_triangular"), (scipy.linalg.lapack, "ztrtrs")):
-        monkeypatch.setattr(module, name, no_solve)
+        monkeypatch.setattr(module, name, no_factorization)
     slice_regular_contour(ctx, SliceFunction.builtin("exp"), nodes=nodes)
-    assert len(schurs) == 1
     assert points == [nodes]
 
 
@@ -737,21 +735,19 @@ def test_contour_node_on_the_spectrum_names_the_node(value, node):
         slice_regular_contour(ctx, SliceFunction.builtin("exp"), radius=0.9, nodes=16)
 
 
-def test_contour_rejects_schur_mass_off_the_diagonal(monkeypatch):
-    """A Schur factor whose strictly upper mass is 2e-10 ||T|| is refused,
-    and the error quotes the mass."""
+def test_contour_rejects_schur_mass_off_the_diagonal():
+    """The contour certifies the context's (d, U) against T: a stored d
+    shifted by 2e-10 ||T|| leaves a residual of that size off the
+    diagonal, which is refused with an error quoting it."""
     ctx = build_context(random_normal(6, np.random.default_rng(72))[0])
-    real_schur = scipy.linalg.schur
-    mass = 2e-10 * ctx.tnorm
-
-    def bent(*args, **kwargs):
-        tri, u = real_schur(*args, **kwargs)
-        tri[0, -1] += mass
-        return tri, u
-
-    monkeypatch.setattr(scipy.linalg, "schur", bent)
-    with pytest.raises(NumericalError, match=f"strictly upper mass {mass:.3e}"):
-        slice_regular_contour(ctx, SliceFunction.builtin("exp"), nodes=16)
+    d, u = ctx.chi_diag
+    d = d.copy()
+    d[0] += 2e-10 * ctx.tnorm
+    bent = dataclasses.replace(ctx, chi_diag=(d, u))
+    mass = np.linalg.norm(chi_embed(ctx.t) @ u - u * d)
+    assert 1.9e-10 * ctx.tnorm <= mass <= 2.1e-10 * ctx.tnorm
+    with pytest.raises(NumericalError, match=f"U diag\\(d\\)\\|\\| = {mass:.3e} exceeds"):
+        slice_regular_contour(bent, SliceFunction.builtin("exp"), nodes=16)
 
 
 def _close_spheres(n: int, seed: int, gap: float) -> QMatrix:
@@ -766,22 +762,25 @@ def _close_spheres(n: int, seed: int, gap: float) -> QMatrix:
     return v @ d @ v.adjoint()
 
 
+def _nearly_normal(n: int, rng, size: float) -> QMatrix:
+    """A normal n x n T plus a random E with ||E||_F = size ||T||."""
+    t = random_normal(n, rng)[0]
+    e = QMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return t + e * (size * op_norm(t) / e.frobenius())
+
+
 @pytest.mark.parametrize("n", [8, 32])
 def test_contour_gate_passes_wherever_the_context_is_built(n):
-    """The contour reads its Schur form as diagonal. On repeated spheres
-    (`imaginaryunit`) and close spheres (gaps 1e-12 to 1e-5), which
+    """The contour reads the context's Schur basis as diagonal. On repeated
+    spheres (`imaginaryunit`) and close spheres (gaps 1e-12 to 1e-5), which
     `build_context` accepts, and on T + E with ||E||_F = 3e-11 ||T|| and
     3e-12 ||T|| wherever `build_context` accepts it, the contour passes its
     gate and matches the dense per-node oracle within 1e-8."""
     rng = np.random.default_rng(73 + n)
     exact = [random_normal(n, rng, kind="imaginaryunit")[0]]
     exact += [_close_spheres(n, 74 + n, gap) for gap in (1e-12, 1e-10, 1e-8, 1e-5)]
-    perturbed = []
-    for size in (3e-11, 3e-11, 3e-12, 3e-12):
-        t = random_normal(n, rng)[0]
-        e = QMatrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-                    rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        perturbed.append(t + e * (size * op_norm(t) / e.frobenius()))
+    perturbed = [_nearly_normal(n, rng, size) for size in (3e-11, 3e-11, 3e-12, 3e-12)]
     f = SliceFunction.builtin("exp")
     built = []
     for t in exact + perturbed:
@@ -795,6 +794,44 @@ def test_contour_gate_passes_wherever_the_context_is_built(n):
         got = chi_embed(slice_regular_contour(ctx, f, nodes=64))
         assert np.linalg.norm(got - expect, 2) <= 1e-8 * np.linalg.norm(expect, 2)
     assert all(built[:len(exact)]) and any(built[len(exact):])
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("size", [3e-12, 3e-11])
+def test_split_is_a_schur_form_of_nearly_normal_input(n, size):
+    """On T + E, ||E||_F = 3e-11 ||T|| or 3e-12 ||T||, the eigh vectors of
+    the split leave cross-block mass below the diagonal; the Cayley step
+    removes it, so the split's off mass is that of a Schur form (at most
+    twice the strictly upper mass of `scipy.linalg.schur`), `build_context`
+    accepts every input (without the step it refused each one at 3e-11),
+    and the contour on the shared factorization matches the dense
+    per-node oracle within 1e-8."""
+    rng = np.random.default_rng(35 + n)
+    f = SliceFunction.builtin("exp")
+    for _ in range(3):
+        t = _nearly_normal(n, rng, size)
+        c = chi_embed(t)
+        evals, v, off = _split_schur(c)
+        upper = np.linalg.norm(np.triu(scipy.linalg.schur(c, output="complex")[0], 1))
+        assert off <= 2.0 * upper
+        assert np.linalg.norm(np.tril(v.conj().T @ c @ v, -1)) <= 1e-13 * op_norm(t)
+        ctx = build_context(t)
+        expect = _per_node_contour(ctx, f, 64)
+        got = chi_embed(slice_regular_contour(ctx, f, nodes=64))
+        assert np.linalg.norm(got - expect, 2) <= 1e-8 * np.linalg.norm(expect, 2)
+
+
+def test_split_of_normal_input_takes_no_cayley_step(monkeypatch):
+    """An exactly normal T leaves no mass below the block diagonal above
+    the 1e-11 threshold: `build_context` makes no linear solve."""
+    t = random_normal(32, np.random.default_rng(36))[0]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("normal input takes no Cayley step")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    ctx = build_context(t)
+    assert op_norm(t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
 
 
 def _cubic() -> SliceFunction:
@@ -831,9 +868,10 @@ def test_contour_sequence_errors_name_the_function():
 
 
 def test_verified_matrix_takes_one_contour_quadrature(monkeypatch):
-    """verify_calculus runs its four contour checks through one call: one
-    Schur form of chi(T), not four. The context is built before counting,
-    so only the contour's factorization is seen."""
+    """verify_calculus runs its four contour checks through one call, and
+    none takes a Schur form of chi(T): the contour reads the context's. The
+    context is built before counting, so a Schur form would be the
+    contour's."""
     import quatspec.verify as verify
     t = random_normal(8, np.random.default_rng(70))[0]
     ctx = build_context(t)
@@ -848,7 +886,7 @@ def test_verified_matrix_takes_one_contour_quadrature(monkeypatch):
     verify_calculus(report, t, np.random.default_rng(71))
     assert report.ok, report.table()
     assert contours == [4]
-    assert len(schurs) == 1
+    assert schurs == []
 
 
 def test_contour_radius_and_node_validation():

@@ -99,6 +99,27 @@ def test_decompose_command(normal_file, tmp_path, capsys):
     assert len(data["eigs"]) == 4
 
 
+def test_nearly_normal_input_is_decomposed_and_applied(tmp_path, capsys):
+    """An n = 32 T + E with ||E||_F = 3e-11 ||T||: `decompose` and
+    `apply --mode contour` exit 0 (the contour once refused it, exit 3),
+    and the contour matches `--mode general` within 1e-7."""
+    rng = np.random.default_rng(56)
+    t = random_normal(32, rng)[0]
+    e = QMatrix(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)),
+                rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    t = t + e * (3e-11 * op_norm(t) / e.frobenius())
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(t.to_json()))
+    results = {}
+    for mode in ("contour", "general"):
+        assert main(["apply", "--input", str(path), "--fn", "builtin:exp",
+                     "--mode", mode]) == 0
+        results[mode] = QMatrix.from_json(json.loads(capsys.readouterr().out))
+    assert (op_norm(results["contour"] - results["general"])
+            <= 1e-7 * op_norm(results["general"]))
+    assert main(["decompose", "--input", str(path), "--out", str(tmp_path / "ctx.json")]) == 0
+
+
 def test_resolvent_command(matrix_file, capsys):
     assert main(["resolvent", "--input", matrix_file, "--q", "0,2,0,0",
                  "--tol", "1e-10"]) == 0

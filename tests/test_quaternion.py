@@ -105,6 +105,7 @@ def test_sphere_decompose_generic():
 
 @settings(max_examples=100, deadline=None)
 @given(quats())
+@example(Quaternion(0.0, 0.0, 0.0, 8.975183968205359e-159))  # |Im q|^2 underflows
 def test_sphere_decompose_roundtrip(q):
     alpha, beta, iota = sphere_decompose(q)
     rebuilt = Quaternion(alpha) if iota is None else Quaternion(alpha) + iota * beta
