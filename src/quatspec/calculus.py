@@ -14,7 +14,9 @@ commuting self-adjoint and skew parts of chi(T), which separates the
 eigenvalues by alpha + mu beta; a complex Schur form is taken only of the
 blocks of eigenvalues that share alpha + mu beta to within 1e-4 of the
 spectrum's scale, and one Cayley step makes the whole a Schur basis of
-chi(T) when T is normal only to within rounding of its data.
+chi(T) when T is normal only to within rounding of its data. That Schur
+form is the one call into scipy, and `scipy.linalg` is imported on the
+first such block, not with this module.
 The calculi are:
 
 - polynomial:  g(T) = Q1(A,B) + J Q2(A,B)
@@ -52,7 +54,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, PreconditionError
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
@@ -87,7 +88,8 @@ def _split_schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     entry (a single eigenvalue, a Kramers pair of a real one), keeps its
     vectors; any other block is replaced by the complex Schur form of its
     compression, its rows and columns of S and its columns of V rotated to
-    match.
+    match. `scipy.linalg` is imported on the first such block, not with the
+    module, and `scipy.linalg.schur` is looked up at each call.
     The eigh vectors of a c that is normal only to within E carry
     cross-block mass of about ||E|| ||c|| / gap on both sides of the block
     diagonal, where a Schur form has it above only. When the part L of S
@@ -112,6 +114,8 @@ def _split_schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     scale = np.abs(diag).max(initial=0.0)
     scalar = np.maximum.reduceat(spread, starts) <= _EIG_CLUSTER_TOL * scale
     for lo, hi in zip(starts[~scalar].tolist(), stops[~scalar].tolist()):
+        # about two thirds of a cold CLI import, and most inputs reach no block
+        import scipy.linalg
         tri, z = scipy.linalg.schur(s[lo:hi, lo:hi], output="complex")
         v[:, lo:hi] = v[:, lo:hi] @ z
         s[:, lo:hi] = s[:, lo:hi] @ z

@@ -203,6 +203,9 @@ def _cmd_verify(args) -> int:
         except ValueError as exc:
             raise _InputError(
                 f"malformed --random spec {args.random!r} (want n,count,seed)") from exc
+        for field, value, least in (("n", n, 1), ("count", count, 1), ("seed", seed, 0)):
+            if value < least:
+                raise _InputError(f"--random {field} must be >= {least}, got {value}")
         random_spec = (n, count, seed)
     elif args.input:
         matrices = [(_load_matrix(args.input), None)]

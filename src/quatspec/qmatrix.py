@@ -5,7 +5,7 @@ complex arrays over C_i. Since j z = conj(z) j, one product formula
 (M1 + M2 j)(N1 + N2 j) = (M1 N1 - M2 conj N2) + (M1 N2 + M2 conj N1) j
 serves M @ N, M @ u and the inner product, and the complex 2n x 2n
 embedding `chi_embed`, the numerical workhorse (norms, square roots and
-inverses run through numpy/scipy on it), is one block matrix of the pair.
+inverses run through numpy on it), is one block matrix of the pair.
 Quaternion components (..., 4) are read and written only at the boundary
 (`from_components`, `components`, JSON, entries).
 

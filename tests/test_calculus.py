@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,38 @@ def test_eigensystem_schur_fallback_on_a_shared_split_value(monkeypatch, seed, k
     assert op_norm(t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
     assert np.abs(np.sort_complex(ctx.lambdas)
                   - np.sort_complex(alpha + 1j * beta)).max() <= 1e-12 * op_norm(t)
+
+
+COLD_IMPORT_SCRIPT = """
+import sys
+import numpy as np
+import quatspec, quatspec.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded at import"
+from quatspec import QMatrix, Quaternion, build_context, op_norm
+from quatspec.qmatrix import random_unitary
+from quatspec.quaternion import random_sphere_point
+rng = np.random.default_rng(6)
+alpha = [0.5, 0.5 + 1e-6, -1.0, 1.5, 2.0, -2.0]
+beta = [1.0, 1.0, 0.4, 0.7, 1.3, 1.8]
+d = QMatrix.diag([Quaternion(a) + random_sphere_point(rng) * b for a, b in zip(alpha, beta)])
+v = random_unitary(6, rng)
+t = v @ d @ v.adjoint()
+ctx = build_context(t)
+assert "scipy.linalg" in sys.modules, "the shared split value took no Schur form"
+assert op_norm(t - (ctx.a + ctx.j @ ctx.b)) <= 1e-10 * op_norm(t)
+"""
+
+
+def test_scipy_is_loaded_only_for_a_block_that_needs_a_schur_form():
+    """A fresh interpreter imports quatspec and its CLI without scipy. Two
+    spheres at the same beta whose alpha differ by 1e-6 share one block of
+    the Hermitian split, so `build_context` loads `scipy.linalg` for its
+    Schur form and passes the 1e-10 ||T|| residual gate."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_eigensystem_separated_self_adjoint_takes_no_schur_form(monkeypatch):

@@ -160,6 +160,18 @@ def test_verify_on_input_matrix(normal_file, capsys):
     assert main(["verify", "--input", normal_file, "--suite", "spectral"]) == 0
 
 
+@pytest.mark.parametrize("spec, message", [("0,2,1", "--random n must be >= 1, got 0"),
+                                           ("8,-1,1", "--random count must be >= 1, got -1"),
+                                           ("8,2,-1", "--random seed must be >= 0, got -1")])
+def test_exit_code_out_of_range_random_spec(capsys, spec, message):
+    """n < 1 once raised an IndexError and a negative seed a ValueError,
+    both exit 1 (verification failed); count < 1 ran no matrix and exit 0."""
+    assert main(["verify", "--random", spec]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_exit_code_bad_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
