@@ -190,10 +190,17 @@ def sphere_decompose(q: Quaternion) -> tuple[float, float, SpherePoint | None]:
     visible at the API boundary.
     """
     alpha = q.a
-    beta = math.hypot(q.b, q.c, q.d)  # no underflow of the squares at tiny |Im q|
-    if beta <= REAL_TOL * q.norm():
+    # Scale Im q by its largest component first: the squares cannot underflow
+    # and a subnormal beta does not spoil the unit length of the direction.
+    m = max(abs(q.b), abs(q.c), abs(q.d))
+    if m == 0.0:
         return alpha, 0.0, None
-    return alpha, beta, SpherePoint(q.b / beta, q.c / beta, q.d / beta)
+    b, c, d = q.b / m, q.c / m, q.d / m
+    r = math.hypot(b, c, d)
+    beta = m * r
+    if beta <= REAL_TOL * math.hypot(alpha, beta):
+        return alpha, 0.0, None
+    return alpha, beta, SpherePoint(b / r, c / r, d / r)
 
 
 def fold(q: Quaternion) -> tuple[float, float]:
