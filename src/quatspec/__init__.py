@@ -9,8 +9,8 @@ from .qmatrix import (LeftMultiplication, QMatrix, QVector, chi_embed,
                       chi_extract, is_anti_self_adjoint, is_normal,
                       is_self_adjoint, is_unitary, op_norm, polar_decompose,
                       random_normal, random_qmatrix, random_qvector,
-                      random_unitary, split_plus_minus, sqrt_positive)
-from .slicefn import (CircularSet, SliceFunction, StemFunction,
+                      random_unitary, split_plus_minus)
+from .slicefn import (CircularSet, SliceFunction,
                       decompose_components, hausdorff, is_circular, is_cslice,
                       is_intrinsic, one_sided_hausdorff, slice_add,
                       slice_product, slice_star, sup_norm)

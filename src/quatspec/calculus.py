@@ -61,7 +61,7 @@ from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
 from .quaternion import I as QI
 from .quaternion import J as QJ
 from .quaternion import REAL_TOL, SpherePoint
-from .slicefn import (CircularSet, SliceFunction, StemFunction, _within,
+from .slicefn import (CircularSet, SliceFunction, _within,
                       cluster_points, is_circular, is_cslice, is_intrinsic)
 from .spectral import CLUSTER_TOL
 
@@ -73,6 +73,7 @@ KAPPA = QJ
 _EIG_CLUSTER_TOL = 1e-11  # eigenvalue clustering for the eigensystem, times ||T||
 _SPLIT_MU = math.sqrt(2.0) - 1.0  # weight of K in H + mu K: a fixed irrational
 _SPLIT_GAP = 1e-4  # split of the eigh spectrum, times its largest modulus
+MIN_CONTOUR_NODES = 16  # fewest quadrature nodes `slice_regular_contour` takes
 
 
 def _split_schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -353,16 +354,17 @@ def polynomial_calculus(ctx: CalculusContext, q1_terms, q2_terms,
     even and Q2 odd in Y.
 
     Computed by direct matrix products of A, B and J (no eigendecomposition),
-    so it cross-checks the spectral route. The terms are read as a stem
-    (`StemFunction.polynomial`, with its exponent, finiteness and parity
-    checks) whose coefficients must be real. The optional `j` substitutes an
-    alternative valid J; the result does not depend on that choice.
+    so it cross-checks the spectral route. The terms are read as a slice
+    function (`SliceFunction.polynomial`, with its exponent, finiteness and
+    parity checks) whose coefficients must be real. The optional `j`
+    substitutes an alternative valid J; the result does not depend on that
+    choice.
     """
-    stem = StemFunction.polynomial(q1_terms, q2_terms)
-    if not _within(stem.coefs[..., 1:], stem.coefs, REAL_TOL):
+    poly = SliceFunction.polynomial(q1_terms, q2_terms)
+    if not _within(poly.coefs[..., 1:], poly.coefs, REAL_TOL):
         raise PreconditionError("polynomial coefficients must be real")
     parts: tuple[dict, dict] = ({}, {})  # Q1 and Q2, {(h, k): real coefficient}
-    for (h, k), c in zip(stem.exps.tolist(), stem.coefs[..., 0].tolist()):
+    for (h, k), c in zip(poly.exps.tolist(), poly.coefs[..., 0].tolist()):
         parts[k % 2][(h, k)] = c[k % 2]
     jmat = ctx.j if j is None else j
     return (_poly_of_operators(parts[0], ctx.a, ctx.b)
@@ -384,12 +386,12 @@ def _eigen_sandwich(ctx: CalculusContext, f: SliceFunction,
     components must be finite there (an overflowing f raises
     `NumericalError`).
     """
-    inside = f.stem.accepts(ctx.lambdas.real, ctx.lambdas.imag, CLUSTER_TOL * ctx.tnorm)
+    inside = f.accepts(ctx.lambdas.real, ctx.lambdas.imag, CLUSTER_TOL * ctx.tnorm)
     if not inside.all():
         raise PreconditionError(f"spectrum point {ctx.lambdas[np.argmin(inside)]:.6g} "
                                 "lies outside the function domain")
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
-        vals = f.stem.values(ctx.lambdas)
+        vals = f.stem_values(ctx.lambdas)
     vals[:, :, components:] = 0.0
     finite = np.isfinite(vals).all(axis=(1, 2))
     if not finite.all():
@@ -487,8 +489,8 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
     if radius <= tnorm:
         raise PreconditionError(
             f"radius {radius:.6g} does not enclose the spectrum (||T|| = {tnorm:.6g})")
-    if nodes < 16:
-        raise PreconditionError("at least 16 quadrature nodes are required")
+    if nodes < MIN_CONTOUR_NODES:
+        raise PreconditionError(f"at least {MIN_CONTOUR_NODES} quadrature nodes are required")
     # nodes s = alpha + iota beta as a (nodes, 4) array; weights w = s / nodes
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     alpha, beta = radius * np.cos(theta), radius * np.sin(theta)
@@ -500,7 +502,7 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
     gamma = np.empty((nodes, len(fns), 2, 4), dtype=complex)
     for k, fk in enumerate(fns):
         which = "" if single else f"function {k}: "
-        inside = fk.stem.accepts(alpha, beta)
+        inside = fk.accepts(alpha, beta)
         if not inside.all():
             raise PreconditionError(
                 f"{which}quadrature node {np.argmin(inside)} lies outside the function domain")

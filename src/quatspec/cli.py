@@ -8,8 +8,9 @@ Subcommands:
 - `resolvent`  - series inverse of Delta_q(T)
 - `verify`     - run the property-verification suites
 
-Exit codes: 0 success, 1 verification failures, 2 malformed input JSON,
-3 precondition violations and numerical failures raised by the library.
+Exit codes: 0 success, 1 verification failures, 2 malformed input JSON or
+an option out of its range, 3 precondition violations and numerical
+failures raised by the library.
 
 JSON numbers are emitted via the shortest round-trip representation, so
 parse -> serialize -> parse is bit-identical after one normalization pass.
@@ -24,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .calculus import (build_context, circular_calculus, cslice_calculus,
-                       general_calculus, intrinsic_calculus,
+from .calculus import (MIN_CONTOUR_NODES, build_context, circular_calculus,
+                       cslice_calculus, general_calculus, intrinsic_calculus,
                        slice_regular_contour)
 from .errors import NumericalError, PreconditionError
 from .qmatrix import QMatrix
@@ -74,6 +75,11 @@ def _finite(option: str, *values: float | None) -> None:
     for value in values:
         if value is not None and not math.isfinite(value):
             raise _InputError(f"{option} must be finite, got {value}")
+
+
+def _positive(option: str, value: float | None) -> None:
+    if value is not None and not value > 0:
+        raise _InputError(f"{option} must be > 0, got {value}")
 
 
 def _dumps(obj, indent: str = "") -> str:
@@ -168,6 +174,9 @@ _MODES = {
 
 def _cmd_apply(args) -> int:
     _finite("--radius", args.radius)
+    _positive("--radius", args.radius)
+    if args.nodes < MIN_CONTOUR_NODES:
+        raise _InputError(f"--nodes must be >= {MIN_CONTOUR_NODES}, got {args.nodes}")
     t = _load_matrix(args.input)
     f = _load_function(args.fn)
     ctx = build_context(t)
@@ -181,6 +190,7 @@ def _cmd_apply(args) -> int:
 
 def _cmd_resolvent(args) -> int:
     _finite("--tol", args.tol)
+    _positive("--tol", args.tol)
     t = _load_matrix(args.input)
     try:
         comps = [float(x) for x in args.q.split(",")]

@@ -26,7 +26,6 @@ Main contents:
   M = M1 + M2*j  ->  [[M1, M2], [-conj(M2), conj(M1)]]
 - `op_norm` - operator norm sup ||Mu||/||u|| (largest singular value of chi)
 - `polar_decompose` - M = W P with P = |M|, W isometric on Ker(P)^perp
-- `sqrt_positive` - square root of a positive operator, the reference for P
 - `split_plus_minus` - the splitting H = H+ (+) H- attached to (J, iota)
 - `LeftMultiplication` - basis-induced left scalar
   multiplication L_q u = sum_z z q <z|u>, and the diagonal sandwich
@@ -344,29 +343,7 @@ def is_normal(m: QMatrix, tol: float = 1e-10) -> bool:
     return comm.frobenius() <= tol * m.frobenius() ** 2
 
 
-# -- square root and polar decomposition ----------------------------------------
-
-
-def sqrt_positive(m: QMatrix, tol: float = 1e-10) -> QMatrix:
-    """Unique positive square root of a positive self-adjoint operator.
-
-    Computed by unitary diagonalization of chi(M); eigenvalues are clamped to
-    [0, inf) before square-rooting, which tolerates jitter down to
-    -tol max|eigenvalue| but rejects genuinely negative spectrum at any scale.
-    """
-    if not is_self_adjoint(m, tol):
-        raise PreconditionError("operator is not self-adjoint")
-    c = chi_embed(m)
-    c = 0.5 * (c + c.conj().T)
-    w, v = np.linalg.eigh(c)
-    if w.min(initial=0.0) < -tol * np.abs(w).max(initial=0.0):
-        raise PreconditionError(f"operator is not positive (min eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    # sqrt is not Lipschitz at 0: flush the eigensolver noise floor to exactly
-    # zero so near-kernel eigenvectors cannot contribute at sqrt(eps) size
-    w[w < 1e-13 * w.max(initial=0.0)] = 0.0
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return chi_extract(root)
+# -- polar decomposition ----------------------------------------------------
 
 
 def polar_decompose(m: QMatrix) -> tuple[QMatrix, QMatrix]:
@@ -389,13 +366,12 @@ def polar_decompose(m: QMatrix) -> tuple[QMatrix, QMatrix]:
 # -- imaginary units and complex subspaces ---------------------------------------
 
 
-def split_plus_minus(u: QVector, j: QMatrix, iota: SpherePoint,
-                     tol: float = 1e-10) -> tuple[QVector, QVector]:
+def split_plus_minus(u: QVector, j: QMatrix, iota: SpherePoint) -> tuple[QVector, QVector]:
     """Orthogonal splitting u = u+ + u- with J u(+-) = (+-) u(+-) iota.
 
     Uses u(+-) = (u -+ J u iota) / 2.
     """
-    if not (is_anti_self_adjoint(j, tol) and is_unitary(j, tol)):
+    if not (is_anti_self_adjoint(j) and is_unitary(j)):
         raise PreconditionError("J must be an anti-self-adjoint unitary operator")
     ju_iota = (j @ u).rmul(iota)
     u_plus = (u - ju_iota) * 0.5
@@ -413,10 +389,10 @@ class LeftMultiplication:
 
     __slots__ = ("columns",)
 
-    def __init__(self, columns: QMatrix, tol: float = 1e-10):
+    def __init__(self, columns: QMatrix):
         gram = columns.adjoint() @ columns
         defect = (gram - QMatrix.identity(columns.n)).frobenius()
-        if defect > tol * columns.n:
+        if defect > 1e-10 * columns.n:
             raise PreconditionError(
                 f"basis is not orthonormal (Gram deviation {defect:.3e})")
         self.columns = columns

@@ -1,29 +1,33 @@
-"""Stem functions on conjugation-invariant subsets of C and the slice
-functions they induce on circular subsets of H.
+"""Slice functions on circular subsets of H, each induced by its stem
+function on a conjugation-invariant subset of C.
 
 A stem function F = F1 + I*F2 has H-valued components with F1 even and F2 odd
 in Im(z); it induces the slice function f(alpha + iota*beta) =
-F1(alpha + i beta) + iota F2(alpha + i beta). The slice product is the product
-of stems in H(x)C, which differs from the pointwise product in general.
+F1(alpha + i beta) + iota F2(alpha + i beta). One class, `SliceFunction`,
+holds both: f is determined by its stem, so the stem's kind, coefficients and
+domain are f's. The slice product is the product of stems in H(x)C, which
+differs from the pointwise product in general.
 
-A stem has one evaluator, `StemFunction.values(zs)`: the components of F1 and
-F2 at m points as one (m, 2, 4) array, the layout of H(x)C arrays in
-`qmatrix`. A polynomial stem stores its monomials X^h Y^k sparsely, as (T, 2)
-exponents and (T, 2, 4) coefficients in that layout, so the stem algebra is
-written once on such arrays: the product (`_hc_mul`), the star (`_hc_star`),
-the sum and the component projection act on the coefficients when every
-operand is a polynomial (the product on every pair, exponents added) and on
-the values otherwise. `SliceFunction.values(qs)` gives f at (m, 4) arrays of
-quaternions; `eval` is either evaluator at one point, the scalar oracle
-of the tests.
+The stem has one evaluator, `SliceFunction.stem_values(zs)`: the components
+of F1 and F2 at m points as one (m, 2, 4) array, the layout of H(x)C arrays
+in `qmatrix`. A polynomial stem stores its monomials X^h Y^k sparsely, as
+(T, 2) exponents and (T, 2, 4) coefficients in that layout, so the stem
+algebra is written once on such arrays: the product (`_hc_mul`), the star
+(`_hc_star`), the sum and the component projection act on the coefficients
+when every operand is a polynomial (the product on every pair, exponents
+added) and on the values otherwise. The even/odd parity of a polynomial is
+checked once, in `SliceFunction.polynomial`, where terms enter; the algebra
+keeps it exactly. `SliceFunction.values(qs)` gives f at (m, 4) arrays of
+quaternions, and `eval` gives f at one quaternion, the scalar oracle of the
+tests.
 
 Contents:
 
 - `CircularSet` - finite circular set: upper-half-plane representatives
   (alpha, beta) with multiplicities; the spherical spectrum is one
 - `cluster_points` - the greedy point merge behind every spectrum clustering
-- `StemFunction` - poly / builtin / tabulated / derived stem with its domain
-- `SliceFunction` - the induced function, with evaluation and the algebra
+- `SliceFunction` - poly / builtin / tabulated / derived function with its
+  domain, its stem evaluator, evaluation and the algebra
 - `slice_product`, `slice_add`, `slice_star`, `decompose_components`,
   `sup_norm`
 - the class predicates `is_intrinsic`, `is_circular`, `is_cslice`, each
@@ -83,8 +87,8 @@ class CircularSet:
     def contains(self, alpha, beta, tol: float = DOMAIN_TOL) -> np.ndarray:
         return self.distance(alpha, beta) <= tol
 
-    def matches(self, other: "CircularSet", tol: float = DOMAIN_TOL) -> bool:
-        return hausdorff(self.reps, other.reps) <= tol
+    def matches(self, other: "CircularSet") -> bool:
+        return hausdorff(self.reps, other.reps) <= DOMAIN_TOL
 
     def to_json(self) -> dict:
         return {
@@ -143,7 +147,7 @@ def one_sided_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
 # -- stems --------------------------------------------------------------------
 
-_POLY_SYM_TOL = 1e-12
+_POLY_SYM_TOL = 1e-12  # wrong-parity part of a polynomial, relative to its part
 
 # builtin stems: name -> (F1(alpha, beta), F2(alpha, beta), domain predicate),
 # each evaluated on arrays. All builtins have real-valued components, hence
@@ -174,14 +178,14 @@ def _as_quat_coef(c) -> Quaternion:
     return Quaternion.from_json(c)
 
 
-def _poly_stem(exps, coefs, domain: CircularSet | None = None) -> "StemFunction":
+def _poly_stem(exps, coefs, domain: CircularSet | None = None) -> "SliceFunction":
     """The polynomial stem sum of c X^h Y^k over the rows of the exponents
     (..., 2) and the coefficients (..., 2, 4): equal exponents summed into
-    one row (rows sorted by (h, k)), a non-finite sum rejected, the F1 part
-    kept even and the F2 part odd in Y (a part of the other parity rejected
-    above the 1e-12 structural tolerance, dropped below it), and rows of
+    one row (rows sorted by (h, k)), a non-finite sum rejected, and rows of
     norm <= 1e-30 dropped. Exponents below 0 can only come from a product
-    that passed 2^63 and wrapped around; they are rejected."""
+    that passed 2^63 and wrapped around; they are rejected. The even/odd
+    parity is checked where terms enter (`SliceFunction.polynomial`); the
+    sums, products, stars and components of valid stems keep it exactly."""
     if np.min(exps, initial=0) < 0:
         raise PreconditionError("a monomial exponent of the product exceeds 2^63 - 1")
     # merge by a lexsort on (h, k): exact for every int64, unlike a 1-D key
@@ -200,21 +204,14 @@ def _poly_stem(exps, coefs, domain: CircularSet | None = None) -> "StemFunction"
         t, part = np.argwhere(infinite)[0]
         raise PreconditionError(f"monomial X^{exps[t, 0]} Y^{exps[t, 1]} has a non-finite "
                                 f"coefficient {merged[t, part].tolist()}")
-    norms = np.linalg.norm(merged, axis=2)
-    odd = exps[:, 1] % 2 == 1
-    wrong = np.column_stack([odd, ~odd])
-    scale = np.maximum(1.0, norms.max(axis=0, initial=0.0))
-    violates = wrong & (norms > _POLY_SYM_TOL * scale)
-    if violates.any():
-        h, k = exps[np.argwhere(violates)[0, 0]]
-        raise PreconditionError(f"monomial X^{h} Y^{k} violates the even/odd stem symmetry")
-    merged[wrong] = 0.0
-    keep = np.where(wrong, 0.0, norms).max(axis=1) > 1e-30
-    return StemFunction("poly", exps=exps[keep], coefs=merged[keep], domain=domain)
+    keep = np.linalg.norm(merged, axis=2).max(axis=1) > 1e-30
+    return SliceFunction("poly", exps=exps[keep], coefs=merged[keep], domain=domain)
 
 
-class StemFunction:
-    """Map z -> (F1(z), F2(z)) with the even/odd pair symmetry.
+class SliceFunction:
+    """Slice function f = I(F) induced by its stem F = F1 + I F2, with F1
+    even and F2 odd in Im z: f(alpha + iota beta) = F1 + iota F2 at
+    alpha + i beta.
 
     kind is one of "poly" (sparse quaternion-coefficient monomials in the real
     variables X = Re z, Y = Im z), "builtin" (named evaluator), "tabulated"
@@ -222,8 +219,8 @@ class StemFunction:
     "derived" (`fn` maps the points to their (m, 2, 4) values, computed from
     the values of other stems). A polynomial stores one row per monomial:
     `exps` (T, 2) holds (h, k) of X^h Y^k and `coefs` (T, 2, 4) its F1 and F2
-    coefficients, the layout of `values`. Evaluators must be pure; instances
-    are immutable and safe to share.
+    coefficients, the layout of `stem_values`. Evaluators must be pure;
+    instances are immutable and safe to share.
     """
 
     __slots__ = ("kind", "exps", "coefs", "name", "fn", "domain")
@@ -236,9 +233,18 @@ class StemFunction:
         self.fn = fn
         self.domain = domain
 
+    # -- constructors -------------------------------------------------------------
+
     @classmethod
-    def polynomial(cls, q1_terms, q2_terms, domain: CircularSet | None = None) -> "StemFunction":
-        """Q1 + I Q2 from the (h, k, coefficient) monomials of each part."""
+    def polynomial(cls, q1_terms, q2_terms, domain: CircularSet | None = None) -> "SliceFunction":
+        """Q1 + I Q2 from the (h, k, coefficient) monomials of each part.
+
+        Terms enter from outside only here (`constant`, `from_json` and
+        `polynomial_calculus` come through), so the parity is checked here:
+        on the merged sums, a part of the wrong parity in Y (odd in F1, even
+        in F2) is rejected above the 1e-12 structural tolerance, relative to
+        max(1, the largest row norm of its part), and dropped below it,
+        together with a row that held nothing else."""
         exps, coefs = [], []
         for part, terms in enumerate((q1_terms, q2_terms)):
             for h, k, c in terms:
@@ -250,30 +256,40 @@ class StemFunction:
                 exps.append((h, k))
                 coefs.append(np.zeros((2, 4)))
                 coefs[-1][part] = _as_quat_coef(c).components()
-        return _poly_stem(np.array(exps, dtype=np.int64), np.array(coefs), domain)
+        f = _poly_stem(np.array(exps, dtype=np.int64), np.array(coefs), domain)
+        norms = np.linalg.norm(f.coefs, axis=2)
+        odd = f.exps[:, 1] % 2 == 1
+        wrong = np.column_stack([odd, ~odd])
+        scale = np.maximum(1.0, norms.max(axis=0, initial=0.0))
+        violates = wrong & (norms > _POLY_SYM_TOL * scale)
+        if violates.any():
+            h, k = f.exps[np.argwhere(violates)[0, 0]]
+            raise PreconditionError(f"monomial X^{h} Y^{k} violates the even/odd stem symmetry")
+        f.coefs[wrong] = 0.0
+        return _poly_stem(f.exps, f.coefs, domain)  # drops the rows left empty
 
     @classmethod
-    def builtin(cls, name: str, domain: CircularSet | None = None) -> "StemFunction":
+    def builtin(cls, name: str, domain: CircularSet | None = None) -> "SliceFunction":
         if name not in _BUILTINS:
             raise PreconditionError(
                 f"unknown builtin {name!r}; available: {sorted(_BUILTINS)}")
         return cls("builtin", name=name, domain=domain)
 
     @classmethod
-    def constant(cls, value) -> "StemFunction":
+    def constant(cls, value) -> "SliceFunction":
         return cls.polynomial([(0, 0, value)], [])
 
     @classmethod
     def tabulated(cls, fn, domain: CircularSet | None = None,
-                  validate: bool = True) -> "StemFunction":
-        stem = cls("tabulated", fn=fn, domain=domain)
+                  validate: bool = True) -> "SliceFunction":
+        f = cls("tabulated", fn=fn, domain=domain)
         if validate:
-            stem._validate_symmetry()
-        return stem
+            f._validate_symmetry()
+        return f
 
     # -- evaluation -------------------------------------------------------------
 
-    def values(self, zs) -> np.ndarray:
+    def stem_values(self, zs) -> np.ndarray:
         """(m, 2, 4) array: row m holds the quaternion components of F1 and
         F2 at the m-th of the points zs (complex, any shape)."""
         zs = np.asarray(zs, dtype=complex).reshape(-1)
@@ -294,9 +310,27 @@ class StemFunction:
                 out[m] = _as_quat_coef(v1).components(), _as_quat_coef(v2).components()
         return out
 
-    def eval(self, z: complex) -> tuple[Quaternion, Quaternion]:
-        (v1, v2), = self.values(z)
-        return Quaternion(*v1), Quaternion(*v2)
+    def values(self, qs) -> np.ndarray:
+        """(m, 4) array: f at each of the quaternions qs, given as rows of
+        components. With q = alpha + iota beta (beta >= 0), f(q) = F1 + iota
+        F2 at alpha + i beta; at a real q (|Im q| <= REAL_TOL |q|) it is
+        F1(alpha)."""
+        qs = np.asarray(qs, dtype=float).reshape(-1, 4)
+        alpha, beta = qs[:, 0], np.linalg.norm(qs[:, 1:], axis=1)
+        beta[beta <= REAL_TOL * np.linalg.norm(qs, axis=1)] = 0.0
+        inside = self.accepts(alpha, beta)
+        if not inside.all():
+            raise PreconditionError(
+                f"point {Quaternion(*qs[np.argmin(inside)])} is outside the function domain")
+        iota = np.zeros_like(qs)  # 0 at the real points, where f = F1
+        iota[beta > 0, 1:] = qs[beta > 0, 1:] / beta[beta > 0, None]
+        vals = self.stem_values(alpha + 1j * beta)
+        return vals[:, 0] + _qmul(iota, vals[:, 1])
+
+    def eval(self, q: Quaternion) -> Quaternion:
+        return Quaternion(*self.values(q.components())[0])
+
+    __call__ = eval
 
     def accepts(self, alpha, beta, tol: float = DOMAIN_TOL) -> np.ndarray:
         """Mask of the points (alpha, beta), scalars or arrays of one shape,
@@ -317,15 +351,34 @@ class StemFunction:
         grid = np.linspace(-1.5, 1.5, 8)[:, None] + 1j * np.linspace(0.15, 1.6, 8)
         return np.concatenate([grid.ravel(), [-1.0, -0.25, 0.5, 1.25]])
 
-    def _validate_symmetry(self, tol: float = 1e-10) -> None:
+    def _validate_symmetry(self) -> None:
+        """F1(conj z) = F1(z) and F2(conj z) = -F2(z) on the sample points,
+        within 1e-10 of max(1, the norm of the values)."""
         zs = self._sample_zs()
-        plus, minus = self.values(zs), self.values(zs.conj())
-        scale = tol * np.maximum(1.0, np.linalg.norm(plus, axis=2).max(axis=1))
+        plus, minus = self.stem_values(zs), self.stem_values(zs.conj())
+        scale = 1e-10 * np.maximum(1.0, np.linalg.norm(plus, axis=2).max(axis=1))
         bad = ((np.linalg.norm(plus[:, 0] - minus[:, 0], axis=1) > scale)
                | (np.linalg.norm(plus[:, 1] + minus[:, 1], axis=1) > scale))
         if bad.any():
             raise PreconditionError(
                 f"stem components are not an even/odd pair at z = {zs[np.argmax(bad)]}")
+
+    # -- algebra ------------------------------------------------------------------
+
+    def star(self) -> "SliceFunction":
+        return slice_star(self)
+
+    def __mul__(self, other: "SliceFunction") -> "SliceFunction":
+        return slice_product(self, other)
+
+    def __add__(self, other: "SliceFunction") -> "SliceFunction":
+        return slice_add(self, other)
+
+    def __neg__(self) -> "SliceFunction":
+        return slice_product(SliceFunction.constant(-1.0), self)
+
+    def __sub__(self, other: "SliceFunction") -> "SliceFunction":
+        return slice_add(self, -other)
 
     # -- serialization ------------------------------------------------------------
 
@@ -345,7 +398,7 @@ class StemFunction:
         return out
 
     @classmethod
-    def from_json(cls, data) -> "StemFunction":
+    def from_json(cls, data) -> "SliceFunction":
         domain = CircularSet.from_json(data["domain"]) if "domain" in data else None
         if data["kind"] == "poly":
             terms1 = [(h, k, Quaternion.from_json(c)) for h, k, c in data.get("Q1", [])]
@@ -354,82 +407,6 @@ class StemFunction:
         if data["kind"] == "builtin":
             return cls.builtin(data["name"], domain=domain)
         raise PreconditionError(f"unknown stem kind {data['kind']!r}")
-
-
-class SliceFunction:
-    """Slice function induced by a stem: f(alpha + iota beta) = F1 + iota F2."""
-
-    __slots__ = ("stem",)
-
-    def __init__(self, stem: StemFunction):
-        self.stem = stem
-
-    # constructors
-
-    @classmethod
-    def builtin(cls, name: str, domain: CircularSet | None = None) -> "SliceFunction":
-        return cls(StemFunction.builtin(name, domain))
-
-    @classmethod
-    def constant(cls, value) -> "SliceFunction":
-        return cls(StemFunction.constant(value))
-
-    @classmethod
-    def polynomial(cls, q1_terms, q2_terms, domain: CircularSet | None = None) -> "SliceFunction":
-        return cls(StemFunction.polynomial(q1_terms, q2_terms, domain))
-
-    @classmethod
-    def tabulated(cls, fn, domain: CircularSet | None = None,
-                  validate: bool = True) -> "SliceFunction":
-        return cls(StemFunction.tabulated(fn, domain, validate))
-
-    @property
-    def domain(self) -> CircularSet | None:
-        return self.stem.domain
-
-    def values(self, qs) -> np.ndarray:
-        """(m, 4) array: f at each of the quaternions qs, given as rows of
-        components. With q = alpha + iota beta (beta >= 0), f(q) = F1 + iota
-        F2 at alpha + i beta; at a real q (|Im q| <= REAL_TOL |q|) it is
-        F1(alpha)."""
-        qs = np.asarray(qs, dtype=float).reshape(-1, 4)
-        alpha, beta = qs[:, 0], np.linalg.norm(qs[:, 1:], axis=1)
-        beta[beta <= REAL_TOL * np.linalg.norm(qs, axis=1)] = 0.0
-        inside = self.stem.accepts(alpha, beta)
-        if not inside.all():
-            raise PreconditionError(
-                f"point {Quaternion(*qs[np.argmin(inside)])} is outside the function domain")
-        iota = np.zeros_like(qs)  # 0 at the real points, where f = F1
-        iota[beta > 0, 1:] = qs[beta > 0, 1:] / beta[beta > 0, None]
-        vals = self.stem.values(alpha + 1j * beta)
-        return vals[:, 0] + _qmul(iota, vals[:, 1])
-
-    def eval(self, q: Quaternion) -> Quaternion:
-        return Quaternion(*self.values(q.components())[0])
-
-    __call__ = eval
-
-    def star(self) -> "SliceFunction":
-        return slice_star(self)
-
-    def __mul__(self, other: "SliceFunction") -> "SliceFunction":
-        return slice_product(self, other)
-
-    def __add__(self, other: "SliceFunction") -> "SliceFunction":
-        return slice_add(self, other)
-
-    def __neg__(self) -> "SliceFunction":
-        return slice_product(SliceFunction.constant(-1.0), self)
-
-    def __sub__(self, other: "SliceFunction") -> "SliceFunction":
-        return slice_add(self, -other)
-
-    def to_json(self) -> dict:
-        return self.stem.to_json()
-
-    @classmethod
-    def from_json(cls, data) -> "SliceFunction":
-        return cls(StemFunction.from_json(data))
 
 
 def _merged_domain(f: SliceFunction, g: SliceFunction) -> CircularSet | None:
@@ -443,11 +420,11 @@ def _merged_domain(f: SliceFunction, g: SliceFunction) -> CircularSet | None:
     return a
 
 
-def _derived(op, domain: CircularSet | None, *stems: StemFunction) -> SliceFunction:
+def _derived(op, domain: CircularSet | None, *fs: SliceFunction) -> SliceFunction:
     """The slice function of the stem z -> op(F(z), G(z), ...) of the
-    operand stems, op a map on (m, 2, 4) value arrays."""
-    return SliceFunction(StemFunction(
-        "derived", fn=lambda zs: op(*(s.values(zs) for s in stems)), domain=domain))
+    operands' stems, op a map on (m, 2, 4) value arrays."""
+    return SliceFunction("derived", fn=lambda zs: op(*(f.stem_values(zs) for f in fs)),
+                         domain=domain)
 
 
 def slice_product(f: SliceFunction, g: SliceFunction) -> SliceFunction:
@@ -455,42 +432,40 @@ def slice_product(f: SliceFunction, g: SliceFunction) -> SliceFunction:
     FG = (F1 G1 - F2 G2) + I (F1 G2 + F2 G1): on two polynomials the product
     of every coefficient pair with the exponents added, else of the values."""
     domain = _merged_domain(f, g)
-    fs, gs = f.stem, g.stem
-    if fs.kind == "poly" and gs.kind == "poly":
-        return SliceFunction(_poly_stem(fs.exps[:, None] + gs.exps[None],
-                                        _hc_mul(fs.coefs[:, None], gs.coefs[None]), domain))
-    return _derived(_hc_mul, domain, fs, gs)
+    if f.kind == "poly" and g.kind == "poly":
+        return _poly_stem(f.exps[:, None] + g.exps[None],
+                          _hc_mul(f.coefs[:, None], g.coefs[None]), domain)
+    return _derived(_hc_mul, domain, f, g)
 
 
 def slice_add(f: SliceFunction, g: SliceFunction) -> SliceFunction:
     """Pointwise sum, realized on stems."""
     domain = _merged_domain(f, g)
-    fs, gs = f.stem, g.stem
-    if fs.kind == "poly" and gs.kind == "poly":
-        return SliceFunction(_poly_stem(np.concatenate([fs.exps, gs.exps]),
-                                        np.concatenate([fs.coefs, gs.coefs]), domain))
-    return _derived(np.add, domain, fs, gs)
+    if f.kind == "poly" and g.kind == "poly":
+        return _poly_stem(np.concatenate([f.exps, g.exps]),
+                          np.concatenate([f.coefs, g.coefs]), domain)
+    return _derived(np.add, domain, f, g)
 
 
 def slice_star(f: SliceFunction) -> SliceFunction:
     """The *-involution f* induced by F* = conj(F1) - I conj(F2)."""
-    fs = f.stem
-    if fs.kind == "poly":
-        return SliceFunction(_poly_stem(fs.exps, _hc_star(fs.coefs), fs.domain))
-    if fs.kind == "builtin" and fs.name in _BUILTIN_STAR:
-        return SliceFunction(StemFunction.builtin(_BUILTIN_STAR[fs.name], fs.domain))
-    return _derived(_hc_star, fs.domain, fs)
+    if f.kind == "poly":
+        return _poly_stem(f.exps, _hc_star(f.coefs), f.domain)
+    if f.kind == "builtin" and f.name in _BUILTIN_STAR:
+        return SliceFunction.builtin(_BUILTIN_STAR[f.name], f.domain)
+    return _derived(_hc_star, f.domain, f)
 
 
 # -- classification ---------------------------------------------------------------
+
+_CLASS_TOL = 1e-9  # tolerance of the class predicates
 
 
 def _class_values(f: SliceFunction) -> tuple[np.ndarray, np.ndarray]:
     """The (m, 4) arrays of F1 and F2 values that decide the class of f: the
     coefficients of a polynomial stem (which decide it exactly), else the
     values on the stem's sample points."""
-    fs = f.stem
-    vals = fs.coefs if fs.kind == "poly" else fs.values(fs._sample_zs())
+    vals = f.coefs if f.kind == "poly" else f.stem_values(f._sample_zs())
     return vals[:, 0], vals[:, 1]
 
 
@@ -500,27 +475,27 @@ def _within(resid: np.ndarray, values: np.ndarray, tol: float) -> bool:
     return bool((np.linalg.norm(resid, axis=-1) <= tol * scale).all())
 
 
-def is_intrinsic(f: SliceFunction, tol: float = 1e-9) -> bool:
+def is_intrinsic(f: SliceFunction) -> bool:
     """F1 and F2 real-valued; equivalently f(conj q) = conj(f(q))."""
     vals = np.concatenate(_class_values(f))
-    return _within(vals[:, 1:], vals, tol)
+    return _within(vals[:, 1:], vals, _CLASS_TOL)
 
 
-def is_circular(f: SliceFunction, tol: float = 1e-9) -> bool:
+def is_circular(f: SliceFunction) -> bool:
     """F2 identically zero; equivalently f(conj q) = f(q). Coefficients are
-    tested against tol, sampled values against tol * max(1, |F1|)."""
+    tested against _CLASS_TOL, sampled values against _CLASS_TOL * max(1, |F1|)."""
     f1, f2 = _class_values(f)
-    if f.stem.kind == "poly":
-        return bool((np.linalg.norm(f2, axis=1) <= tol).all())
-    return _within(f2, f1, tol)
+    if f.kind == "poly":
+        return bool((np.linalg.norm(f2, axis=1) <= _CLASS_TOL).all())
+    return _within(f2, f1, _CLASS_TOL)
 
 
-def is_cslice(f: SliceFunction, iota: SpherePoint, tol: float = 1e-9) -> bool:
+def is_cslice(f: SliceFunction, iota: SpherePoint) -> bool:
     """F1 and F2 take values in the slice C_iota."""
     vals = np.concatenate(_class_values(f))
     axis = np.array([iota.b, iota.c, iota.d])
     ims = vals[:, 1:]
-    return _within(ims - np.outer(ims @ axis, axis), vals, tol)
+    return _within(ims - np.outer(ims @ axis, axis), vals, _CLASS_TOL)
 
 
 def decompose_components(f: SliceFunction, iota: SpherePoint, kappa: SpherePoint,
@@ -535,13 +510,12 @@ def decompose_components(f: SliceFunction, iota: SpherePoint, kappa: SpherePoint
         raise PreconditionError("iota and kappa do not anticommute; basis is degenerate")
     basis = np.array([(1.0, 0.0, 0.0, 0.0), iota.components(), kappa.components(),
                       (iota * kappa).components()])
-    fs = f.stem
 
     def component(e: np.ndarray) -> SliceFunction:
         project = np.outer(e, [1.0, 0.0, 0.0, 0.0])  # x @ project = <x, e> + 0 i + 0 j + 0 k
-        if fs.kind == "poly":
-            return SliceFunction(_poly_stem(fs.exps, fs.coefs @ project, fs.domain))
-        return _derived(lambda x: x @ project, fs.domain, fs)
+        if f.kind == "poly":
+            return _poly_stem(f.exps, f.coefs @ project, f.domain)
+        return _derived(lambda x: x @ project, f.domain, f)
 
     return tuple(component(e) for e in basis)
 
@@ -550,4 +524,4 @@ def sup_norm(f: SliceFunction, points: CircularSet) -> float:
     """Sup norm over the circular set: max over K of the C*-norm of F(z)."""
     if points.size == 0:
         raise PreconditionError("cannot take a sup over an empty set")
-    return float(_hc_norm(f.stem.values(points.as_complex())).max())
+    return float(_hc_norm(f.stem_values(points.as_complex())).max())

@@ -34,6 +34,7 @@ from .reporting import VerificationReport
 from .slicefn import CircularSet, cluster_points, hausdorff
 
 CLUSTER_TOL = 1e-8  # sphere clustering of the spectrum and the measure atoms, times ||T||
+_RESOLVENT_MAX_TERMS = 20000  # term budget of `resolvent_series`
 
 
 def delta_q(t: QMatrix, q: Quaternion) -> QMatrix:
@@ -84,8 +85,7 @@ def gelfand_check(t: QMatrix, n_max: int) -> np.ndarray:
     return np.array(out)
 
 
-def resolvent_series(t: QMatrix, q: Quaternion, tol: float,
-                     max_terms: int = 20000) -> QMatrix:
+def resolvent_series(t: QMatrix, q: Quaternion, tol: float) -> QMatrix:
     """Inverse of Delta_q(T) by the series sum_n T^n a_n with real
     coefficients a_n = |q|^(-2n-2) sum_h q^h conj(q)^(n-h).
 
@@ -111,7 +111,7 @@ def resolvent_series(t: QMatrix, q: Quaternion, tol: float,
     ratio = tnorm / modq
     a_prev2, a_prev1 = 0.0, 1.0  # a_(-1), a_0
     total = power = QMatrix.identity(t.n)
-    for n in range(1, max_terms):
+    for n in range(1, _RESOLVENT_MAX_TERMS):
         a_n = trace * a_prev1 - a_prev2
         power = power @ unit
         total = total + power * a_n

@@ -47,10 +47,9 @@ from .spectral import (delta_q, gelfand_check, resolvent_series,
 # ---------------------------------------------------------------------------
 
 
-def verify_algebra(report: VerificationReport, rng: np.random.Generator,
-                   pairs: int = 10000, sphere_samples: int = 10000) -> None:
-    p = rng.normal(size=(pairs, 4)) * 2.0
-    q = rng.normal(size=(pairs, 4)) * 2.0
+def verify_algebra(report: VerificationReport, rng: np.random.Generator) -> None:
+    p = rng.normal(size=(10000, 4)) * 2.0
+    q = rng.normal(size=(10000, 4)) * 2.0
     # vectorized |pq| = |p||q|
     lhs = np.linalg.norm(_qmul(p, q), axis=1)
     rhs = np.linalg.norm(p, axis=1) * np.linalg.norm(q, axis=1)
@@ -83,7 +82,7 @@ def verify_algebra(report: VerificationReport, rng: np.random.Generator,
                  1e-12)
 
     # |q + iota p| for the unit imaginary quaternions iota = (0, g)
-    iotas = np.column_stack([np.zeros(sphere_samples), sphere_grid(sphere_samples)])
+    iotas = np.column_stack([np.zeros(10000), sphere_grid(10000)])
     ws = rng.normal(size=(20, 2, 4)) * 2.0
     for w, nw in zip(ws, _hc_norm(ws)):
         sampled = float(np.linalg.norm(w[0] + _qmul(iotas, w[1]), axis=1).max())
@@ -351,7 +350,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
 
     # restriction to H+: matrix elements in the eigenbasis are the stem values
     worst = 0.0
-    for m, (f1, f2) in enumerate(fi.stem.values(ctx.lambdas)):
+    for m, (f1, f2) in enumerate(fi.stem_values(ctx.lambdas)):
         mu = Quaternion(f1[0]) + ctx.iota * f2[0]
         um = ctx.basis.vector(m)
         worst = max(worst, (um.inner(fti @ um) - mu).norm())

@@ -21,11 +21,9 @@ KEEP = {
     "QMatrix.from_entries": "test fixture: a matrix from rows of quaternions",
     "QVector.basis_vector": "test fixture: a standard basis vector",
     "Quaternion.isclose": "test helper: a tolerance comparison of two quaternions",
-    "StemFunction.eval": "the scalar form of `values` at one point, the tests' oracle",
     "SliceFunction.eval": "the scalar form of `values` at one point, the tests' oracle",
     "ComplexifiedQuaternion": "the scalar H(x)C reference for `_hc_mul` and `_hc_norm`",
     "sphere_decompose": "the scalar oracle of `SliceFunction.values` in test_slicefn.py",
-    "sqrt_positive": "the reference for the P factor of `polar_decompose` in test_qmatrix.py",
 }
 
 

@@ -239,6 +239,36 @@ def test_exit_code_non_finite_argument(matrix_file, capsys, argv, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["apply", "--fn", "builtin:square", "--mode", "contour", "--nodes", "0"],
+     "--nodes must be >= 16, got 0"),
+    (["apply", "--fn", "builtin:square", "--mode", "contour", "--nodes", "1"],
+     "--nodes must be >= 16, got 1"),
+    (["apply", "--fn", "builtin:square", "--mode", "contour", "--nodes", "-4"],
+     "--nodes must be >= 16, got -4"),
+    (["apply", "--fn", "builtin:square", "--mode", "contour", "--radius", "-1"],
+     "--radius must be > 0, got -1.0"),
+    (["apply", "--fn", "builtin:square", "--mode", "contour", "--radius", "0"],
+     "--radius must be > 0, got 0.0"),
+    (["resolvent", "--q", "0,2,0,0", "--tol", "0"], "--tol must be > 0, got 0.0"),
+])
+def test_exit_code_out_of_range_option(matrix_file, capsys, argv, message):
+    """These options once reached the library unchecked and exited 3
+    (precondition) instead of 2 (malformed input)."""
+    assert main([argv[0], "--input", matrix_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_exit_code_radius_inside_the_spectrum(matrix_file, capsys):
+    """A positive radius that does not enclose the spectrum is a precondition
+    on the matrix, not malformed input."""
+    assert main(["apply", "--input", matrix_file, "--fn", "builtin:square",
+                 "--mode", "contour", "--radius", "0.5"]) == 3
+    assert "does not enclose the spectrum" in capsys.readouterr().err
+
+
 def test_exit_code_contour_outside_domain(normal_file, capsys):
     assert main(["apply", "--input", normal_file, "--fn", "builtin:sqrt",
                  "--mode", "contour"]) == 3

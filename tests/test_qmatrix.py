@@ -1,5 +1,5 @@
 """Tests for quaternionic matrices, the complex embedding and the operator
-machinery (square root, polar, splitting, left multiplications)."""
+machinery (polar, splitting, left multiplications)."""
 
 import json
 
@@ -14,7 +14,7 @@ from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, _hc_mul,
                               is_self_adjoint, is_unitary, op_norm,
                               polar_decompose, random_normal,
                               random_qmatrix, random_qvector, random_unitary,
-                              split_plus_minus, sqrt_positive)
+                              split_plus_minus)
 from quatspec.quaternion import I, J, K, ONE, ComplexifiedQuaternion, Quaternion
 
 RNG = np.random.default_rng(1234)
@@ -150,33 +150,16 @@ def test_cstar_norm_identity():
     assert abs(op_norm(m.adjoint()) - op_norm(m)) <= 1e-12 * op_norm(m)
 
 
-# -- square root --------------------------------------------------------------------
-
-def test_sqrt_examples():
-    assert (sqrt_positive(QMatrix.identity(3)) - QMatrix.identity(3)).frobenius() <= 1e-13
-    s = sqrt_positive(QMatrix.diag([Quaternion(4)]))
-    assert (s - QMatrix.diag([Quaternion(2)])).frobenius() <= 1e-13
-
-
-def test_sqrt_of_gram_matrix():
-    for _ in range(5):
-        c = random_qmatrix(5, RNG)
-        m = c.adjoint() @ c
-        s = sqrt_positive(m)
-        assert is_self_adjoint(s)
-        assert op_norm(s @ s - m) <= 1e-9 * max(1.0, op_norm(m))
-        # commutes with operators commuting with m (spot check with m itself)
-        assert op_norm(s @ m - m @ s) <= 1e-9 * max(1.0, op_norm(m)) ** 1.5
-
-
-def test_sqrt_rejects_bad_input():
-    with pytest.raises(PreconditionError):
-        sqrt_positive(QMatrix.diag([Quaternion(-1)]))
-    with pytest.raises(PreconditionError):
-        sqrt_positive(random_qmatrix(3, RNG))  # not self-adjoint
-
-
 # -- polar decomposition ---------------------------------------------------------------
+
+def assert_is_modulus(p: QMatrix, m: QMatrix, tol: float) -> None:
+    """P = |M| by its defining equations, relative to ||M||: P* = P, P >= 0
+    (the smallest eigenvalue of chi(P) is at least -tol ||M||) and P^2 = M*M."""
+    scale = op_norm(m)
+    assert (p - p.adjoint()).frobenius() <= tol * scale
+    assert np.linalg.eigvalsh(chi_embed(p))[0] >= -tol * scale
+    assert (p @ p - m.adjoint() @ m).frobenius() <= tol * scale ** 2
+
 
 def test_polar_unitary_and_zero():
     v = random_unitary(4, RNG)
@@ -201,8 +184,7 @@ def test_polar_reconstruction_and_kernel():
         w, p = polar_decompose(m)
         assert op_norm(w @ p - m) <= 1e-9 * max(1.0, op_norm(m))
         assert is_self_adjoint(p)
-        # P = |M| = sqrt(M* M)
-        assert op_norm(p - sqrt_positive(m.adjoint() @ m)) <= 1e-9 * max(1.0, op_norm(m))
+        assert_is_modulus(p, m, 1e-9)
     # rank-deficient: W vanishes on Ker(P)
     m = QMatrix.diag([Quaternion(2, 1, 0, 0), Quaternion()])
     w, p = polar_decompose(m)
@@ -328,14 +310,6 @@ def test_plus_subspace_basis_recovers_j():
 
 # -- random generators ----------------------------------------------------
 
-def test_sqrt_positive_rejects_negative_at_every_scale():
-    for c in (1e-12, 1.0, 1e12):
-        with pytest.raises(PreconditionError, match="not positive"):
-            sqrt_positive(QMatrix.identity(3) * -c)
-        assert (sqrt_positive(QMatrix.identity(3) * c) - QMatrix.identity(3) * c ** 0.5
-                ).frobenius() <= 1e-14 * c ** 0.5
-
-
 def test_random_unitary_and_normal():
     v = random_unitary(5, RNG)
     assert is_unitary(v)
@@ -360,8 +334,7 @@ def test_random_unitary_is_the_polar_factor_of_its_gaussian_draw():
     m = random_qmatrix(6, ref)
     assert rng.normal() == ref.normal()
     assert is_unitary(v)
-    p = v.adjoint() @ m
-    assert op_norm(p - sqrt_positive(m.adjoint() @ m)) <= 1e-10 * op_norm(m)
+    assert_is_modulus(v.adjoint() @ m, m, 1e-10)
 
 
 # -- scalar-loop oracle for the complex-pair arithmetic ------------------------------------

@@ -1,16 +1,19 @@
-"""Tests for circular sets, stem functions and the slice-function algebra."""
+"""Tests for circular sets, slice functions with their stems, and the
+slice-function algebra."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatspec.errors import PreconditionError
 from quatspec.qmatrix import _hc_mul, _hc_star
 from quatspec.quaternion import (I, J, K, ONE, Quaternion, SpherePoint,
                                  random_sphere_point, sphere_decompose)
-from quatspec.slicefn import (CircularSet, SliceFunction, StemFunction,
-                              _poly_stem, cluster_points,
+from quatspec.slicefn import (CircularSet, SliceFunction, _poly_stem,
+                              cluster_points,
                               decompose_components, hausdorff,
                               is_circular, is_cslice, is_intrinsic,
                               one_sided_hausdorff, slice_add, slice_product,
@@ -21,6 +24,12 @@ RNG = np.random.default_rng(77)
 
 def random_quat(scale=1.0) -> Quaternion:
     return Quaternion(*(RNG.normal(size=4) * scale))
+
+
+def stem_at(f: SliceFunction, z: complex) -> tuple[Quaternion, Quaternion]:
+    """(F1(z), F2(z)) of the stem of f at one point, the scalar oracle."""
+    (v1, v2), = f.stem_values(z)
+    return Quaternion(*v1), Quaternion(*v2)
 
 
 def random_poly(quaternionic=True) -> SliceFunction:
@@ -106,40 +115,40 @@ def test_hausdorff_helpers():
 def test_poly_stem_symmetry_enforced():
     # Q1 odd-in-Y monomial rejected
     with pytest.raises(PreconditionError):
-        StemFunction.polynomial([(0, 1, 1.0)], [])
+        SliceFunction.polynomial([(0, 1, 1.0)], [])
     with pytest.raises(PreconditionError):
-        StemFunction.polynomial([], [(0, 2, 1.0)])
+        SliceFunction.polynomial([], [(0, 2, 1.0)])
     # tiny violations are symmetrized away
-    stem = StemFunction.polynomial([(0, 0, 1.0), (0, 1, 1e-14)], [])
-    assert stem.eval(1 + 1j)[0].isclose(ONE)
+    stem = SliceFunction.polynomial([(0, 0, 1.0), (0, 1, 1e-14)], [])
+    assert stem_at(stem, 1 + 1j)[0].isclose(ONE)
 
 
 def test_tabulated_stem_validation():
     with pytest.raises(PreconditionError):
-        StemFunction.tabulated(lambda z: (Quaternion(z.imag), Quaternion()))
-    stem = StemFunction.tabulated(
+        SliceFunction.tabulated(lambda z: (Quaternion(z.imag), Quaternion()))
+    stem = SliceFunction.tabulated(
         lambda z: (Quaternion(z.real ** 2), Quaternion(z.imag ** 3)))
-    f1, f2 = stem.eval(2 + 1j)
+    f1, f2 = stem_at(stem, 2 + 1j)
     assert f1.isclose(Quaternion(4)) and f2.isclose(ONE)
 
 
 def test_builtin_stems():
     for name in ("id", "conj", "re", "im", "square", "exp", "sqrt", "one"):
-        StemFunction.builtin(name)
+        SliceFunction.builtin(name)
     with pytest.raises(PreconditionError):
-        StemFunction.builtin("nope")
+        SliceFunction.builtin("nope")
 
 
 def test_stem_json_roundtrip():
-    stem = StemFunction.polynomial([(2, 0, Quaternion(1, 2, 3, 4))], [(1, 1, 0.5)],
+    stem = SliceFunction.polynomial([(2, 0, Quaternion(1, 2, 3, 4))], [(1, 1, 0.5)],
                                    domain=CircularSet([[0.0, 1.0]]))
-    again = StemFunction.from_json(stem.to_json())
-    assert again.eval(0.3 + 0.7j)[0].isclose(stem.eval(0.3 + 0.7j)[0])
+    again = SliceFunction.from_json(stem.to_json())
+    assert stem_at(again, 0.3 + 0.7j)[0].isclose(stem_at(stem, 0.3 + 0.7j)[0])
     assert again.domain.size == 1
-    b = StemFunction.builtin("exp")
-    assert StemFunction.from_json(b.to_json()).name == "exp"
+    b = SliceFunction.builtin("exp")
+    assert SliceFunction.from_json(b.to_json()).name == "exp"
     with pytest.raises(PreconditionError):
-        StemFunction.tabulated(lambda z: (ONE, Quaternion()), validate=False).to_json()
+        SliceFunction.tabulated(lambda z: (ONE, Quaternion()), validate=False).to_json()
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -392,21 +401,20 @@ def test_values_rows_are_the_scalar_eval():
     poly = SliceFunction.polynomial([(0, 0, coef()), (2, 0, coef()), (1, 2, coef())],
                                     [(0, 1, coef()), (3, 1, coef())])
     tab = tabulated_stems()["general"]
-    stems = [SliceFunction.builtin(name).stem
-             for name in ("id", "conj", "re", "im", "square", "exp", "sqrt", "one")]
-    stems += [poly.stem, tab.stem, slice_product(tab, poly).stem,
-              slice_add(poly, tab).stem, slice_star(tab).stem,
-              *(c.stem for c in decompose_components(tab, I, J))]
-    for stem in stems:
-        vals = stem.values(EVAL_POINTS)
+    functions = [SliceFunction.builtin(name)
+                 for name in ("id", "conj", "re", "im", "square", "exp", "sqrt", "one")]
+    functions += [poly, tab, slice_product(tab, poly), slice_add(poly, tab), slice_star(tab),
+                  *decompose_components(tab, I, J)]
+    for f in functions:
+        vals = f.stem_values(EVAL_POINTS)
         assert vals.shape == (len(EVAL_POINTS), 2, 4)
         for row, z in zip(vals, EVAL_POINTS):
-            f1, f2 = stem.eval(z)
+            f1, f2 = stem_at(f, z)
             np.testing.assert_allclose(row, [f1.components(), f2.components()],
                                        rtol=1e-15, atol=1e-15)
     # the polynomial against its monomial sum in quaternion arithmetic
     terms = poly.to_json()
-    for row, z in zip(poly.stem.values(EVAL_POINTS), EVAL_POINTS):
+    for row, z in zip(poly.stem_values(EVAL_POINTS), EVAL_POINTS):
         for part, key in zip(row, ("Q1", "Q2")):
             expect = Quaternion()
             for h, k, c in terms[key]:
@@ -420,24 +428,24 @@ def test_derived_stems_match_their_pointwise_definitions():
     g = SliceFunction.polynomial([(1, 0, Quaternion(*rng.normal(size=4)))],
                                  [(0, 1, Quaternion(*rng.normal(size=4)))])
     for z in EVAL_POINTS:
-        f1, f2 = f.stem.eval(z)
-        g1, g2 = g.stem.eval(z)
-        p1, p2 = slice_product(f, g).stem.eval(z)
+        f1, f2 = stem_at(f, z)
+        g1, g2 = stem_at(g, z)
+        p1, p2 = stem_at(slice_product(f, g), z)
         assert (p1 - (f1 * g1 - f2 * g2)).norm() <= 1e-14
         assert (p2 - (f1 * g2 + f2 * g1)).norm() <= 1e-14
-        s1, s2 = slice_star(f).stem.eval(z)
+        s1, s2 = stem_at(slice_star(f), z)
         assert s1.isclose(f1.conjugate()) and s2.isclose(-f2.conjugate())
-        a1, a2 = slice_add(f, g).stem.eval(z)
+        a1, a2 = stem_at(slice_add(f, g), z)
         assert a1.isclose(f1 + g1) and a2.isclose(f2 + g2)
 
 
 def test_accepts_and_distance_on_arrays():
     alpha = np.array([1.0, -1.0, 4.0, 4.0, 0.0])
     beta = np.array([0.0, 0.0, 0.0, 1e-12, -0.5])
-    sqrt = StemFunction.builtin("sqrt")
+    sqrt = SliceFunction.builtin("sqrt")
     assert sqrt.accepts(alpha, beta).tolist() == [True, False, True, True, False]
     k = CircularSet([[1.0, 0.5], [4.0, 0.0]])
-    ranged = StemFunction.builtin("id", domain=k)
+    ranged = SliceFunction.builtin("id", domain=k)
     mask = ranged.accepts(alpha, beta)
     assert mask.tolist() == [bool(ranged.accepts(a, b)) for a, b in zip(alpha, beta)]
     assert mask.tolist() == [False, False, True, True, False]
@@ -453,34 +461,33 @@ def test_accepts_and_distance_on_arrays():
 BUILTIN_CIRCULAR_REFERENCE = {"re", "im", "sqrt", "one"}
 
 
-def reference_sample_zs(stem):
-    if stem.domain is not None and stem.domain.size:
-        return [complex(a, b) for a, b in stem.domain.reps]
+def reference_sample_zs(f):
+    if f.domain is not None and f.domain.size:
+        return [complex(a, b) for a, b in f.domain.reps]
     zs = [complex(a, b) for a in np.linspace(-1.5, 1.5, 8) for b in np.linspace(0.15, 1.6, 8)]
     return zs + [complex(a, 0.0) for a in (-1.0, -0.25, 0.5, 1.25)]
 
 
 def reference_sampled_values(f):
     vals = []
-    for z in reference_sample_zs(f.stem):
-        vals.extend(f.stem.eval(z))
+    for z in reference_sample_zs(f):
+        vals.extend(stem_at(f, z))
     return vals
 
 
 def is_intrinsic_reference(f, tol=1e-9):
-    if f.stem.kind == "builtin":
+    if f.kind == "builtin":
         return True
     return all(v.im_norm() <= tol * max(1.0, v.norm()) for v in reference_sampled_values(f))
 
 
 def is_circular_reference(f, tol=1e-9):
-    fs = f.stem
-    if fs.kind == "builtin":
-        return fs.name in BUILTIN_CIRCULAR_REFERENCE
-    if fs.kind == "poly":
-        return all(Quaternion(*c).norm() <= tol for _, _, c in fs.to_json()["Q2"])
-    return all(fs.eval(z)[1].norm() <= tol * max(1.0, fs.eval(z)[0].norm())
-               for z in reference_sample_zs(fs))
+    if f.kind == "builtin":
+        return f.name in BUILTIN_CIRCULAR_REFERENCE
+    if f.kind == "poly":
+        return all(Quaternion(*c).norm() <= tol for _, _, c in f.to_json()["Q2"])
+    return all(stem_at(f, z)[1].norm() <= tol * max(1.0, stem_at(f, z)[0].norm())
+               for z in reference_sample_zs(f))
 
 
 def is_cslice_reference(f, iota, tol=1e-9):
@@ -537,12 +544,12 @@ def test_class_tests_agree_with_the_grid_reference():
 
 def test_poly_stem_rejects_non_finite_coefficients():
     with pytest.raises(PreconditionError, match=r"X\^1 Y\^2 has a non-finite"):
-        StemFunction.polynomial([(0, 0, 1.0), (1, 2, [0.0, math.nan, 0.0, 0.0])], [])
+        SliceFunction.polynomial([(0, 0, 1.0), (1, 2, [0.0, math.nan, 0.0, 0.0])], [])
     with pytest.raises(PreconditionError, match=r"X\^0 Y\^1 has a non-finite"):
-        StemFunction.polynomial([], [(0, 1, math.inf)])
+        SliceFunction.polynomial([], [(0, 1, math.inf)])
     # a non-finite coefficient of the wrong parity is named as non-finite too
     with pytest.raises(PreconditionError, match="non-finite"):
-        StemFunction.polynomial([(0, 1, -math.inf)], [])
+        SliceFunction.polynomial([(0, 1, -math.inf)], [])
 
 
 # -- polynomial stems as coefficient arrays --------------------------------------
@@ -559,7 +566,7 @@ def test_poly_operations_on_coefficients_match_the_value_maps():
     zs[:3] = [0.4, -1.3, 0.0]
     for _ in range(5):
         f, g = random_poly(), random_poly()
-        fv, gv = f.stem.values(zs), g.stem.values(zs)
+        fv, gv = f.stem_values(zs), g.stem_values(zs)
         results = {
             "product": (slice_product(f, g), _hc_mul(fv, gv)),
             "sum": (slice_add(f, g), fv + gv),
@@ -571,24 +578,61 @@ def test_poly_operations_on_coefficients_match_the_value_maps():
             expect[..., 0] = fv @ basis[ell]
             results[f"component {ell}"] = (comp, expect)
         for name, (h, expect) in results.items():
-            assert h.stem.kind == "poly", name
-            assert relative_gap(h.stem.values(zs), expect) <= 1e-12, name
+            assert h.kind == "poly", name
+            assert relative_gap(h.stem_values(zs), expect) <= 1e-12, name
 
 
 def test_poly_stem_merges_equal_monomials():
     q = Quaternion(0.5, -1.0, 2.0, 0.25)
-    stem = StemFunction.polynomial([(2, 0, 1.0), (0, 0, 2.0), (2, 0, -1.0), (0, 1, 1e-14)],
+    stem = SliceFunction.polynomial([(2, 0, 1.0), (0, 0, 2.0), (2, 0, -1.0), (0, 1, 1e-14)],
                                    [(1, 1, q), (1, 1, q)])
     assert stem.exps.tolist() == [[0, 0], [1, 1]]
     assert stem.coefs.shape == (2, 2, 4)
     assert stem.to_json() == {"kind": "poly", "Q1": [[0, 0, [2.0, 0.0, 0.0, 0.0]]],
                               "Q2": [[1, 1, (q * 2.0).to_json()]]}
-    again = StemFunction.from_json(stem.to_json())
+    again = SliceFunction.from_json(stem.to_json())
     assert again.exps.tolist() == stem.exps.tolist()
     assert np.array_equal(again.coefs, stem.coefs)
     # a tiny part of the wrong parity is dropped from a row that is kept
-    mixed = StemFunction.polynomial([(0, 1, 1e-14)], [(0, 1, 1.0)])
+    mixed = SliceFunction.polynomial([(0, 1, 1e-14)], [(0, 1, 1.0)])
     assert mixed.coefs.tolist() == [[[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]]
+
+
+def wrong_parity_entries(f: SliceFunction) -> np.ndarray:
+    """The coefficient entries of a polynomial stem in the part of the wrong
+    parity: F1 on rows odd in Y, F2 on rows even in Y."""
+    odd = f.exps[:, 1] % 2 == 1
+    return np.concatenate([f.coefs[odd, 0].ravel(), f.coefs[~odd, 1].ravel()])
+
+
+COEF = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+# monomials (h, k, coefficient), each in the part of its parity: F1 if k is
+# even, F2 if k is odd; constants are the rows h = k = 0
+MONOMIALS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                               st.lists(COEF, min_size=4, max_size=4)),
+                     min_size=1, max_size=6)
+
+
+def polynomial_of(monomials) -> SliceFunction:
+    return SliceFunction.polynomial([(h, k, c) for h, k, c in monomials if k % 2 == 0],
+                                    [(h, k, c) for h, k, c in monomials if k % 2 == 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(MONOMIALS, MONOMIALS, COEF)
+def test_derived_polynomials_have_exact_parity(f_terms, g_terms, constant):
+    """Products, sums, stars, components and the JSON round trip of valid
+    polynomial stems are exactly 0.0 in the part of the wrong parity, so the
+    parity needs checking only where terms enter (`SliceFunction.polynomial`)."""
+    f, g = polynomial_of(f_terms), polynomial_of(g_terms)
+    c = SliceFunction.constant(Quaternion(constant, -constant, 0.5 * constant, 0.0))
+    derived = [f * g, g * f, f * f, c * f, f * c, f + g, f - g, c + f,
+               slice_star(f), slice_star(f * g),
+               *decompose_components(f, I, J), *decompose_components(f * g, J, K),
+               SliceFunction.from_json(f.to_json()), SliceFunction.from_json((f * g).to_json())]
+    for h in derived:
+        assert h.kind == "poly"
+        assert (wrong_parity_entries(h) == 0.0).all()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -615,21 +659,21 @@ def test_poly_stem_merge_matches_unique_bit_for_bit(seed):
 
 def test_sparse_monomial_of_high_degree():
     f = SliceFunction.polynomial([(10 ** 6, 0, 1.0)], [])
-    vals = f.stem.values([1.0, 0.5, -1.0])
+    vals = f.stem_values([1.0, 0.5, -1.0])
     assert vals[:, 0, 0].tolist() == [1.0, 0.0, 1.0]
     assert f.eval(Quaternion(-1.0)).isclose(ONE)
     square = f * f
-    assert square.stem.exps.tolist() == [[2 * 10 ** 6, 0]]
-    assert square.stem.coefs.shape == (1, 2, 4)
+    assert square.exps.tolist() == [[2 * 10 ** 6, 0]]
+    assert square.coefs.shape == (1, 2, 4)
 
 
 @pytest.mark.parametrize("exponent", [1.5, -1, True, "2", 2 ** 63])
 def test_poly_exponents_must_be_non_negative_integers(exponent):
     with pytest.raises(PreconditionError, match=r"monomial X\^.* Y\^0: exponents must be"):
-        StemFunction.polynomial([(exponent, 0, 1.0)], [])
+        SliceFunction.polynomial([(exponent, 0, 1.0)], [])
     with pytest.raises(PreconditionError, match=r"monomial X\^0 Y\^.*: exponents must be"):
-        StemFunction.polynomial([], [(0, exponent, 1.0)])
-    assert StemFunction.polynomial([(np.int64(2), 0, 1.0)], []).exps.tolist() == [[2, 0]]
+        SliceFunction.polynomial([], [(0, exponent, 1.0)])
+    assert SliceFunction.polynomial([(np.int64(2), 0, 1.0)], []).exps.tolist() == [[2, 0]]
 
 
 def test_slice_values_rows_are_the_pointwise_definition():
@@ -651,7 +695,7 @@ def test_slice_values_rows_are_the_pointwise_definition():
             q = Quaternion(*comps)
             assert np.array_equal(row, f.eval(q).components())
             alpha, beta, iota = sphere_decompose(q)
-            f1, f2 = f.stem.eval(complex(alpha, beta))
+            f1, f2 = stem_at(f, complex(alpha, beta))
             expect = f1 if iota is None else f1 + iota * f2
             assert (Quaternion(*row) - expect).norm() <= 1e-13 * max(1.0, expect.norm())
 
@@ -664,7 +708,7 @@ def test_slice_values_name_the_point_outside_the_domain():
 
 def test_poly_product_rejects_exponent_overflow():
     below = SliceFunction.polynomial([(2 ** 62 - 1, 0, 1.0)], [])
-    assert (below * below).stem.exps.tolist() == [[2 ** 63 - 2, 0]]
+    assert (below * below).exps.tolist() == [[2 ** 63 - 2, 0]]
     f = SliceFunction.polynomial([(2 ** 62, 0, 1.0)], [(0, 1, 1.0)])
     with pytest.raises(PreconditionError, match=r"exceeds 2\^63 - 1"):
         f * f
