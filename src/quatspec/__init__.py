@@ -15,7 +15,7 @@ from .slicefn import (CircularSet, SliceFunction,
                       is_intrinsic, one_sided_hausdorff, slice_add,
                       slice_product, slice_star, sup_norm)
 from .spectral import (delta_q, gelfand_check, resolvent_series,
-                       spherical_spectrum, verify_spectral_classes)
+                       spherical_spectrum)
 from .calculus import (CalculusContext, alternate_kernel_J, build_context,
                        circular_calculus, cslice_calculus, general_calculus,
                        intrinsic_calculus, polynomial_calculus,

@@ -60,7 +60,7 @@ from .qmatrix import (LeftMultiplication, QMatrix, QVector, _as_qarray, _qconj,
                       _qmul, chi_embed, chi_extract, is_normal)
 from .quaternion import I as QI
 from .quaternion import J as QJ
-from .quaternion import REAL_TOL, SpherePoint
+from .quaternion import REAL_TOL
 from .slicefn import (CircularSet, SliceFunction, _within,
                       cluster_points, is_circular, is_cslice, is_intrinsic)
 from .spectral import CLUSTER_TOL
@@ -137,17 +137,16 @@ def _split_schur(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return evals, v, float(np.linalg.norm(s))
 
 
-def _normal_eigensystem(t: QMatrix) -> tuple[np.ndarray, np.ndarray, QMatrix, float,
+def _normal_eigensystem(t: QMatrix) -> tuple[np.ndarray, QMatrix, float,
                                              tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues (folded to Im >= 0) and a quaternionic orthonormal
     eigenbasis of a normal operator.
 
-    Returns (lambdas, is_real, columns, tnorm, (d, U)): T u_m = u_m lambda_m
-    with lambda_m read as alpha + iota*beta in C_iota, is_real flags the
-    eigenvectors of the real eigenspheres (the kernel of T - T*), the u_m are
-    the columns of the returned matrix, tnorm = max |lambda_m|, which is
-    ||T|| for normal T, and chi(T) U = U diag(d) is the diagonalization of
-    chi(T) the eigensystem was read from, U unitary.
+    Returns (lambdas, columns, tnorm, (d, U)): T u_m = u_m lambda_m with
+    lambda_m read as alpha + iota*beta in C_iota, the u_m are the columns of
+    the returned matrix, tnorm = max |lambda_m|, which is ||T|| for normal
+    T, and chi(T) U = U diag(d) is the diagonalization of chi(T) the
+    eigensystem was read from, U unitary.
 
     Route: `_split_schur` of chi(T), one Hermitian eigensolve that splits
     the eigenvalues by alpha + mu beta and a complex Schur form only of the
@@ -201,14 +200,13 @@ def _normal_eigensystem(t: QMatrix) -> tuple[np.ndarray, np.ndarray, QMatrix, fl
         lambdas.append(np.full(w.shape[1], complex(evals.real[real[cluster]].mean())))
         vectors.append(w)
     lambdas, vectors = np.concatenate(lambdas), np.hstack(vectors)
-    is_real = np.arange(n) >= upper.size
     order = np.lexsort((lambdas.imag, lambdas.real))
     vectors = vectors[:, order]
     columns = QMatrix(vectors[:n], -vectors[n:].conj())  # chi(u_m) = [u1; -conj u2]
     for _ in range(2):
         gram = columns.adjoint() @ columns
         columns = columns @ (QMatrix.identity(n) * 3.0 - gram) * 0.5
-    return lambdas[order], is_real[order], columns, tnorm, (evals, q)
+    return lambdas[order], columns, tnorm, (evals, q)
 
 
 @dataclass(frozen=True)
@@ -218,10 +216,7 @@ class CalculusContext:
     threads."""
 
     t: QMatrix
-    iota: SpherePoint
-    kappa: SpherePoint
     lambdas: np.ndarray            # (n,) complex, Im >= 0
-    kernel_flags: np.ndarray       # (n,) bool: eigenvector of Ker(T - T*)
     basis: LeftMultiplication      # simultaneous real-diagonalizing basis
     tnorm: float                   # ||T|| = max |lambda_m|
     chi_diag: tuple[np.ndarray, np.ndarray]  # (d, U): Schur basis of chi(T), U unitary
@@ -229,6 +224,12 @@ class CalculusContext:
     @property
     def n(self) -> int:
         return self.t.n
+
+    @property
+    def kernel_flags(self) -> np.ndarray:
+        """(n,) bool: u_m lies in Ker(T - T*). Exact: each upper lambda_m
+        has Im > tau >= 0, and each real cluster's is built with Im 0."""
+        return self.lambdas.imag == 0.0
 
     @cached_property
     def a(self) -> QMatrix:
@@ -243,12 +244,12 @@ class CalculusContext:
     @cached_property
     def j(self) -> QMatrix:
         """J = L_iota = Z diag(iota) Z*."""
-        return self.basis.matrix(self.iota)
+        return self.basis.matrix(IOTA)
 
     @cached_property
     def k(self) -> QMatrix:
         """K = L_kappa."""
-        return self.basis.matrix(self.kappa)
+        return self.basis.matrix(KAPPA)
 
     @cached_property
     def _spheres(self) -> tuple[np.ndarray, list[list[int]]]:
@@ -301,7 +302,7 @@ def build_context(t: QMatrix) -> CalculusContext:
     `slice_regular_contour` sums its quadrature on. A, B, J and K are
     computed on first use.
     """
-    lambdas, kernel_flags, columns, tnorm, chi_diag = _normal_eigensystem(t)
+    lambdas, columns, tnorm, chi_diag = _normal_eigensystem(t)
 
     def gaps() -> str:
         evals = np.concatenate([lambdas, lambdas.conj()])
@@ -319,8 +320,7 @@ def build_context(t: QMatrix) -> CalculusContext:
     if residual > bound:
         raise NumericalError(f"eigen-residual ||T - Z diag(lambda) Z*|| = {residual:.3e} "
                              f"exceeds {bound:.3e}; {gaps()}")
-    return CalculusContext(t=t, iota=IOTA, kappa=KAPPA, lambdas=lambdas,
-                           kernel_flags=kernel_flags, basis=basis, tnorm=tnorm,
+    return CalculusContext(t=t, lambdas=lambdas, basis=basis, tnorm=tnorm,
                            chi_diag=chi_diag)
 
 
@@ -397,7 +397,7 @@ def _eigen_sandwich(ctx: CalculusContext, f: SliceFunction,
     if not finite.all():
         raise NumericalError(f"f is not finite at spectrum point "
                              f"{ctx.lambdas[np.argmin(finite)]:.6g}")
-    return ctx.basis.diagonal(vals[:, 0] + _qmul(_as_qarray(ctx.iota), vals[:, 1]))
+    return ctx.basis.diagonal(vals[:, 0] + _qmul(_as_qarray(IOTA), vals[:, 1]))
 
 
 def intrinsic_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
@@ -415,7 +415,7 @@ def intrinsic_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
 def cslice_calculus(ctx: CalculusContext, f: SliceFunction) -> QMatrix:
     """Calculus for C_iota-slice functions: f(T) = f0(T) + f1(T) J where
     f = f0 + f1*iota with intrinsic components."""
-    if not is_cslice(f, ctx.iota):
+    if not is_cslice(f, IOTA):
         raise PreconditionError("function does not take values in the context slice")
     return _eigen_sandwich(ctx, f, 2)
 
@@ -494,7 +494,7 @@ def slice_regular_contour(ctx: CalculusContext, f: SliceFunction | Sequence[Slic
     # nodes s = alpha + iota beta as a (nodes, 4) array; weights w = s / nodes
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     alpha, beta = radius * np.cos(theta), radius * np.sin(theta)
-    s = np.outer(beta, _as_qarray(ctx.iota))
+    s = np.outer(beta, _as_qarray(IOTA))
     s[:, 0] = alpha
     weights, s_conj = s / nodes, _qconj(s)
     # c = z1 + z2 j with z1, z2 in C. gamma[m] takes the rows SP, SQ, P, Q to

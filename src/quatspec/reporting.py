@@ -1,5 +1,5 @@
-"""Check records and verification reports shared by the spectral module,
-the verification suites and the CLI."""
+"""Check records and verification reports, written by the verification
+suites and rendered by the CLI."""
 
 from __future__ import annotations
 

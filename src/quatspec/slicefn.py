@@ -25,7 +25,8 @@ Contents:
 
 - `CircularSet` - finite circular set: upper-half-plane representatives
   (alpha, beta) with multiplicities; the spherical spectrum is one
-- `cluster_points` - the greedy point merge behind every spectrum clustering
+- `cluster_points` - the connected-components merge behind every spectrum
+  clustering
 - `SliceFunction` - poly / builtin / tabulated / derived function with its
   domain, its stem evaluator, evaluation and the algebra
 - `slice_product`, `slice_add`, `slice_star`, `decompose_components`,
@@ -107,27 +108,36 @@ class CircularSet:
 
 
 def cluster_points(points, tol: float) -> tuple[np.ndarray, list[list[int]]]:
-    """Greedy merge of nearby 2D points.
+    """Connected components of the graph joining 2D points within `tol`.
 
-    Points are visited in lexicographic order; each joins the first centroid
-    within `tol`, which moves to the running mean of its members. Returns the
-    lexicographically sorted centroids and, in the same order, the indices of
-    the points each centroid merged.
+    Two points within `tol` of each other always share a cluster, whatever
+    their order, so a point and its conjugate partner are never split. The
+    points are ranked in lexicographic order and each takes the smallest
+    rank among its neighbours until no label moves, on one distance matrix.
+    A centroid is the running mean of its members in rank order, taken rank
+    by rank across all clusters at once. Returns the lexicographically
+    sorted centroids and, in the same order, the indices of the points each
+    centroid merged, in rank order.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    centroids = np.empty_like(points)
-    members: list[list[int]] = []
-    for idx in np.lexsort((points[:, 1], points[:, 0])):
-        p = points[idx]
-        near = np.flatnonzero(np.hypot(*(centroids[:len(members)] - p).T) <= tol)
-        if near.size:
-            c_i = near[0]
-            members[c_i].append(int(idx))
-            centroids[c_i] += (p - centroids[c_i]) / len(members[c_i])
-        else:
-            centroids[len(members)] = p
-            members.append([int(idx)])
-    cent = centroids[:len(members)]
+    ranked = np.lexsort((points[:, 1], points[:, 0]))
+    p = points[ranked]
+    near = np.hypot(p[:, None, 0] - p[None, :, 0], p[:, None, 1] - p[None, :, 1]) <= tol
+    label = np.arange(len(p))
+    while True:
+        moved = np.where(near, label, label[:, None]).min(axis=1, initial=len(p))
+        if np.array_equal(moved, label):
+            break
+        label = moved
+    roots = np.flatnonzero(label == np.arange(len(p)))  # one per cluster, by first rank
+    by_cluster = np.argsort(np.searchsorted(roots, label), kind="stable")
+    sizes = np.bincount(label, minlength=len(p))[roots]
+    starts = np.cumsum(sizes) - sizes
+    cent = p[by_cluster[starts]]
+    for k in range(1, sizes.max(initial=0)):
+        grow = sizes > k
+        cent[grow] += (p[by_cluster[starts[grow] + k]] - cent[grow]) / (k + 1)
+    members = [ranked[by_cluster[lo:lo + size]].tolist() for lo, size in zip(starts, sizes)]
     order = np.lexsort((cent[:, 1], cent[:, 0]))
     return cent[order], [members[i] for i in order]
 

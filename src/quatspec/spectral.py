@@ -19,7 +19,6 @@ Contents:
 - `spherical_spectrum(T)` - eigenvalues of chi(T) folded and clustered
 - `gelfand_check(T, n_max)` - the sequence ||T^(2^k)||^(1/2^k)
 - `resolvent_series(T, q, tol)` - power-series inverse of Delta_q(T)
-- `verify_spectral_classes(T)` - spectral containments per operator class
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .qmatrix import (QMatrix, chi_embed, is_anti_self_adjoint, is_normal,
-                      is_self_adjoint, is_unitary, op_norm)
+from .qmatrix import QMatrix, chi_embed, op_norm
 from .quaternion import Quaternion
-from .reporting import VerificationReport
-from .slicefn import CircularSet, cluster_points, hausdorff
+from .slicefn import CircularSet, cluster_points
 
 CLUSTER_TOL = 1e-8  # sphere clustering of the spectrum and the measure atoms, times ||T||
 _RESOLVENT_MAX_TERMS = 20000  # term budget of `resolvent_series`
@@ -57,10 +54,7 @@ def spherical_spectrum(t: QMatrix) -> CircularSet:
     if any(len(cluster) % 2 for cluster in members):
         raise NumericalError(
             "folded eigenvalues did not pair up; conjugate symmetry lost")
-    mult = [len(cluster) // 2 for cluster in members]
-    if sum(mult) != t.n:
-        raise NumericalError("spectrum multiplicities do not sum to the dimension")
-    return CircularSet(reps, mult)
+    return CircularSet(reps, [len(cluster) // 2 for cluster in members])
 
 
 def gelfand_check(t: QMatrix, n_max: int) -> np.ndarray:
@@ -123,65 +117,3 @@ def resolvent_series(t: QMatrix, q: Quaternion, tol: float) -> QMatrix:
         if tail * dnorm <= tol:
             return total * (1.0 / (modq * modq))
     raise NumericalError("resolvent series did not converge within the term budget")
-
-
-def verify_spectral_classes(t: QMatrix) -> VerificationReport:
-    """Detect the operator class of T and check the corresponding spectral
-    containments, plus sigma_S(T) = sigma_S(T*) and the circularity contract.
-    The class is read off the `qmatrix` predicates at their default
-    tolerances, which are relative to ||T||_F (unitarity fixes the scale), so
-    c T has the class of T for every c > 0 except the unitary ones. Every
-    tolerance is relative to ||T|| with no floor, so it scales with T.
-
-    In finite dimension the residual and continuous parts of the spectrum are
-    empty; the report records this instead of representing them.
-    """
-    report = VerificationReport()
-    tnorm = op_norm(t)
-    sa = is_self_adjoint(t)
-    asa = is_anti_self_adjoint(t)
-    unitary = is_unitary(t)
-    normal = is_normal(t)
-    if sa:
-        detected = "self-adjoint"
-    elif asa and unitary:
-        detected = "anti-self-adjoint unitary"
-    elif asa:
-        detected = "anti-self-adjoint"
-    elif unitary:
-        detected = "unitary"
-    elif normal:
-        detected = "normal"
-    else:
-        detected = "generic"
-    report.meta["class"] = detected
-
-    spec = spherical_spectrum(t)
-    tol = 1e-8 * tnorm
-    if sa:
-        report.add("spectrum-real", "T = T*  =>  sigma_S(T) subset R",
-                   float(spec.reps[:, 1].max(initial=0.0)), tol)
-    if asa:
-        report.add("spectrum-imaginary", "T = -T*  =>  sigma_S(T) subset Im(H)",
-                   float(np.abs(spec.reps[:, 0]).max(initial=0.0)), tol)
-    if unitary:
-        moduli = np.hypot(spec.reps[:, 0], spec.reps[:, 1])
-        report.add("spectrum-unit-modulus", "T unitary  =>  |q| = 1 on sigma_S(T)",
-                   float(np.abs(moduli - 1.0).max(initial=0.0)), tol)
-    if asa and unitary:
-        target = np.array([[0.0, 1.0]])
-        report.add("spectrum-is-sphere",
-                   "T anti-self-adjoint unitary  =>  sigma_S(T) = S",
-                   hausdorff(spec.reps, target), tol)
-    if normal:
-        report.add("radius-equals-norm", "T normal  =>  r_S(T) = ||T||",
-                   abs(spec.radius() - tnorm), 1e-9 * tnorm)
-    spec_star = spherical_spectrum(t.adjoint())
-    report.add("adjoint-same-spectrum", "sigma_S(T) = sigma_S(T*)",
-               hausdorff(spec.reps, spec_star.reps), tol)
-    report.add("circularity", "only beta >= 0 representatives stored",
-               float(max(0.0, -spec.reps[:, 1].min(initial=0.0))), 0.0)
-    report.notes.append(
-        "finite dimension: residual and continuous spectral parts are empty "
-        "(every spectral point is an eigensphere)")
-    return report

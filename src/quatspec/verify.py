@@ -12,6 +12,13 @@ Operator residuals are Frobenius norms, which bound the operator norm from
 above and need no SVD; `op_norm` is taken only where the operator norm is
 the quantity under test and for tolerance scales.
 
+The spectral suite also checks the paper's containments per operator
+class, each row only where its class holds: `spectrum-real` (T = T*),
+`spectrum-imaginary` (T = -T*), `spectrum-unit-modulus` (T unitary),
+`spectrum-is-sphere` (T = -T* unitary), `radius-equals-norm` (T normal),
+and for every T `adjoint-same-spectrum` and `circularity`. Each class
+predicate and the spectrum of T are taken once per matrix.
+
 Two rows of the calculus suite check the paper's definitions on their own
 terms, not through the context's eigensystem. `B-definition`: by uniqueness
 of the positive square root, B = |T - T*|/2 exactly when B* = B, chi(B) >= 0
@@ -25,21 +32,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import (alternate_kernel_J, build_context, circular_calculus,
-                       cslice_calculus, general_calculus, intrinsic_calculus,
-                       polynomial_calculus, slice_regular_contour,
-                       spectral_measure_weights)
+from .calculus import (IOTA, KAPPA, alternate_kernel_J, build_context,
+                       circular_calculus, cslice_calculus, general_calculus,
+                       intrinsic_calculus, polynomial_calculus,
+                       slice_regular_contour, spectral_measure_weights)
 from .qmatrix import (QMatrix, _as_qarray, _hc_mul, _hc_norm, _hc_star, _pair_product,
-                      _qconj, _qmul, chi_embed, is_normal, is_self_adjoint, op_norm,
-                      random_normal, random_qvector, split_plus_minus)
+                      _qconj, _qmul, chi_embed, is_anti_self_adjoint, is_normal,
+                      is_self_adjoint, is_unitary, op_norm, random_normal, random_qvector,
+                      split_plus_minus)
 from .quaternion import (Quaternion, SpherePoint, fold, random_sphere_point,
                          sphere_grid)
 from .reporting import VerificationReport
 from .slicefn import (CircularSet, SliceFunction, decompose_components,
                       hausdorff, is_circular, is_cslice, is_intrinsic,
                       one_sided_hausdorff, slice_product, sup_norm)
-from .spectral import (delta_q, gelfand_check, resolvent_series,
-                       spherical_spectrum, verify_spectral_classes)
+from .spectral import delta_q, gelfand_check, resolvent_series, spherical_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +210,33 @@ def verify_spectral(report: VerificationReport, t: QMatrix,
                      "computed representatives match the generator",
                      hausdorff(spec.reps, truth_reps), 1e-8 * scale)
 
-    classes = verify_spectral_classes(t)
-    for check in classes.checks:
-        report.worst(check.name, check.identity, check.residual, check.tolerance,
-                     check.soft)
+    # the class predicates are relative to ||T||_F, so c T has the class of T
+    # for every c > 0 bar unitarity; the containments are relative to ||T||
+    sa, asa = is_self_adjoint(t), is_anti_self_adjoint(t)
+    unitary, normal = is_unitary(t), is_normal(t)
+    tol = 1e-8 * tnorm
+    if sa:
+        report.worst("spectrum-real", "T = T*  =>  sigma_S(T) subset R",
+                     float(spec.reps[:, 1].max(initial=0.0)), tol)
+    if asa:
+        report.worst("spectrum-imaginary", "T = -T*  =>  sigma_S(T) subset Im(H)",
+                     float(np.abs(spec.reps[:, 0]).max(initial=0.0)), tol)
+    if unitary:
+        moduli = np.hypot(spec.reps[:, 0], spec.reps[:, 1])
+        report.worst("spectrum-unit-modulus", "T unitary  =>  |q| = 1 on sigma_S(T)",
+                     float(np.abs(moduli - 1.0).max(initial=0.0)), tol)
+    if asa and unitary:
+        report.worst("spectrum-is-sphere", "T anti-self-adjoint unitary  =>  sigma_S(T) = S",
+                     hausdorff(spec.reps, np.array([[0.0, 1.0]])), tol)
+    if normal:
+        report.worst("radius-equals-norm", "T normal  =>  r_S(T) = ||T||",
+                     abs(spec.radius() - tnorm), 1e-9 * tnorm)
+    report.worst("adjoint-same-spectrum", "sigma_S(T) = sigma_S(T*)",
+                 hausdorff(spec.reps, spherical_spectrum(t.adjoint()).reps), tol)
+    report.worst("circularity", "only beta >= 0 representatives stored",
+                 float(max(0.0, -spec.reps[:, 1].min(initial=0.0))), 0.0)
 
-    if is_normal(t):
+    if normal:
         seq = gelfand_check(t, 5)
         report.worst("gelfand-constant",
                      "||T^(2^k)||^(1/2^k) is constant for normal T",
@@ -242,7 +270,7 @@ def verify_spectral(report: VerificationReport, t: QMatrix,
     report.worst("eigensphere-membership",
                  "Delta_q(T) is singular at spectrum points", worst, 1e-8)
 
-    if is_self_adjoint(t):
+    if sa:
         # real-polynomial spectral map, degree <= 5
         coefs = rng.normal(size=rng.integers(2, 6))
         pt = QMatrix.zeros(t.n)
@@ -329,7 +357,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
         nf = sup_norm(f, spec_set)
         report.worst("intrinsic-isometry", "||f(T)|| = sup |f| on sigma_S(T)",
                      abs(op_norm(ft) - nf) / max(1.0, nf), 1e-8)
-        mapped = _folded(_slice_image(f, spec_set.reps, ctx.iota))
+        mapped = _folded(_slice_image(f, spec_set.reps, IOTA))
         report.worst("intrinsic-spectral-map", "sigma_S(f(T)) = f(sigma_S(T))",
                      hausdorff(spherical_spectrum(ft).reps, mapped),
                      1e-7 * max(1.0, nf))
@@ -351,7 +379,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     # restriction to H+: matrix elements in the eigenbasis are the stem values
     worst = 0.0
     for m, (f1, f2) in enumerate(fi.stem_values(ctx.lambdas)):
-        mu = Quaternion(f1[0]) + ctx.iota * f2[0]
+        mu = Quaternion(f1[0]) + IOTA * f2[0]
         um = ctx.basis.vector(m)
         worst = max(worst, (um.inner(fti @ um) - mu).norm())
     report.worst("restriction-identity",
@@ -360,18 +388,18 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
 
     # C_iota-slice calculus
     report.worst("cslice-constant-J", "constant iota maps to J",
-                 (cslice_calculus(ctx, SliceFunction.constant(ctx.iota)) - ctx.j).frobenius(),
+                 (cslice_calculus(ctx, SliceFunction.constant(IOTA)) - ctx.j).frobenius(),
                  1e-12)
     report.worst("cslice-extends-intrinsic", "slice calculus extends the intrinsic one",
                  (cslice_calculus(ctx, fi) - fti).frobenius(), 1e-10 * max(1.0, nfti))
-    f_lin = SliceFunction.builtin("id") + SliceFunction.constant(ctx.iota)
+    f_lin = SliceFunction.builtin("id") + SliceFunction.constant(IOTA)
     report.worst("cslice-linearity", "(id + c_iota)(T) = T + J",
                  (cslice_calculus(ctx, f_lin) - (t + ctx.j)).frobenius(), 1e-10 * scale)
 
-    fcs = _random_cslice_poly(rng, ctx.iota)
+    fcs = _random_cslice_poly(rng, IOTA)
     fcs_t = cslice_calculus(ctx, fcs)
     upper = spec_set.reps
-    image = _slice_image(fcs, upper, ctx.iota)
+    image = _slice_image(fcs, upper, IOTA)
     nf_plus = float(np.linalg.norm(image, axis=1).max())
     report.worst("cslice-norm", "||f(T)|| = sup |f| on the upper slice spectrum",
                  abs(op_norm(fcs_t) - nf_plus) / max(1.0, nf_plus), 1e-8)
@@ -382,14 +410,14 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
                  1e-7 * max(1.0, nf_plus))
 
     if float(upper[:, 1].max(initial=0.0)) > 0.1:
-        fk = _upper_vanishing_function(ctx.iota)
+        fk = _upper_vanishing_function(IOTA)
         report.worst("cslice-kernel",
                      "functions vanishing on the upper slice spectrum map to 0",
                      cslice_calculus(ctx, fk).frobenius(), 1e-8 * scale)
 
     # circular calculus
     report.worst("circular-constant-K", "constant kappa maps to K",
-                 (circular_calculus(ctx, SliceFunction.constant(ctx.kappa))
+                 (circular_calculus(ctx, SliceFunction.constant(KAPPA))
                   - ctx.k).frobenius(),
                  1e-12)
     qv = Quaternion(*(rng.normal(size=4) * 2.0))
@@ -406,7 +434,7 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     report.worst("circular-star", "f*(T) = f(T)* for circular f",
                  (circular_calculus(ctx, fc.star()) - fct.adjoint()).frobenius(),
                  1e-8 * max(1.0, nfct))
-    mapped = _folded(_slice_image(fc, upper, ctx.iota))
+    mapped = _folded(_slice_image(fc, upper, IOTA))
     report.worst("circular-spectral-containment",
                  "sigma_S(f(T)) inside the circularized image",
                  one_sided_hausdorff(spherical_spectrum(fct).reps, mapped),
@@ -425,10 +453,10 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
                  (general_calculus(ctx, slice_product(fg, SliceFunction.constant(qv)))
                   - fgt @ ctx.basis.matrix(qv)).frobenius(),
                  1e-9 * max(1.0, nfgt * qv.norm()))
-    f0, f1, f2, f3 = decompose_components(fg, ctx.iota, ctx.kappa)
-    twisted = f0 + slice_product(f1, SliceFunction.constant(ctx.iota)) \
-        + slice_product(f2.star(), SliceFunction.constant(ctx.kappa)) \
-        + slice_product(f3.star(), SliceFunction.constant(ctx.iota * ctx.kappa))
+    f0, f1, f2, f3 = decompose_components(fg, IOTA, KAPPA)
+    twisted = f0 + slice_product(f1, SliceFunction.constant(IOTA)) \
+        + slice_product(f2.star(), SliceFunction.constant(KAPPA)) \
+        + slice_product(f3.star(), SliceFunction.constant(IOTA * KAPPA))
     report.worst("general-adjoint-rule", "f(T)* equals the twisted star image",
                  (fgt.adjoint() - general_calculus(ctx, twisted.star())).frobenius(),
                  1e-9 * max(1.0, nfgt))
@@ -476,21 +504,21 @@ def verify_calculus(report: VerificationReport, t: QMatrix,
     weights = spectral_measure_weights(ctx, vec)
     report.worst("measure-total", "weights sum to ||u||^2",
                  abs(weights.sum() - vec.norm() ** 2) / vec.norm() ** 2, 1e-9)
-    expect = float(weights @ (_slice_image(f_sq, spec_set.reps, ctx.iota) ** 2).sum(axis=1))
+    expect = float(weights @ (_slice_image(f_sq, spec_set.reps, IOTA) ** 2).sum(axis=1))
     report.worst("measure-moment", "||f(T)u||^2 = sum |f(lambda)|^2 w",
                  abs((intrinsic_calculus(ctx, f_sq) @ vec).norm() ** 2 - expect)
                  / (expect or 1.0), 1e-9)
     # the splitting H = H+ (+) H- of the same vector; <u+|u-> itself is not
     # zero, but its C_iota part is: it lies in span{kappa, iota kappa}
-    u_plus, u_minus = split_plus_minus(vec, ctx.j, ctx.iota)
+    u_plus, u_minus = split_plus_minus(vec, ctx.j, IOTA)
     inner = u_plus.inner(u_minus).components()
     size = vec.norm()
     report.worst("plus-minus-splitting",
                  "u = u+ + u-, J u+- = +-u+- iota, <u+|u-> in span{kappa, iota kappa}",
                  max(max((u_plus + u_minus - vec).norm(),
-                         (ctx.j @ u_plus - u_plus.rmul(ctx.iota)).norm(),
-                         (ctx.j @ u_minus + u_minus.rmul(ctx.iota)).norm()) / size,
-                     np.hypot(inner[0], inner[1:] @ _as_qarray(ctx.iota)[1:]) / size ** 2),
+                         (ctx.j @ u_plus - u_plus.rmul(IOTA)).norm(),
+                         (ctx.j @ u_minus + u_minus.rmul(IOTA)).norm()) / size,
+                     np.hypot(inner[0], inner[1:] @ _as_qarray(IOTA)[1:]) / size ** 2),
                  1e-9)
 
     # choice independence of the polynomial calculus

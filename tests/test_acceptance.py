@@ -7,7 +7,7 @@ one criterion.
 
 import numpy as np
 
-from quatspec.calculus import (alternate_kernel_J, build_context,
+from quatspec.calculus import (IOTA, KAPPA, alternate_kernel_J, build_context,
                                circular_calculus, cslice_calculus,
                                general_calculus, intrinsic_calculus,
                                polynomial_calculus, slice_regular_contour,
@@ -270,7 +270,7 @@ def test_criterion_10_circular_calculus():
                          op_norm(circular_calculus(ctx, f.star()) - ft.adjoint())
                          / max(1.0, op_norm(ft)))
         worst_const = max(worst_const,
-                          op_norm(circular_calculus(ctx, SliceFunction.constant(ctx.kappa))
+                          op_norm(circular_calculus(ctx, SliceFunction.constant(KAPPA))
                                   - ctx.k))
         upper = ctx.spectrum().reps
         mapped = np.array([fold(f.eval(Quaternion(a) + I * b)) for a, b in upper])
@@ -302,10 +302,10 @@ def test_criterion_11_general_calculus():
         worst_scalar = max(worst_scalar,
                            op_norm(lhs - ft @ ctx.basis.matrix(q))
                            / max(1.0, op_norm(ft) * q.norm()))
-        f0, f1, f2, f3 = decompose_components(f, ctx.iota, ctx.kappa)
-        twisted = f0 + slice_product(f1, SliceFunction.constant(ctx.iota)) \
-            + slice_product(f2.star(), SliceFunction.constant(ctx.kappa)) \
-            + slice_product(f3.star(), SliceFunction.constant(ctx.iota * ctx.kappa))
+        f0, f1, f2, f3 = decompose_components(f, IOTA, KAPPA)
+        twisted = f0 + slice_product(f1, SliceFunction.constant(IOTA)) \
+            + slice_product(f2.star(), SliceFunction.constant(KAPPA)) \
+            + slice_product(f3.star(), SliceFunction.constant(IOTA * KAPPA))
         worst_adjoint = max(worst_adjoint,
                             op_norm(ft.adjoint() - general_calculus(ctx, twisted.star()))
                             / max(1.0, op_norm(ft)))

@@ -59,26 +59,32 @@ def test_cluster_points_reports_members():
     assert cluster_points(np.empty((0, 2)), 1e-8)[0].shape == (0, 2)
 
 
-def greedy_merge_reference(points, tol):
-    """Point-by-point, centroid-by-centroid form of the greedy merge."""
+def components_reference(points, tol):
+    """Connected components of the within-`tol` graph by depth-first search,
+    each as its member indices in lexicographic order of the points."""
     points = np.asarray(points, dtype=float)
-    centroids, members = [], []
-    for idx in np.lexsort((points[:, 1], points[:, 0])):
-        p = points[idx]
-        for c_i, c in enumerate(centroids):
-            if np.hypot(*(p - c)) <= tol:
-                members[c_i].append(int(idx))
-                centroids[c_i] = c + (p - c) / len(members[c_i])
-                break
-        else:
-            centroids.append(p.copy())
-            members.append([int(idx)])
-    cent = np.array(centroids)
-    order = np.lexsort((cent[:, 1], cent[:, 0]))
-    return cent[order], [members[i] for i in order]
+    rank = np.empty(len(points), dtype=int)
+    rank[np.lexsort((points[:, 1], points[:, 0]))] = np.arange(len(points))
+    seen, clusters = set(), []
+    for start in range(len(points)):
+        if start in seen:
+            continue
+        stack, cluster = [start], []
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            cluster.append(i)
+            for j in range(len(points)):
+                if j not in seen and math.hypot(*(points[i] - points[j])) <= tol:
+                    seen.add(j)
+                    stack.append(j)
+        clusters.append(sorted(cluster, key=lambda i: rank[i]))
+    return clusters
 
 
-def test_cluster_points_equals_the_greedy_loop():
+def test_cluster_points_finds_the_connected_components():
+    """Every pair within `tol` shares a cluster and each cluster is
+    connected; the centroid is the running mean of the members in order."""
     rng = np.random.default_rng(11)
     for _ in range(50):
         sites = rng.normal(size=(rng.integers(1, 20), 2))
@@ -86,9 +92,22 @@ def test_cluster_points_equals_the_greedy_loop():
         pts = pts + rng.normal(scale=10.0 ** rng.uniform(-12, -7), size=pts.shape)
         tol = 10.0 ** rng.uniform(-11, -6)
         centroids, members = cluster_points(pts, tol)
-        expect_centroids, expect_members = greedy_merge_reference(pts, tol)
-        assert np.array_equal(centroids, expect_centroids)
-        assert members == expect_members
+        assert sorted(members) == sorted(components_reference(pts, tol))
+        for centroid, cluster in zip(centroids, members):
+            mean = pts[cluster[0]].copy()
+            for k, i in enumerate(cluster[1:], start=2):
+                mean += (pts[i] - mean) / k
+            assert np.array_equal(centroid, mean)
+        assert np.array_equal(np.lexsort((centroids[:, 1], centroids[:, 0])),
+                              np.arange(len(centroids)))
+
+
+def test_cluster_points_keeps_a_chain_together():
+    """(0, 0), (0.9, 0) and (1.8, 0) at tol 1 are one cluster, though the
+    mean of the first two lies 1.35 from the third."""
+    centroids, members = cluster_points([[1.8, 0.0], [0.0, 0.0], [0.9, 0.0]], 1.0)
+    assert members == [[1, 2, 0]]
+    assert np.allclose(centroids, [[0.9, 0.0]], rtol=0.0, atol=1e-15)
 
 
 def test_circular_set_rejects_negative_beta():

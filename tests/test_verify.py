@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from quatspec.qmatrix import QMatrix, random_normal, random_unitary
+from quatspec.qmatrix import (QMatrix, is_normal, is_self_adjoint, random_normal,
+                              random_unitary)
 from quatspec.quaternion import Quaternion, random_sphere_point
 from quatspec.reporting import Check, VerificationReport
-from quatspec.spectral import gelfand_check, verify_spectral_classes
-from quatspec.verify import _KINDS, run_verification, verify_calculus
+from quatspec.spectral import gelfand_check
+from quatspec.verify import _KINDS, run_verification, verify_calculus, verify_spectral
 
 # every row of `verify --random 8,20,<seed>`, whatever the seed
 VERIFY_ROWS = frozenset("""
@@ -177,13 +178,47 @@ def test_definition_rows_pass_on_nearly_real_eigenvalues():
         assert len(rows) == 2 and all(r.passed for r in rows), (seed, [r.to_json() for r in rows])
 
 
+CLASS_ROWS = ("spectrum-real", "spectrum-imaginary", "spectrum-unit-modulus",
+              "spectrum-is-sphere", "radius-equals-norm", "adjoint-same-spectrum",
+              "circularity")
+
+
+def _class_rows(t: QMatrix) -> list[Check]:
+    report = VerificationReport()
+    verify_spectral(report, t, np.random.default_rng(0))
+    return [c for c in report.checks if c.name in CLASS_ROWS]
+
+
 @pytest.mark.parametrize("kind", ["normal", "selfadjoint", "antiselfadjoint"])
 def test_spectral_class_tolerances_scale_with_t(kind):
-    """No max(1, ||T||) floor: each row's tolerance for 1e-12 T is 1e-12
-    times its tolerance for T, and the rows are the same."""
+    """No max(1, ||T||) floor: each class row's tolerance for 1e-12 T is
+    1e-12 times its tolerance for T, and the rows are the same."""
     t = random_normal(6, np.random.default_rng(3), kind=kind)[0]
-    rows, small = verify_spectral_classes(t).checks, verify_spectral_classes(t * 1e-12).checks
+    rows, small = _class_rows(t), _class_rows(t * 1e-12)
     assert [r.name for r in small] == [r.name for r in rows]
+    assert {"adjoint-same-spectrum", "circularity", "radius-equals-norm"} <= {r.name for r in rows}
     for r, r_small in zip(rows, small):
         assert r_small.tolerance == pytest.approx(1e-12 * r.tolerance, rel=1e-12, abs=0.0)
         assert r_small.passed
+
+
+def test_verify_spectral_takes_one_spectrum_of_t(monkeypatch):
+    """The spectral suite reads sigma_S(T) once per matrix; the spectra of
+    T*, T^2, T^3 and the other operators it builds do not count."""
+    import quatspec.spectral
+    import quatspec.verify
+    t = random_normal(6, np.random.default_rng(5))[0]
+    assert is_normal(t) and not is_self_adjoint(t)
+    calls = []
+    real = quatspec.spectral.spherical_spectrum
+
+    def counted(m):
+        calls.append(m is t)
+        return real(m)
+
+    for module in (quatspec.spectral, quatspec.verify):
+        monkeypatch.setattr(module, "spherical_spectrum", counted)
+    report = VerificationReport()
+    verify_spectral(report, t, np.random.default_rng(0))
+    assert report.ok, report.table()
+    assert calls.count(True) == 1
