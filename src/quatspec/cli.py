@@ -8,9 +8,9 @@ Subcommands:
 - `resolvent`  - series inverse of Delta_q(T)
 - `verify`     - run the property-verification suites
 
-Exit codes: 0 success, 1 verification failures, 2 malformed input JSON or
-an option out of its range, 3 precondition violations and numerical
-failures raised by the library.
+Exit codes: 0 success, 1 verification failures, 2 malformed input JSON, an
+option out of its range or an unwritable output file (`--out`, `--emit-plot`,
+`--json-out`), 3 precondition violations and numerical failures.
 
 JSON numbers are emitted via the shortest round-trip representation, so
 parse -> serialize -> parse is bit-identical after one normalization pass.
@@ -106,16 +106,20 @@ def _dumps(obj, indent: str = "") -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
 
 
-def _write_json(data, fh) -> None:
-    fh.write(_dumps(data) + "\n")
-
-
 def _emit(data) -> None:
-    _write_json(data, sys.stdout)
+    sys.stdout.write(_dumps(data) + "\n")
 
 
-def _spectrum_svg(reps, path: str) -> None:
-    """Standalone static scatter of the (alpha, beta) representatives."""
+def _write_file(option: str, path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path} ({option}): {exc.strerror or exc}") from exc
+
+
+def _spectrum_svg(reps) -> str:
+    """A standalone static SVG scatter of the (alpha, beta) representatives."""
     width, height, margin = 420, 320, 45
     reps = np.asarray(reps, dtype=float).reshape(-1, 2)
     a_lo = min(-1.0, reps[:, 0].min() - 0.5) if reps.size else -1.0
@@ -143,15 +147,14 @@ def _spectrum_svg(reps, path: str) -> None:
         parts.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="4" '
                      'fill="steelblue" fill-opacity="0.8"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 def _cmd_spectrum(args) -> int:
     t = _load_matrix(args.input)
     spec = spherical_spectrum(t)
     if args.emit_plot:
-        _spectrum_svg(spec.reps, args.emit_plot)
+        _write_file("--emit-plot", args.emit_plot, _spectrum_svg(spec.reps))
     _emit(spec.to_json())
     return EXIT_OK
 
@@ -159,8 +162,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_decompose(args) -> int:
     t = _load_matrix(args.input)
     ctx = build_context(t)
-    with open(args.out, "w") as fh:
-        _write_json(ctx.to_json(), fh)
+    _write_file("--out", args.out, _dumps(ctx.to_json()) + "\n")
     return EXIT_OK
 
 
@@ -225,8 +227,7 @@ def _cmd_verify(args) -> int:
                               suite=args.suite)
     print(report.table())
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            _write_json(report.to_json(), fh)
+        _write_file("--json-out", args.json_out, _dumps(report.to_json()) + "\n")
     return report.exit_code
 
 

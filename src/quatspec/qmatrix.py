@@ -272,7 +272,9 @@ class QMatrix(_QArray):
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":
-        n = int(data["n"])
+        n = data["n"]
+        if not (type(n) is int and n >= 1):  # a JSON integer; true is not one
+            raise PreconditionError(f"n must be an integer >= 1, got {n!r}")
         rows = np.asarray(data["rows"], dtype=float)
         if rows.shape != (n, n, 4):
             raise PreconditionError(f"rows shape {rows.shape} inconsistent with n={n}")
@@ -325,22 +327,24 @@ def op_norm(m: QMatrix) -> float:
 
 # -- operator classes -----------------------------------------------------------
 
-
-def is_self_adjoint(m: QMatrix, tol: float = 1e-10) -> bool:
-    return (m - m.adjoint()).frobenius() <= tol * m.frobenius()
+_CLASS_TOL = 1e-10  # class defect relative to ||M||_F (||M||_F^2 if normal, n if unitary)
 
 
-def is_anti_self_adjoint(m: QMatrix, tol: float = 1e-10) -> bool:
-    return (m + m.adjoint()).frobenius() <= tol * m.frobenius()
+def is_self_adjoint(m: QMatrix) -> bool:
+    return (m - m.adjoint()).frobenius() <= _CLASS_TOL * m.frobenius()
 
 
-def is_unitary(m: QMatrix, tol: float = 1e-10) -> bool:
-    return (m @ m.adjoint() - QMatrix.identity(m.n)).frobenius() <= tol * m.n
+def is_anti_self_adjoint(m: QMatrix) -> bool:
+    return (m + m.adjoint()).frobenius() <= _CLASS_TOL * m.frobenius()
 
 
-def is_normal(m: QMatrix, tol: float = 1e-10) -> bool:
+def is_unitary(m: QMatrix) -> bool:
+    return (m @ m.adjoint() - QMatrix.identity(m.n)).frobenius() <= _CLASS_TOL * m.n
+
+
+def is_normal(m: QMatrix) -> bool:
     comm = m @ m.adjoint() - m.adjoint() @ m
-    return comm.frobenius() <= tol * m.frobenius() ** 2
+    return comm.frobenius() <= _CLASS_TOL * m.frobenius() ** 2
 
 
 # -- polar decomposition ----------------------------------------------------
@@ -422,12 +426,12 @@ class LeftMultiplication:
 # -- random generators ------------------------------------------------------------
 
 
-def random_qvector(n: int, rng: np.random.Generator, scale: float = 1.0) -> QVector:
-    return QVector.from_components(rng.normal(size=(n, 4)) * scale)
+def random_qvector(n: int, rng: np.random.Generator) -> QVector:
+    return QVector.from_components(rng.normal(size=(n, 4)))
 
 
-def random_qmatrix(n: int, rng: np.random.Generator, scale: float = 1.0) -> QMatrix:
-    return QMatrix.from_components(rng.normal(size=(n, n, 4)) * scale)
+def random_qmatrix(n: int, rng: np.random.Generator) -> QMatrix:
+    return QMatrix.from_components(rng.normal(size=(n, n, 4)))
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> QMatrix:
@@ -437,8 +441,8 @@ def random_unitary(n: int, rng: np.random.Generator) -> QMatrix:
     return polar_decompose(random_qmatrix(n, rng))[0]
 
 
-def random_normal(n: int, rng: np.random.Generator, kind: str = "normal",
-                  real_fraction: float = 0.25) -> tuple[QMatrix, np.ndarray]:
+def random_normal(n: int, rng: np.random.Generator,
+                  kind: str = "normal") -> tuple[QMatrix, np.ndarray]:
     """Random normal operator T = V D V* with known eigensphere representatives.
 
     D is diagonal with entries alpha_m + iota_m beta_m (independent random
@@ -446,14 +450,14 @@ def random_normal(n: int, rng: np.random.Generator, kind: str = "normal",
     machine precision. Returns (T, reps) where reps is the (n, 2) array of
     ground-truth (alpha, beta >= 0) representatives.
 
-    kind: "normal" (a `real_fraction` of the eigenvalues is placed on the real
+    kind: "normal" (about a quarter of the eigenvalues is placed on the real
     axis), "selfadjoint", "antiselfadjoint", "unitary" or "imaginaryunit"
     (anti-self-adjoint and unitary).
     """
     alpha = rng.uniform(-2.0, 2.0, size=n)
     beta = rng.uniform(0.3, 2.0, size=n)
     if kind == "normal":
-        beta[rng.uniform(size=n) < real_fraction] = 0.0
+        beta[rng.uniform(size=n) < 0.25] = 0.0
     elif kind == "selfadjoint":
         beta[:] = 0.0
     elif kind == "antiselfadjoint":

@@ -1,5 +1,5 @@
-"""Check records and verification reports, written by the verification
-suites and rendered by the CLI."""
+"""Check records and verification reports, one row per identity with one
+writer (`VerificationReport.worst`, called by the suites), rendered by the CLI."""
 
 from __future__ import annotations
 
@@ -50,35 +50,25 @@ class Check:
 
 @dataclass
 class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
+    _rows: dict[str, Check] = field(default_factory=dict, init=False)  # by name, first-call order
     notes: list[str] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-    # the first check under each name, the one `worst` aggregates into
-    _by_name: dict[str, Check] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._by_name = {}
-        for check in self.checks:
-            self._by_name.setdefault(check.name, check)
-
-    def add(self, name: str, identity: str, residual: float, tolerance: float,
-            soft: bool = False) -> Check:
-        check = Check(name, identity, float(residual), float(tolerance), soft)
-        self.checks.append(check)
-        self._by_name.setdefault(name, check)
-        return check
+    @property
+    def checks(self) -> list[Check]:
+        return list(self._rows.values())
 
     def worst(self, name: str, identity: str, residual: float, tolerance: float,
               soft: bool = False) -> Check:
-        """Like `add`, but aggregates repeated checks under one name: each
-        call is judged against its own tolerance, and the row keeps the
+        """Record a check under `name`: the first call adds its row, and each
+        call is judged against its own tolerance, so the row keeps the
         residual and tolerance of the call with the largest
         residual / tolerance."""
-        check = self._by_name.get(name)
-        if check is None:
-            return self.add(name, identity, residual, tolerance, soft)
         residual, tolerance = float(residual), float(tolerance)
-        if _excess(residual, tolerance) > _excess(check.residual, check.tolerance):
+        check = self._rows.get(name)
+        if check is None:
+            check = self._rows[name] = Check(name, identity, residual, tolerance, soft)
+        elif _excess(residual, tolerance) > _excess(check.residual, check.tolerance):
             check.residual, check.tolerance = residual, tolerance
         return check
 

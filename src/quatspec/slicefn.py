@@ -17,9 +17,9 @@ algebra is written once on such arrays: the product (`_hc_mul`), the star
 when every operand is a polynomial (the product on every pair, exponents
 added) and on the values otherwise. The even/odd parity of a polynomial is
 checked once, in `SliceFunction.polynomial`, where terms enter; the algebra
-keeps it exactly. `SliceFunction.values(qs)` gives f at (m, 4) arrays of
-quaternions, and `eval` gives f at one quaternion, the scalar oracle of the
-tests.
+keeps it exactly; a tabulated stem is always checked for it when built.
+`SliceFunction.values(qs)` gives f at (m, 4) arrays of quaternions, and
+`eval` gives f at one quaternion, the scalar oracle of the tests.
 
 Contents:
 
@@ -100,7 +100,14 @@ class CircularSet:
 
     @classmethod
     def from_json(cls, data) -> "CircularSet":
-        return cls(np.asarray(data["reps"], dtype=float).reshape(-1, 2), data.get("mult"))
+        reps = np.asarray(data["reps"], dtype=float).reshape(-1, 2)
+        bad = ~np.isfinite(reps).all(axis=1)
+        if bad.any():
+            raise PreconditionError(f"representative {reps[bad][0].tolist()} is not finite")
+        mult = data.get("mult")
+        if mult is not None and not all(type(m) is int and m >= 1 for m in mult):
+            raise PreconditionError(f"multiplicities must be positive integers, got {mult}")
+        return cls(reps, mult)
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({a:.6g}, {b:.6g})x{m}" for (a, b), m in zip(self.reps, self.mult))
@@ -290,11 +297,19 @@ class SliceFunction:
         return cls.polynomial([(0, 0, value)], [])
 
     @classmethod
-    def tabulated(cls, fn, domain: CircularSet | None = None,
-                  validate: bool = True) -> "SliceFunction":
-        f = cls("tabulated", fn=fn, domain=domain)
-        if validate:
-            f._validate_symmetry()
+    def tabulated(cls, fn) -> "SliceFunction":
+        """The stem z -> fn(z) = (F1, F2) on C, always checked to be an
+        even/odd pair: F1(conj z) = F1(z) and F2(conj z) = -F2(z) on the
+        sample points, within 1e-10 of max(1, the norm of the values)."""
+        f = cls("tabulated", fn=fn)
+        zs = f._sample_zs()
+        plus, minus = f.stem_values(zs), f.stem_values(zs.conj())
+        scale = 1e-10 * np.maximum(1.0, np.linalg.norm(plus, axis=2).max(axis=1))
+        bad = ((np.linalg.norm(plus[:, 0] - minus[:, 0], axis=1) > scale)
+               | (np.linalg.norm(plus[:, 1] + minus[:, 1], axis=1) > scale))
+        if bad.any():
+            raise PreconditionError(
+                f"stem components are not an even/odd pair at z = {zs[np.argmax(bad)]}")
         return f
 
     # -- evaluation -------------------------------------------------------------
@@ -340,8 +355,6 @@ class SliceFunction:
     def eval(self, q: Quaternion) -> Quaternion:
         return Quaternion(*self.values(q.components())[0])
 
-    __call__ = eval
-
     def accepts(self, alpha, beta, tol: float = DOMAIN_TOL) -> np.ndarray:
         """Mask of the points (alpha, beta), scalars or arrays of one shape,
         that lie in the domain."""
@@ -360,18 +373,6 @@ class SliceFunction:
             return self.domain.as_complex()
         grid = np.linspace(-1.5, 1.5, 8)[:, None] + 1j * np.linspace(0.15, 1.6, 8)
         return np.concatenate([grid.ravel(), [-1.0, -0.25, 0.5, 1.25]])
-
-    def _validate_symmetry(self) -> None:
-        """F1(conj z) = F1(z) and F2(conj z) = -F2(z) on the sample points,
-        within 1e-10 of max(1, the norm of the values)."""
-        zs = self._sample_zs()
-        plus, minus = self.stem_values(zs), self.stem_values(zs.conj())
-        scale = 1e-10 * np.maximum(1.0, np.linalg.norm(plus, axis=2).max(axis=1))
-        bad = ((np.linalg.norm(plus[:, 0] - minus[:, 0], axis=1) > scale)
-               | (np.linalg.norm(plus[:, 1] + minus[:, 1], axis=1) > scale))
-        if bad.any():
-            raise PreconditionError(
-                f"stem components are not an even/odd pair at z = {zs[np.argmax(bad)]}")
 
     # -- algebra ------------------------------------------------------------------
 

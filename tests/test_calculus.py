@@ -22,7 +22,7 @@ from quatspec.calculus import (IOTA, KAPPA, _SPLIT_MU, _split_schur,
                                spectral_measure_weights)
 from quatspec.errors import NumericalError, PreconditionError
 from quatspec.qmatrix import (QMatrix, QVector, chi_embed,
-                              is_anti_self_adjoint, is_normal, is_self_adjoint,
+                              is_anti_self_adjoint, is_self_adjoint,
                               is_unitary, op_norm, polar_decompose,
                               random_normal, random_qmatrix, random_qvector,
                               random_unitary)
@@ -65,13 +65,13 @@ def random_cslice(iota) -> SliceFunction:
 
 # -- J = build_context(t).j ------------------------------------------------------
 
-def test_construct_J_diag_example():
+def test_context_j_diag_example():
     # T = diag(2i): T - T* = diag(4i) has polar factor diag(i)
     j = build_context(QMatrix.diag([I * 2.0])).j
     assert op_norm(j - QMatrix.diag([I])) <= 1e-13
 
 
-def test_construct_J_properties():
+def test_context_j_properties():
     for kind in ("normal", "selfadjoint", "antiselfadjoint"):
         t, _ = random_normal(5, RNG, kind=kind)
         j = build_context(t).j
@@ -85,13 +85,13 @@ def test_construct_J_properties():
         assert op_norm(j @ absd - d) <= 1e-9 * scale
 
 
-def test_construct_J_squares_to_minus_identity():
+def test_context_j_squares_to_minus_identity():
     t, _ = random_normal(4, RNG, kind="selfadjoint")
     j = build_context(t).j
     assert op_norm(j @ j + QMatrix.identity(4)) <= 1e-11
 
 
-def test_construct_J_rejects_non_normal():
+def test_context_j_rejects_non_normal():
     with pytest.raises(PreconditionError):
         build_context(random_qmatrix(3, RNG))
 
@@ -374,7 +374,7 @@ def test_polynomial_calculus_result_is_normal_and_commutes_with_J():
     ctx = build_context(t)
     g = polynomial_calculus(ctx, [(2, 0, 0.5), (0, 2, 1.0), (0, 0, -1.0)],
                             [(1, 1, -2.0), (0, 1, 0.3)])
-    assert is_normal(g, 1e-9)
+    assert (g @ g.adjoint() - g.adjoint() @ g).frobenius() <= 1e-9 * g.frobenius() ** 2
     assert op_norm(g @ ctx.j - ctx.j @ g) <= 1e-9 * max(1.0, op_norm(g))
 
 
@@ -526,7 +526,7 @@ def test_cslice_kernel_characterization():
     def stem(z):
         return -I * abs(z.imag), Quaternion(z.imag)
 
-    f = SliceFunction.tabulated(stem, validate=False)
+    f = SliceFunction.tabulated(stem)
     ft = cslice_calculus(ctx, f)
     assert op_norm(ft) <= 1e-8 * max(1.0, op_norm(t))
     # the function itself is nonzero away from the chosen slice

@@ -195,6 +195,49 @@ def test_exit_code_non_finite_matrix(tmp_path, capsys, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0])
+def test_exit_code_matrix_size_not_a_count(tmp_path, capsys, n):
+    """n = 2.5 was once read as 2 and n = true as 1."""
+    data = {"n": n, "rows": QMatrix.identity(max(1, int(n))).to_json()["rows"]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["spectrum", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"n must be an integer >= 1, got {n!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain, message", [
+    ({"reps": [[-1.0, 0.0], [1.0, 0.0]], "mult": [2.5, 1]},
+     "multiplicities must be positive integers, got [2.5, 1]"),
+    ({"reps": [[-1.0, 0.0], [1.0, 0.0]], "mult": [1, -3]},
+     "multiplicities must be positive integers, got [1, -3]"),
+    ({"reps": [[math.nan, 1.0]]}, "representative [nan, 1.0] is not finite"),
+])
+def test_exit_code_bad_function_domain(matrix_file, tmp_path, capsys, domain, message):
+    """These domains were once accepted: the multiplicities on the spectrum
+    {-1, 1} of the matrix with exit 0, the NaN point only later as "outside
+    the function domain" with exit 3."""
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"kind": "builtin", "name": "id", "domain": domain}))
+    assert main(["apply", "--input", matrix_file, "--fn", str(fn)]) == 2
+    captured = capsys.readouterr()
+    assert "malformed function JSON" in captured.err and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--emit-plot"], ["decompose", "--out"],
+                                  ["verify", "--suite", "spectral", "--json-out"]])
+def test_exit_code_unwritable_output(normal_file, tmp_path, capsys, argv):
+    """An output path that cannot be written once raised a traceback and
+    exit 1, the code of a failed verification."""
+    out = tmp_path / "missing" / "out"
+    assert main([argv[0], "--input", normal_file, *argv[1:], str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out} ({argv[-1]}): No such file or directory" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_precondition(matrix_file, capsys):
     # |q| inside the spectral bound
     assert main(["resolvent", "--input", matrix_file, "--q", "0.1,0,0,0",

@@ -167,7 +167,7 @@ def test_stem_json_roundtrip():
     b = SliceFunction.builtin("exp")
     assert SliceFunction.from_json(b.to_json()).name == "exp"
     with pytest.raises(PreconditionError):
-        SliceFunction.tabulated(lambda z: (ONE, Quaternion()), validate=False).to_json()
+        SliceFunction.tabulated(lambda z: (ONE, Quaternion())).to_json()
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -371,9 +371,9 @@ def test_sup_norm_examples():
     p = random_quat()
     assert abs(sup_norm(SliceFunction.constant(p), k) - p.norm()) <= 1e-14
     assert abs(sup_norm(SliceFunction.builtin("id"), k) - 1.0) <= 1e-14
-    # the stem 1 + I*j on a singleton has the C*-norm 2
-    f = SliceFunction.tabulated(
-        lambda z: (ONE, J if z.imag >= 0 else -J), validate=False)
+    # the stem 1 + I*j at z = i has the C*-norm 2; its F2 = sign(Im z) j is
+    # odd, so 0 on the real axis
+    f = SliceFunction.tabulated(lambda z: (ONE, J * float(np.sign(z.imag))))
     assert abs(sup_norm(f, CircularSet([[0.0, 1.0]])) - 2.0) <= 1e-14
     with pytest.raises(PreconditionError):
         sup_norm(SliceFunction.builtin("id"), CircularSet([]))

@@ -51,9 +51,9 @@ def test_report_aggregation_and_exit_code():
     assert len(report.checks) == 1
     assert report.checks[0].residual == 5e-11
     assert report.ok and report.exit_code == 0
-    report.add("d", "u = v", 1.0, 1e-10)
+    report.worst("d", "u = v", 1.0, 1e-10)
     assert not report.ok and report.exit_code == 1
-    report.add("e", "soft", 1.0, 1e-10, soft=True)
+    report.worst("e", "soft", 1.0, 1e-10, soft=True)
     assert report.counts() == {"pass": 1, "fail": 1, "soft-warn": 1}
 
 
@@ -89,7 +89,7 @@ def test_scaled_pool_passes_with_tolerances_per_call():
 
 def test_report_table_and_json():
     report = VerificationReport()
-    report.add("alpha", "x = y", 1e-12, 1e-10)
+    report.worst("alpha", "x = y", 1e-12, 1e-10)
     report.notes.append("a note")
     text = report.table()
     assert "alpha" in text and "pass" in text and "a note" in text
