@@ -8,12 +8,17 @@ Subcommands:
 - `resolvent`  - series inverse of Delta_q(T)
 - `verify`     - run the property-verification suites
 
-Exit codes: 0 success, 1 verification failures, 2 malformed input JSON, an
-option out of its range or an unwritable output file (`--out`, `--emit-plot`,
-`--json-out`), 3 precondition violations and numerical failures.
+Exit codes: 0 success, 1 verification failures, 2 malformed input JSON
+(also a file that is not UTF-8, nests too deep or holds an integer beyond
+the double range), an unknown `--fn builtin:NAME`, an option out of its
+range or an unwritable output file (`--out`, `--emit-plot`, `--json-out`),
+3 precondition violations and numerical failures.
 
-JSON numbers are emitted via the shortest round-trip representation, so
-parse -> serialize -> parse is bit-identical after one normalization pass.
+Input files are read by orjson, loaded on the first read, and the documents
+it refuses by `json` (see `_load_json`). Output is the text of
+`json.dumps(..., indent=2)`: JSON numbers are emitted via the shortest
+round-trip representation, so parse -> serialize -> parse is bit-identical
+after one normalization pass.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -41,11 +47,43 @@ EXIT_BAD_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
+# the bytes that are neither brackets nor quotes, and each bracket's depth step
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_DEPTH_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+
+
+def _nesting(raw: bytes) -> int:
+    """How deep arrays and objects nest in the JSON text `raw`, brackets in
+    strings not counted. On invalid text it bounds the depth a parser
+    reaches before the first error."""
+    if b"\\" in raw:  # drop escaped backslashes and quotes, so that quotes pair up
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = b"".join(raw.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
+    steps = np.frombuffer(brackets.translate(_DEPTH_STEP), dtype=np.int8)
+    return int(np.cumsum(steps, dtype=np.int64).max(initial=0))
+
+
 def _load_json(path: str):
+    """The JSON document in the file at `path`, as `json` reads it.
+
+    orjson parses it. A document orjson refuses (NaN and Infinity tokens,
+    numbers beyond the double range, lone surrogates) or one nested deeper
+    than the recursion limit is read by `json`, so the same documents parse:
+    orjson has no nesting limit, and near depth 10^5 it overflows the native
+    stack and the process dies. One difference: orjson reads an integer
+    literal outside [-2^63, 2^64) as a float."""
+    # loaded here, not with the module: verify --random reads no JSON
+    import orjson
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if _nesting(raw) <= sys.getrecursionlimit():
+            try:
+                return orjson.loads(raw)
+            except orjson.JSONDecodeError:
+                pass  # json reads it or names the fault
+        return json.loads(raw.decode("utf-8"))
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise _InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -53,22 +91,30 @@ class _InputError(Exception):
     pass
 
 
+# what a well-formed JSON document can still raise in a `from_json`: a
+# missing field, a wrong type or value, an integer beyond the double range
+# (OverflowError) or nesting too deep to format (RecursionError)
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
 def _load_matrix(path: str) -> QMatrix:
     data = _load_json(path)
     try:
         return QMatrix.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _InputError(f"malformed matrix JSON in {path}: {exc}") from exc
 
 
 def _load_function(spec: str) -> SliceFunction:
+    """`builtin:NAME` is read as the function JSON {"kind": "builtin", "name": NAME}."""
     if spec.startswith("builtin:"):
-        return SliceFunction.builtin(spec.split(":", 1)[1])
-    data = _load_json(spec)
+        data, source = {"kind": "builtin", "name": spec.split(":", 1)[1]}, f"--fn {spec}"
+    else:
+        data, source = _load_json(spec), f"function JSON in {spec}"
     try:
         return SliceFunction.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"malformed function JSON in {spec}: {exc}") from exc
+    except _MALFORMED as exc:
+        raise _InputError(f"malformed {source}: {exc}") from exc
 
 
 def _finite(option: str, *values: float | None) -> None:
@@ -82,23 +128,65 @@ def _positive(option: str, value: float | None) -> None:
         raise _InputError(f"{option} must be > 0, got {value}")
 
 
+def _chained(lists, times: int):
+    """The items `times` levels below `lists`, in row-major order, lazily."""
+    for _ in range(times):
+        lists = chain.from_iterable(lists)
+    return lists
+
+
+def _float_grid(obj: list, indent: str) -> str | None:
+    """`json.dumps(obj, indent=2)` nested at `indent` if `obj` is a non-empty
+    rectangular nested list of floats, else None.
+
+    The shape takes one pass per level: every item at a level is a list of
+    one length. Each item of `obj` fills one layout string built from the
+    shape, with one call of `float.__repr__` per leaf, the float format of
+    `json`, in one join; the items are joined in one more. No level is
+    copied, so one item's leaf texts are alive at a time, and each text is
+    allocated at its final size."""
+    shape, first = [len(obj)], obj[0]
+    while isinstance(first, list):
+        try:
+            widths = set(map(list.__len__, _chained(obj, len(shape) - 1)))
+        except TypeError:  # an item that is not a list
+            return None
+        if not first or widths != {len(first)}:
+            return None
+        shape.append(len(first))
+        first = first[0]
+    texts = map(float.__repr__, obj)
+    if len(shape) > 1:
+        layout = "%s"
+        for depth in reversed(range(1, len(shape))):
+            inner = indent + "  " * (depth + 1)
+            layout = (f"[\n{inner}" + f",\n{inner}".join([layout] * shape[depth])
+                      + f"\n{inner[2:]}]")
+        head, *tails = layout.split("%s")  # the layout before the first leaf, and after each
+        texts = ("".join(chain([head], chain.from_iterable(
+                     zip(map(float.__repr__, _chained(item, len(shape) - 2)), tails))))
+                 for item in obj)
+    try:
+        items = f",\n{indent}  ".join(texts)
+    except TypeError:  # a leaf that is not a float
+        return None
+    return f"[\n{indent}  {items}\n{indent}]"
+
+
 def _dumps(obj, indent: str = "") -> str:
     """Exactly `json.dumps(obj, indent=2)`, nested at `indent`.
 
-    A list of finite floats is joined in one call of `float.__repr__`, the
-    float format of `json`; every other leaf (non-finite floats, ints,
-    bools, None, strings) and any dict with a non-string key is written by
-    `json.dumps` itself, so their text is json's."""
+    A rectangular nested list of finite floats is written by `_float_grid`;
+    every other leaf (non-finite floats, ints, bools, None, strings) and any
+    dict with a non-string key is written by `json.dumps` itself, so their
+    text is json's."""
     inner = indent + "  "
     if isinstance(obj, list) and obj:
-        sep = ",\n" + inner
-        try:
-            text = sep.join(map(float.__repr__, obj))
-        except TypeError:  # not a list of floats
-            text = None
+        text = _float_grid(obj, indent)
         if text is None or "n" in text:  # 'nan' and 'inf' have an n, finite floats none
-            text = sep.join(_dumps(item, inner) for item in obj)
-        return f"[\n{inner}{text}\n{indent}]"
+            items = f",\n{inner}".join(_dumps(item, inner) for item in obj)
+            text = f"[\n{inner}{items}\n{indent}]"
+        return text
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
         text = f",\n{inner}".join(f"{json.dumps(key)}: {_dumps(value, inner)}"
                                   for key, value in obj.items())

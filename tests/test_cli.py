@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatspec.cli import _dumps, main
+from quatspec.cli import _dumps, _load_json, _nesting, main
 from quatspec.qmatrix import QMatrix, op_norm, random_normal
 from quatspec.quaternion import I, Quaternion
 
@@ -183,6 +190,66 @@ def test_exit_code_bad_json(tmp_path, capsys):
     assert main(["spectrum", "--input", str(malformed)]) == 2
 
 
+BEYOND_DOUBLE = "1" + "0" * 400  # an integer literal no double can hold
+
+
+@pytest.mark.parametrize("text, message", [
+    (b'{"n": 1, "rows": [[[1, 0, 0, 0]]], "note": "\xff"}',
+     "cannot read JSON from {path}: 'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 100_000, "cannot read JSON from {path}: maximum recursion depth exceeded"),
+    (b"[" * 200_000 + b"]" * 200_000,
+     "cannot read JSON from {path}: maximum recursion depth exceeded"),
+    (b'{"n": ' + b"[" * 995 + b"]" * 995 + b', "rows": []}',
+     "malformed matrix JSON in {path}: maximum recursion depth exceeded"),
+    (f'{{"n": 1, "rows": [[[{BEYOND_DOUBLE}, 0, 0, 0]]]}}'.encode(),
+     "malformed matrix JSON in {path}: int too large to convert to float"),
+], ids=["not-utf8", "deep-unclosed", "deep-balanced", "deep-n", "integer-beyond-double"])
+def test_exit_code_unreadable_matrix_file(tmp_path, capsys, text, message):
+    """Each of these once raised a traceback and exit 1, the code of a failed
+    verification: UnicodeDecodeError, RecursionError (three times) and
+    OverflowError. orjson alone overflows the native stack on the balanced
+    200 000-deep document and kills the process; it parses the 996-deep one,
+    whose `n` is then too deep to quote in the error."""
+    path = tmp_path / "m.json"
+    path.write_bytes(text)
+    assert main(["spectrum", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + message.format(path=path))
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_exit_code_coefficient_beyond_double_range(normal_file, tmp_path, capsys):
+    """This coefficient once raised OverflowError with a traceback and exit 1."""
+    fn = tmp_path / "f.json"
+    fn.write_text(f'{{"kind": "poly", "Q1": [[0, 0, [{BEYOND_DOUBLE}, 0, 0, 0]]]}}')
+    assert main(["apply", "--input", normal_file, "--fn", str(fn)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: malformed function JSON in {fn}: int too large to convert to float")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("field, doc, message", [
+    ("n", {"n": 2**64, "rows": [[[1, 0, 0, 0]]]},
+     "n must be an integer >= 1, got 1.8446744073709552e+19"),
+    ("exponent", {"kind": "poly", "Q1": [[2**64, 0, [1, 0, 0, 0]]]},
+     "monomial X^1.8446744073709552e+19 Y^0: exponents must be non-negative integers"),
+    ("mult", {"kind": "builtin", "name": "id",
+              "domain": {"reps": [[1.0, 0.0]], "mult": [2**64]}},
+     "multiplicities must be positive integers, got [1.8446744073709552e+19]"),
+], ids=["n", "exponent", "mult"])
+def test_integers_from_2_to_the_64_are_read_as_floats(matrix_file, tmp_path, capsys,
+                                                     field, doc, message):
+    """orjson reads an integer literal >= 2^64 as a float, so such an `n`,
+    exponent or multiplicity exits 2 as one that is not an integer."""
+    path = tmp_path / f"{field}.json"
+    path.write_text(json.dumps(doc))
+    argv = (["spectrum", "--input", str(path)] if field == "n"
+            else ["apply", "--input", matrix_file, "--fn", str(path)])
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_exit_code_non_finite_matrix(tmp_path, capsys, value):
     data = random_normal(3, np.random.default_rng(3))[0].to_json()
@@ -224,6 +291,19 @@ def test_exit_code_bad_function_domain(matrix_file, tmp_path, capsys, domain, me
     captured = capsys.readouterr()
     assert "malformed function JSON" in captured.err and message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_exit_code_unknown_builtin(matrix_file, tmp_path, capsys):
+    """`--fn builtin:zzz` once exited 3 while the same name in a function
+    file exited 2."""
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"kind": "builtin", "name": "zzz"}))
+    for spec, source in [("builtin:zzz", "--fn builtin:zzz"),
+                         (str(fn), f"function JSON in {fn}")]:
+        assert main(["apply", "--input", matrix_file, "--fn", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: malformed {source}: unknown builtin 'zzz'")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--emit-plot"], ["decompose", "--out"],
@@ -384,6 +464,106 @@ EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-7, 0.1, math.nan, math.inf, -math.inf, 0, 
     [[], {}, [[1.5]]],
     {"a": [1.0, 2.0], "b": {"c": [[1e300, -1e-300]], "d": {}}, "\u00e9": None},
     {1: "int key", "x": [0.5]},
+    [[1.0, -0.0], [5e-324, 1e300]],
+    [[[0.5] * 4] * 3] * 2,
+    {"rows": [[[1.0, 2.0, 3.0, 4.0]]], "reps": [[0.1, 0.2]]},
+    [[1.0, 2.0], [3.0]], [[1.0], [[2.0]]], [[1.0, math.inf], [2.0, 3.0]],
+    [[1.0, 2], [3.0, 4.0]], [[True, 1.0]], [[[]], [[]]], [[np.float64(2.5)], [0.5]],
 ])
 def test_dumps_is_json_dumps_indent2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+LEAVES = [FINITE, st.floats(),
+          st.one_of(st.floats(), FINITE.map(np.float64), st.integers(-3, 3), st.booleans())]
+
+
+@st.composite
+def nested_lists(draw):
+    """A nested list of depth 1-3: rectangular or ragged, with empty lists
+    or not; of finite floats, of floats with nan and inf, or of mixed
+    float, np.float64, int and bool leaves."""
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    ragged, leaves = draw(st.booleans()), draw(st.sampled_from(LEAVES))
+
+    def build(dims):
+        if not dims:
+            return draw(leaves)
+        width = draw(st.integers(0, 4)) if ragged else dims[0]
+        return [build(dims[1:]) for _ in range(width)]
+    return build(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_lists())
+def test_dumps_is_json_dumps_indent2_on_nested_lists(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def same_json(a, b) -> bool:
+    """Equal values of equal types, floats compared bitwise (signs included)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers(-2**63, 2**64 - 1)  # orjson reads integers beyond as floats
+    | st.text(st.characters(exclude_categories=())),  # lone surrogates included
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES, st.sampled_from([None, 0, 2]), st.booleans())
+def test_load_json_reads_what_json_reads(tmp_path_factory, value, indent, ascii_only):
+    """orjson reads the document; one it refuses (NaN, Infinity, lone
+    surrogates) is read by `json`. Either way the result is json's. The
+    nesting bound that keeps deep documents from orjson is exact, brackets,
+    quotes and backslashes in strings included."""
+    text = json.dumps(value, indent=indent, ensure_ascii=ascii_only)
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate is not UTF-8; escape it
+        raw = json.dumps(value, indent=indent).encode("utf-8")
+    path = tmp_path_factory.getbasetemp() / "load_json.json"
+    path.write_bytes(raw)
+    assert same_json(_load_json(str(path)), json.loads(raw.decode("utf-8")))
+    assert _nesting(raw) == depth(value)
+
+
+def depth(value) -> int:
+    """How deep lists and dicts nest in `value`."""
+    items = value.values() if isinstance(value, dict) else value
+    if isinstance(value, (list, dict)):
+        return 1 + max(map(depth, items), default=0)
+    return 0
+
+
+COLD_CLI_SCRIPT = """
+import sys
+from quatspec.cli import main
+assert main(["verify", "--random", "2,1,7", "--suite", "algebra"]) == 0
+assert "orjson" not in sys.modules, "verify --random loaded orjson"
+assert main(["spectrum", "--input", sys.argv[1]]) == 0
+assert "orjson" in sys.modules
+"""
+
+
+def test_orjson_is_loaded_on_the_first_json_read(matrix_file):
+    """`verify --random` reads no JSON, so it pays neither orjson's import
+    nor its memory."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", COLD_CLI_SCRIPT, matrix_file],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
