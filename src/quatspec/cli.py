@@ -316,7 +316,7 @@ def _cmd_verify(args) -> int:
     print(report.table())
     if args.json_out:
         _write_file("--json-out", args.json_out, _dumps(report.to_json()) + "\n")
-    return report.exit_code
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .quaternion import Quaternion, SpherePoint, _cstar_norm
+from .quaternion import Quaternion, SpherePoint
 
 # -- component arithmetic on (..., 4) float arrays ---------------------------
 
@@ -89,8 +89,15 @@ def _hc_star(x: np.ndarray) -> np.ndarray:
 
 
 def _hc_norm(x: np.ndarray) -> np.ndarray:
-    """The C*-norm of every element."""
-    return _cstar_norm(*np.moveaxis(x, (-2, -1), (0, 1)))
+    """The C*-norm (|q|^2 + |p|^2 + 2|Im(p conj(q))|)^(1/2) of every element;
+    it equals the sup over iota in S of |q + iota p|."""
+    (qa, qb, qc, qd), (pa, pb, pc, pd) = np.moveaxis(x, (-2, -1), (0, 1))
+    # Im(p conj(q)) = qa Im(p) - pa Im(q) - Im(p) x Im(q)
+    vb = qa * pb - pa * qb - (pc * qd - pd * qc)
+    vc = qa * pc - pa * qc - (pd * qb - pb * qd)
+    vd = qa * pd - pa * qd - (pb * qc - pc * qb)
+    return np.sqrt(qa * qa + qb * qb + qc * qc + qd * qd + pa * pa + pb * pb
+                   + pc * pc + pd * pd + 2.0 * np.sqrt(vb * vb + vc * vc + vd * vd))
 
 
 def _as_qarray(q: Quaternion) -> np.ndarray:
@@ -185,12 +192,6 @@ class QVector(_QArray):
     __slots__ = ()
     _ndim = 1
 
-    @classmethod
-    def basis_vector(cls, n: int, k: int) -> "QVector":
-        x1 = np.zeros(n)
-        x1[k] = 1.0
-        return cls(x1, np.zeros(n))
-
     def rmul(self, q: Quaternion) -> "QVector":
         """Right scalar multiplication u -> u q."""
         q1, q2 = complex(q.a, q.b), complex(q.c, q.d)
@@ -204,13 +205,6 @@ class QVector(_QArray):
 
     def norm(self) -> float:
         return self.frobenius()
-
-    def to_json(self) -> dict:
-        return {"v": self.components().tolist()}
-
-    @classmethod
-    def from_json(cls, data) -> "QVector":
-        return cls.from_components(data["v"])
 
 
 class QMatrix(_QArray):
@@ -233,10 +227,6 @@ class QMatrix(_QArray):
     def diag(cls, entries: Sequence[Quaternion]) -> "QMatrix":
         q1, q2 = _pair(np.array([q.components() for q in entries], dtype=float).reshape(-1, 4))
         return cls(np.diag(q1), np.diag(q2))
-
-    @classmethod
-    def from_entries(cls, rows: Sequence[Sequence[Quaternion]]) -> "QMatrix":
-        return cls.from_components([[q.components() for q in row] for row in rows])
 
     def column(self, m: int) -> QVector:
         return QVector(self.x1[:, m], self.x2[:, m])

@@ -1,18 +1,12 @@
-"""Quaternion scalars, the complexified algebra H(x)C and the unit sphere S.
+"""Quaternion scalars and the unit sphere S.
 
 This module contains:
 
 - `Quaternion` - an element a + b*i + c*j + d*k of the real quaternion algebra
 - `SpherePoint` - a unit imaginary quaternion (a square root of -1)
 - `fold(q)` - the upper-half-plane representative (Re q, |Im q|) of S_q
-- `_cstar_norm` - the C*-norm on H(x)C, on floats or on arrays of elements
 - `sphere_grid(count)` - deterministic quasi-uniform sample of S
 - `random_sphere_point(rng)` - uniform random element of S
-
-Two scalar forms are kept as references for the array kernels that the
-program runs: `ComplexifiedQuaternion` (an element q + I*p of H(x)C, against
-`qmatrix._hc_mul` and `_hc_norm`) and `sphere_decompose(q)` (q = alpha +
-iota*beta with beta >= 0, against `SliceFunction.values`).
 """
 
 from __future__ import annotations
@@ -116,16 +110,10 @@ class Quaternion:
     def im_norm(self) -> float:
         return math.sqrt(self.b * self.b + self.c * self.c + self.d * self.d)
 
-    def isclose(self, other: "Quaternion | float", tol: float = 1e-12) -> bool:
-        return (self - _coerce(other)).norm() <= tol
-
     # -- conversions ---------------------------------------------------------
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-    def to_json(self) -> list[float]:
-        return [self.a, self.b, self.c, self.d]
 
     @classmethod
     def from_json(cls, data) -> "Quaternion":
@@ -159,22 +147,6 @@ class SpherePoint(Quaternion):
         super().__init__(0.0, b / n, c / n, d / n)
 
 
-def _cstar_norm(q, p):
-    """C*-norm (|q|^2 + |p|^2 + 2|Im(p conj(q))|)^(1/2) of q + I*p in H(x)C.
-
-    q and p are the four components of each part: floats, or arrays of one
-    shape for many elements at once.
-    """
-    qa, qb, qc, qd = q
-    pa, pb, pc, pd = p
-    # Im(p conj(q)) = qa Im(p) - pa Im(q) - Im(p) x Im(q)
-    vb = qa * pb - pa * qb - (pc * qd - pd * qc)
-    vc = qa * pc - pa * qc - (pd * qb - pb * qd)
-    vd = qa * pd - pa * qd - (pb * qc - pc * qb)
-    return np.sqrt(qa * qa + qb * qb + qc * qc + qd * qd + pa * pa + pb * pb
-                   + pc * pc + pd * pd + 2.0 * np.sqrt(vb * vb + vc * vc + vd * vd))
-
-
 ZERO = Quaternion()
 ONE = Quaternion(1.0)
 I = SpherePoint(1.0, 0.0, 0.0)
@@ -182,72 +154,9 @@ J = SpherePoint(0.0, 1.0, 0.0)
 K = SpherePoint(0.0, 0.0, 1.0)
 
 
-def sphere_decompose(q: Quaternion) -> tuple[float, float, SpherePoint | None]:
-    """Split q = alpha + iota*beta with alpha real, beta >= 0, iota in S.
-
-    For real q (|Im q| <= REAL_TOL |q|) beta is 0 and iota is None: the
-    caller chooses any axis, keeping the non-uniqueness of the decomposition
-    visible at the API boundary.
-    """
-    alpha = q.a
-    # Scale Im q by its largest component first: the squares cannot underflow
-    # and a subnormal beta does not spoil the unit length of the direction.
-    m = max(abs(q.b), abs(q.c), abs(q.d))
-    if m == 0.0:
-        return alpha, 0.0, None
-    b, c, d = q.b / m, q.c / m, q.d / m
-    r = math.hypot(b, c, d)
-    beta = m * r
-    if beta <= REAL_TOL * math.hypot(alpha, beta):
-        return alpha, 0.0, None
-    return alpha, beta, SpherePoint(b / r, c / r, d / r)
-
-
 def fold(q: Quaternion) -> tuple[float, float]:
     """Upper-half-plane representative (Re q, |Im q|) of the sphere S_q."""
     return (q.a, q.im_norm())
-
-
-@dataclass(frozen=True)
-class ComplexifiedQuaternion:
-    """Element w = q + I*p of H(x)C, with central I commuting with H."""
-
-    q: Quaternion = ZERO
-    p: Quaternion = ZERO
-
-    def __add__(self, other: "ComplexifiedQuaternion") -> "ComplexifiedQuaternion":
-        return ComplexifiedQuaternion(self.q + other.q, self.p + other.p)
-
-    def __sub__(self, other: "ComplexifiedQuaternion") -> "ComplexifiedQuaternion":
-        return ComplexifiedQuaternion(self.q - other.q, self.p - other.p)
-
-    def __neg__(self) -> "ComplexifiedQuaternion":
-        return ComplexifiedQuaternion(-self.q, -self.p)
-
-    def __mul__(self, other: "ComplexifiedQuaternion") -> "ComplexifiedQuaternion":
-        # (q + Ip)(q' + Ip') = qq' - pp' + I(qp' + pq')
-        return ComplexifiedQuaternion(
-            self.q * other.q - self.p * other.p,
-            self.q * other.p + self.p * other.q,
-        )
-
-    def star(self) -> "ComplexifiedQuaternion":
-        """The *-involution w* = conj(q) - I*conj(p)."""
-        return ComplexifiedQuaternion(self.q.conjugate(), -self.p.conjugate())
-
-    def norm(self) -> float:
-        """C*-norm; equals sup over iota in S of |q + iota*p|."""
-        return float(_cstar_norm(self.q.components(), self.p.components()))
-
-    def isclose(self, other: "ComplexifiedQuaternion", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
-
-    def to_json(self) -> dict:
-        return {"q": self.q.to_json(), "p": self.p.to_json()}
-
-    @classmethod
-    def from_json(cls, data) -> "ComplexifiedQuaternion":
-        return cls(Quaternion.from_json(data["q"]), Quaternion.from_json(data["p"]))
 
 
 def sphere_grid(count: int) -> np.ndarray:

@@ -76,10 +76,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
-
     def counts(self) -> dict:
         out = {"pass": 0, "fail": 0, "soft-warn": 0}
         for c in self.checks:

@@ -18,8 +18,7 @@ when every operand is a polynomial (the product on every pair, exponents
 added) and on the values otherwise. The even/odd parity of a polynomial is
 checked once, in `SliceFunction.polynomial`, where terms enter; the algebra
 keeps it exactly; a tabulated stem is always checked for it when built.
-`SliceFunction.values(qs)` gives f at (m, 4) arrays of quaternions, and
-`eval` gives f at one quaternion, the scalar oracle of the tests.
+`SliceFunction.values(qs)` gives f at (m, 4) arrays of quaternions.
 
 Contents:
 
@@ -182,6 +181,10 @@ _BUILTINS = {
     "one": (lambda a, b: 1.0, lambda a, b: 0.0, None),
 }
 
+# the keys of a function's JSON document, by kind
+_JSON_KEYS = {"poly": {"kind", "Q1", "Q2", "domain"},
+              "builtin": {"kind", "name", "domain"}}
+
 # builtins whose star is again a named builtin
 _BUILTIN_STAR = {"id": "conj", "conj": "id", "re": "re", "im": "im",
                  "sqrt": "sqrt", "one": "one"}
@@ -261,7 +264,9 @@ class SliceFunction:
         on the merged sums, a part of the wrong parity in Y (odd in F1, even
         in F2) is rejected above the 1e-12 structural tolerance, relative to
         max(1, the largest row norm of its part), and dropped below it,
-        together with a row that held nothing else."""
+        together with a row that held nothing else. The merged rows are
+        sorted, unique and finite, with no -0.0, so a mask on their norms
+        drops the emptied rows; no second merge is needed."""
         exps, coefs = [], []
         for part, terms in enumerate((q1_terms, q2_terms)):
             for h, k, c in terms:
@@ -283,7 +288,8 @@ class SliceFunction:
             h, k = f.exps[np.argwhere(violates)[0, 0]]
             raise PreconditionError(f"monomial X^{h} Y^{k} violates the even/odd stem symmetry")
         f.coefs[wrong] = 0.0
-        return _poly_stem(f.exps, f.coefs, domain)  # drops the rows left empty
+        keep = np.where(wrong, 0.0, norms).max(axis=1) > 1e-30
+        return cls("poly", exps=f.exps[keep], coefs=f.coefs[keep], domain=domain)
 
     @classmethod
     def builtin(cls, name: str, domain: CircularSet | None = None) -> "SliceFunction":
@@ -352,9 +358,6 @@ class SliceFunction:
         vals = self.stem_values(alpha + 1j * beta)
         return vals[:, 0] + _qmul(iota, vals[:, 1])
 
-    def eval(self, q: Quaternion) -> Quaternion:
-        return Quaternion(*self.values(q.components())[0])
-
     def accepts(self, alpha, beta, tol: float = DOMAIN_TOL) -> np.ndarray:
         """Mask of the points (alpha, beta), scalars or arrays of one shape,
         that lie in the domain."""
@@ -393,31 +396,23 @@ class SliceFunction:
 
     # -- serialization ------------------------------------------------------------
 
-    def to_json(self) -> dict:
-        if self.kind == "poly":
-            out = {"kind": "poly"}
-            for key, part in (("Q1", 0), ("Q2", 1)):
-                rows = self.exps[:, 1] % 2 == part
-                out[key] = [[int(h), int(k), c.tolist()]
-                            for (h, k), c in zip(self.exps[rows], self.coefs[rows, part])]
-        elif self.kind == "builtin":
-            out = {"kind": "builtin", "name": self.name}
-        else:
-            raise PreconditionError(f"{self.kind} stems cannot be serialized")
-        if self.domain is not None:
-            out["domain"] = self.domain.to_json()
-        return out
-
     @classmethod
     def from_json(cls, data) -> "SliceFunction":
+        """The function of a JSON document; a key outside its kind's set
+        (`_JSON_KEYS`) is rejected, not ignored."""
+        kind = data["kind"]
+        if kind not in _JSON_KEYS:
+            raise PreconditionError(f"unknown stem kind {kind!r}")
+        unknown = sorted(set(data) - _JSON_KEYS[kind])
+        if unknown:
+            raise PreconditionError(f"unknown key {unknown[0]!r} in a {kind} function; "
+                                    f"allowed: {', '.join(sorted(_JSON_KEYS[kind]))}")
         domain = CircularSet.from_json(data["domain"]) if "domain" in data else None
-        if data["kind"] == "poly":
+        if kind == "poly":
             terms1 = [(h, k, Quaternion.from_json(c)) for h, k, c in data.get("Q1", [])]
             terms2 = [(h, k, Quaternion.from_json(c)) for h, k, c in data.get("Q2", [])]
             return cls.polynomial(terms1, terms2, domain=domain)
-        if data["kind"] == "builtin":
-            return cls.builtin(data["name"], domain=domain)
-        raise PreconditionError(f"unknown stem kind {data['kind']!r}")
+        return cls.builtin(data["name"], domain=domain)
 
 
 def _merged_domain(f: SliceFunction, g: SliceFunction) -> CircularSet | None:

@@ -8,7 +8,8 @@ underscore) counts as reached when some module of `src/quatspec` other than
 `__init__.py` refers to it outside the definition itself: a function or a
 class as a bare name or an attribute, a method as an attribute. References
 are matched by name only, so a method is reached by any attribute of the
-same name. A class on the keep-list keeps its methods.
+same name. No name is exempt: test oracles and fixtures live in
+`tests/oracles.py`.
 
 A defaulted parameter counts as set when some call of that name in the same
 modules, outside the definition itself, passes it by keyword or passes at
@@ -21,17 +22,6 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quatspec"
-
-# Kept although only tests reach them: test fixtures and independent
-# references that the tests check the program against.
-KEEP = {
-    "QMatrix.from_entries": "test fixture: a matrix from rows of quaternions",
-    "QVector.basis_vector": "test fixture: a standard basis vector",
-    "Quaternion.isclose": "test helper: a tolerance comparison of two quaternions",
-    "SliceFunction.eval": "the scalar form of `values` at one point, the tests' oracle",
-    "ComplexifiedQuaternion": "the scalar H(x)C reference for `_hc_mul` and `_hc_norm`",
-    "sphere_decompose": "the scalar oracle of `SliceFunction.values` in test_slicefn.py",
-}
 
 # Defaulted parameters that no call in the package sets, by design.
 UNSET = {
@@ -71,9 +61,8 @@ def unreached_names() -> list[str]:
         for qualname, node in _definitions(tree):
             owner, _, name = qualname.rpartition(".")
             inside = range(node.lineno, node.end_lineno + 1)
-            if qualname in KEEP or owner in KEEP or any(
-                    ref == name and (attr or not owner) and not (where == module and line in inside)
-                    for ref, attr, where, line in refs):
+            if any(ref == name and (attr or not owner) and not (where == module and line in inside)
+                   for ref, attr, where, line in refs):
                 continue
             unreached.append(f"{module}: {qualname}")
     return unreached
@@ -116,7 +105,7 @@ def unset_defaults() -> list[str]:
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
             owner, _, name = qualname.rpartition(".")
-            if not isinstance(node, ast.FunctionDef) or qualname in KEEP or owner in KEEP:
+            if not isinstance(node, ast.FunctionDef):
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
             sites = [(count, keywords) for where, ref, attr, line, count, keywords in calls
@@ -137,9 +126,3 @@ def test_every_public_name_is_reached_from_the_program():
 
 def test_every_default_is_set_by_the_program():
     assert unset_defaults() == []
-
-
-def test_every_kept_name_exists():
-    defined = {qualname for tree in (ast.parse(p.read_text()) for p in SRC.glob("*.py"))
-               for qualname, _ in _definitions(tree)}
-    assert set(KEEP) <= defined

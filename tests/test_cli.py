@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix_of
 from quatspec.cli import _dumps, _load_json, _nesting, main
 from quatspec.qmatrix import QMatrix, op_norm, random_normal
 from quatspec.quaternion import I, Quaternion
@@ -23,7 +24,7 @@ RNG = np.random.default_rng(55)
 
 @pytest.fixture
 def matrix_file(tmp_path):
-    t = QMatrix.from_entries([[Quaternion(), I], [-I, Quaternion()]])
+    t = matrix_of([[Quaternion(), I], [-I, Quaternion()]])
     path = tmp_path / "m.json"
     path.write_text(json.dumps(t.to_json()))
     return str(path)
@@ -304,6 +305,22 @@ def test_exit_code_unknown_builtin(matrix_file, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: malformed {source}: unknown builtin 'zzz'")
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"kind": "poly", "q1": [[0, 0, [1, 0, 0, 0]]]}, "q1"),
+    ({"kind": "builtin", "name": "exp", "Q1": []}, "Q1"),
+])
+def test_exit_code_unknown_function_key(matrix_file, tmp_path, capsys, data, key):
+    """A misspelt key was once ignored: the poly file was read as the zero
+    function and `apply` printed the zero matrix with exit 0."""
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps(data))
+    assert main(["apply", "--input", matrix_file, "--fn", str(fn)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: malformed function JSON in {fn}: "
+                                   f"unknown key {key!r} in a {data['kind']} function")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--emit-plot"], ["decompose", "--out"],

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import ComplexifiedQuaternion, basis_vector, matrix_of
 from quatspec.calculus import build_context
 from quatspec.errors import PreconditionError
 from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, _hc_mul,
@@ -15,14 +16,14 @@ from quatspec.qmatrix import (LeftMultiplication, QMatrix, QVector, _hc_mul,
                               polar_decompose, random_normal,
                               random_qmatrix, random_qvector, random_unitary,
                               split_plus_minus)
-from quatspec.quaternion import I, J, K, ONE, ComplexifiedQuaternion, Quaternion
+from quatspec.quaternion import I, J, K, ONE, Quaternion
 
 RNG = np.random.default_rng(1234)
 
 
 def flag_matrix() -> QMatrix:
     """The 2x2 self-adjoint matrix [[0, i], [-i, 0]] with T^2 = I."""
-    return QMatrix.from_entries([[Quaternion(), I], [-I, Quaternion()]])
+    return matrix_of([[Quaternion(), I], [-I, Quaternion()]])
 
 
 # -- vectors -----------------------------------------------------------------
@@ -188,7 +189,7 @@ def test_polar_reconstruction_and_kernel():
     # rank-deficient: W vanishes on Ker(P)
     m = QMatrix.diag([Quaternion(2, 1, 0, 0), Quaternion()])
     w, p = polar_decompose(m)
-    e1 = QVector.basis_vector(2, 1)
+    e1 = basis_vector(2, 1)
     assert (w @ e1).norm() <= 1e-12
 
 
@@ -206,7 +207,7 @@ def test_normal_kernel_coincidences():
     """For normal M the kernels of M, M* and |M| agree (checked by ranks of
     the complex embedding)."""
     t, _ = random_normal(5, RNG)
-    e1 = QVector.basis_vector(5, 0)
+    e1 = basis_vector(5, 0)
     # force a kernel: multiply by a projector built from eigendata is overkill;
     # use T - lambda I for an exact eigen-sphere instead
     from quatspec.spectral import spherical_spectrum
@@ -434,13 +435,11 @@ def test_matrix_json_roundtrip():
     m = random_qmatrix(3, RNG)
     again = QMatrix.from_json(m.to_json())
     assert (again - m).frobenius() == 0.0
-    u = random_qvector(3, RNG)
-    assert (QVector.from_json(u.to_json()) - u).norm() == 0.0
 
 
 def test_matrix_json_matches_entrywise_floats():
-    """to_json gives the same floats, hence the same JSON text, as
-    converting entry by entry."""
+    """to_json, and the components of a vector, give the same floats, hence
+    the same JSON text, as converting entry by entry."""
     rng = np.random.default_rng(11)
     comps = random_qmatrix(3, rng).components()
     comps[0, 0] = [-0.0, 1e-310, 1.0 / 3.0, 2.0 ** 60]
@@ -450,8 +449,8 @@ def test_matrix_json_matches_entrywise_floats():
     assert m.to_json() == entrywise
     assert json.dumps(m.to_json()) == json.dumps(entrywise)
     u = random_qvector(3, rng)
-    entrywise = {"v": [[float(x) for x in u[k].components()] for k in range(3)]}
-    assert json.dumps(u.to_json()) == json.dumps(entrywise)
+    entrywise = [[float(x) for x in u[k].components()] for k in range(3)]
+    assert json.dumps(u.components().tolist()) == json.dumps(entrywise)
 
 
 def test_hc_array_ops_are_the_complexified_quaternion_ops():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import matrix_of
 from quatspec.calculus import build_context, intrinsic_calculus
 from quatspec.errors import PreconditionError
 from quatspec.qmatrix import (QMatrix, chi_embed, is_anti_self_adjoint,
@@ -21,7 +22,7 @@ RNG = np.random.default_rng(9)
 
 
 def flag_matrix() -> QMatrix:
-    return QMatrix.from_entries([[Quaternion(), I], [-I, Quaternion()]])
+    return matrix_of([[Quaternion(), I], [-I, Quaternion()]])
 
 
 # -- delta_q ----------------------------------------------------------------------
@@ -125,8 +126,8 @@ def test_gelfand_sequence():
     assert np.abs(seq - op_norm(t)).max() <= 1e-8 * op_norm(t)
     assert np.allclose(gelfand_check(QMatrix.zeros(3), 3), 0.0)
     # nilpotent: sequence decreases toward r_S = 0
-    nil = QMatrix.from_entries([[Quaternion(), Quaternion(1)],
-                                [Quaternion(), Quaternion()]])
+    nil = matrix_of([[Quaternion(), Quaternion(1)],
+                     [Quaternion(), Quaternion()]])
     seq = gelfand_check(nil, 3)
     assert seq[0] == 1.0 and np.all(seq[1:] <= 1e-12)
     assert spherical_spectrum(nil).radius() <= 1e-12

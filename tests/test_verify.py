@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quatspec import cli
 from quatspec.qmatrix import (QMatrix, is_normal, is_self_adjoint, random_normal,
                               random_unitary)
 from quatspec.quaternion import Quaternion, random_sphere_point
@@ -44,15 +45,17 @@ def test_check_status():
     assert Check("a", "x = y", 1e-8, 1e-10, soft=True).status == "soft-warn"
 
 
-def test_report_aggregation_and_exit_code():
+def test_report_aggregation_and_exit_code(monkeypatch):
+    """`verify` exits 0 on a report that is ok and 1 on one that is not."""
     report = VerificationReport()
+    monkeypatch.setattr(cli, "run_verification", lambda **kwargs: report)
     report.worst("c", "x = y", 1e-12, 1e-10)
     report.worst("c", "x = y", 5e-11, 1e-10)
     assert len(report.checks) == 1
     assert report.checks[0].residual == 5e-11
-    assert report.ok and report.exit_code == 0
+    assert report.ok and cli.main(["verify", "--random", "1,1,0"]) == 0
     report.worst("d", "u = v", 1.0, 1e-10)
-    assert not report.ok and report.exit_code == 1
+    assert not report.ok and cli.main(["verify", "--random", "1,1,0"]) == 1
     report.worst("e", "soft", 1.0, 1e-10, soft=True)
     assert report.counts() == {"pass": 1, "fail": 1, "soft-warn": 1}
 
