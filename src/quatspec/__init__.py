@@ -2,8 +2,7 @@
 slice functional calculus on H^n."""
 
 from .errors import NumericalError, PreconditionError
-from .quaternion import (Quaternion, SpherePoint, fold, random_sphere_point,
-                         sphere_grid)
+from .quaternion import Quaternion, SpherePoint, random_sphere_point, sphere_grid
 from .qmatrix import (LeftMultiplication, QMatrix, QVector, chi_embed,
                       chi_extract, is_anti_self_adjoint, is_normal,
                       is_self_adjoint, is_unitary, op_norm, polar_decompose,

@@ -176,18 +176,15 @@ def _float_grid(obj: list, indent: str) -> str | None:
 def _dumps(obj, indent: str = "") -> str:
     """Exactly `json.dumps(obj, indent=2)`, nested at `indent`.
 
-    A rectangular nested list of finite floats is written by `_float_grid`;
-    every other leaf (non-finite floats, ints, bools, None, strings) and any
-    dict with a non-string key is written by `json.dumps` itself, so their
-    text is json's."""
-    inner = indent + "  "
+    A dict with string keys is written key by key and a rectangular nested
+    list of finite floats by `_float_grid`; every other value (any other list,
+    scalars, a dict with a non-string key) by `json.dumps`, so its text is json's."""
     if isinstance(obj, list) and obj:
         text = _float_grid(obj, indent)
-        if text is None or "n" in text:  # 'nan' and 'inf' have an n, finite floats none
-            items = f",\n{inner}".join(_dumps(item, inner) for item in obj)
-            text = f"[\n{inner}{items}\n{indent}]"
-        return text
-    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        if text is not None and "n" not in text:  # 'nan' and 'inf' have an n, finite floats none
+            return text
+    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        inner = indent + "  "
         text = f",\n{inner}".join(f"{json.dumps(key)}: {_dumps(value, inner)}"
                                   for key, value in obj.items())
         return f"{{\n{inner}{text}\n{indent}}}"

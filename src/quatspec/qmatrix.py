@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _check_keys
 from .quaternion import Quaternion, SpherePoint
 
 # -- component arithmetic on (..., 4) float arrays ---------------------------
@@ -262,6 +262,7 @@ class QMatrix(_QArray):
 
     @classmethod
     def from_json(cls, data) -> "QMatrix":
+        _check_keys(data, "matrix", {"n", "rows"}, set())
         n = data["n"]
         if not (type(n) is int and n >= 1):  # a JSON integer; true is not one
             raise PreconditionError(f"n must be an integer >= 1, got {n!r}")

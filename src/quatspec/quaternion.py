@@ -4,7 +4,6 @@ This module contains:
 
 - `Quaternion` - an element a + b*i + c*j + d*k of the real quaternion algebra
 - `SpherePoint` - a unit imaginary quaternion (a square root of -1)
-- `fold(q)` - the upper-half-plane representative (Re q, |Im q|) of S_q
 - `sphere_grid(count)` - deterministic quasi-uniform sample of S
 - `random_sphere_point(rng)` - uniform random element of S
 """
@@ -107,9 +106,6 @@ class Quaternion:
 
     __abs__ = norm
 
-    def im_norm(self) -> float:
-        return math.sqrt(self.b * self.b + self.c * self.c + self.d * self.d)
-
     # -- conversions ---------------------------------------------------------
 
     def components(self) -> tuple[float, float, float, float]:
@@ -147,16 +143,10 @@ class SpherePoint(Quaternion):
         super().__init__(0.0, b / n, c / n, d / n)
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 I = SpherePoint(1.0, 0.0, 0.0)
 J = SpherePoint(0.0, 1.0, 0.0)
 K = SpherePoint(0.0, 0.0, 1.0)
-
-
-def fold(q: Quaternion) -> tuple[float, float]:
-    """Upper-half-plane representative (Re q, |Im q|) of the sphere S_q."""
-    return (q.a, q.im_norm())
 
 
 def sphere_grid(count: int) -> np.ndarray:

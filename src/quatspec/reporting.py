@@ -1,5 +1,6 @@
 """Check records and verification reports, one row per identity with one
-writer (`VerificationReport.worst`, called by the suites), rendered by the CLI."""
+writer (`VerificationReport.worst`, called by the suites), rendered by the CLI.
+A row passes when its residual is within its tolerance, else it fails."""
 
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ class Check:
     identity: str
     residual: float
     tolerance: float
-    soft: bool = False
 
     @property
     def passed(self) -> bool:
@@ -34,9 +34,7 @@ class Check:
 
     @property
     def status(self) -> str:
-        if self.passed:
-            return "pass"
-        return "soft-warn" if self.soft else "fail"
+        return "pass" if self.passed else "fail"
 
     def to_json(self) -> dict:
         return {
@@ -58,8 +56,7 @@ class VerificationReport:
     def checks(self) -> list[Check]:
         return list(self._rows.values())
 
-    def worst(self, name: str, identity: str, residual: float, tolerance: float,
-              soft: bool = False) -> Check:
+    def worst(self, name: str, identity: str, residual: float, tolerance: float) -> Check:
         """Record a check under `name`: the first call adds its row, and each
         call is judged against its own tolerance, so the row keeps the
         residual and tolerance of the call with the largest
@@ -67,20 +64,18 @@ class VerificationReport:
         residual, tolerance = float(residual), float(tolerance)
         check = self._rows.get(name)
         if check is None:
-            check = self._rows[name] = Check(name, identity, residual, tolerance, soft)
+            check = self._rows[name] = Check(name, identity, residual, tolerance)
         elif _excess(residual, tolerance) > _excess(check.residual, check.tolerance):
             check.residual, check.tolerance = residual, tolerance
         return check
 
     @property
     def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def counts(self) -> dict:
-        out = {"pass": 0, "fail": 0, "soft-warn": 0}
-        for c in self.checks:
-            out[c.status] += 1
-        return out
+        passed = sum(c.passed for c in self.checks)
+        return {"pass": passed, "fail": len(self._rows) - passed}
 
     def to_json(self) -> dict:
         return {
@@ -102,8 +97,7 @@ class VerificationReport:
                 f"{c.tolerance:12.3e}  {c.identity}")
         counts = self.counts()
         lines.append("-" * (name_w + 9 + 12 + 12 + 40))
-        lines.append(f"{counts['pass']} passed, {counts['fail']} failed, "
-                     f"{counts['soft-warn']} soft warnings")
+        lines.append(f"{counts['pass']} passed, {counts['fail']} failed")
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _check_keys
 from .qmatrix import _hc_mul, _hc_norm, _hc_star, _qmul
 from .quaternion import REAL_TOL, Quaternion, SpherePoint
 
@@ -99,6 +99,8 @@ class CircularSet:
 
     @classmethod
     def from_json(cls, data) -> "CircularSet":
+        # `radius`, which `to_json` writes, is derived and not read
+        _check_keys(data, "domain", {"reps"}, {"mult", "radius"})
         reps = np.asarray(data["reps"], dtype=float).reshape(-1, 2)
         bad = ~np.isfinite(reps).all(axis=1)
         if bad.any():
@@ -181,9 +183,9 @@ _BUILTINS = {
     "one": (lambda a, b: 1.0, lambda a, b: 0.0, None),
 }
 
-# the keys of a function's JSON document, by kind
-_JSON_KEYS = {"poly": {"kind", "Q1", "Q2", "domain"},
-              "builtin": {"kind", "name", "domain"}}
+# the required and the optional keys of a function's JSON document, by kind
+_JSON_KEYS = {"poly": ({"kind"}, {"Q1", "Q2", "domain"}),
+              "builtin": ({"kind", "name"}, {"domain"})}
 
 # builtins whose star is again a named builtin
 _BUILTIN_STAR = {"id": "conj", "conj": "id", "re": "re", "im": "im",
@@ -243,7 +245,7 @@ class SliceFunction:
     instances are immutable and safe to share.
     """
 
-    __slots__ = ("kind", "exps", "coefs", "name", "fn", "domain")
+    __slots__ = ("kind", "exps", "coefs", "name", "fn", "domain", "_operands")
 
     def __init__(self, kind, *, exps=None, coefs=None, name=None, fn=None, domain=None):
         self.kind = kind
@@ -252,6 +254,7 @@ class SliceFunction:
         self.name = name
         self.fn = fn
         self.domain = domain
+        self._operands = ()  # the stems a derived stem is computed from (`_derived`)
 
     # -- constructors -------------------------------------------------------------
 
@@ -360,11 +363,13 @@ class SliceFunction:
 
     def accepts(self, alpha, beta, tol: float = DOMAIN_TOL) -> np.ndarray:
         """Mask of the points (alpha, beta), scalars or arrays of one shape,
-        that lie in the domain."""
+        that lie in the domain (of every operand, for a derived stem)."""
         ok = np.ones(np.broadcast(alpha, beta).shape, dtype=bool)
         pred = _BUILTINS[self.name][2] if self.kind == "builtin" else None
         if pred is not None:
             ok &= pred(alpha, beta, tol)
+        for f in self._operands:
+            ok &= f.accepts(alpha, beta, tol)
         if self.domain is not None:
             ok &= self.domain.contains(alpha, beta, tol)
         return ok
@@ -398,15 +403,14 @@ class SliceFunction:
 
     @classmethod
     def from_json(cls, data) -> "SliceFunction":
-        """The function of a JSON document; a key outside its kind's set
-        (`_JSON_KEYS`) is rejected, not ignored."""
+        """The function of a JSON document: an object with a known `kind` and
+        that kind's keys (`_JSON_KEYS`), no other."""
+        if not (isinstance(data, dict) and "kind" in data):
+            _check_keys(data, "function", {"kind"}, set())  # names what is missing
         kind = data["kind"]
-        if kind not in _JSON_KEYS:
+        if not (isinstance(kind, str) and kind in _JSON_KEYS):
             raise PreconditionError(f"unknown stem kind {kind!r}")
-        unknown = sorted(set(data) - _JSON_KEYS[kind])
-        if unknown:
-            raise PreconditionError(f"unknown key {unknown[0]!r} in a {kind} function; "
-                                    f"allowed: {', '.join(sorted(_JSON_KEYS[kind]))}")
+        _check_keys(data, f"{kind} function", *_JSON_KEYS[kind])
         domain = CircularSet.from_json(data["domain"]) if "domain" in data else None
         if kind == "poly":
             terms1 = [(h, k, Quaternion.from_json(c)) for h, k, c in data.get("Q1", [])]
@@ -428,9 +432,12 @@ def _merged_domain(f: SliceFunction, g: SliceFunction) -> CircularSet | None:
 
 def _derived(op, domain: CircularSet | None, *fs: SliceFunction) -> SliceFunction:
     """The slice function of the stem z -> op(F(z), G(z), ...) of the
-    operands' stems, op a map on (m, 2, 4) value arrays."""
-    return SliceFunction("derived", fn=lambda zs: op(*(f.stem_values(zs) for f in fs)),
-                         domain=domain)
+    operands' stems, op a map on (m, 2, 4) value arrays, defined where every
+    operand is."""
+    g = SliceFunction("derived", fn=lambda zs: op(*(f.stem_values(zs) for f in fs)),
+                      domain=domain)
+    g._operands = fs
+    return g
 
 
 def slice_product(f: SliceFunction, g: SliceFunction) -> SliceFunction:
@@ -488,11 +495,9 @@ def is_intrinsic(f: SliceFunction) -> bool:
 
 
 def is_circular(f: SliceFunction) -> bool:
-    """F2 identically zero; equivalently f(conj q) = f(q). Coefficients are
-    tested against _CLASS_TOL, sampled values against _CLASS_TOL * max(1, |F1|)."""
+    """F2 identically zero; equivalently f(conj q) = f(q), each F2 row within
+    _CLASS_TOL * max(1, |F1|) of its row (F1 = 0 where F2 != 0 in a polynomial)."""
     f1, f2 = _class_values(f)
-    if f.kind == "poly":
-        return bool((np.linalg.norm(f2, axis=1) <= _CLASS_TOL).all())
     return _within(f2, f1, _CLASS_TOL)
 
 

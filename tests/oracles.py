@@ -6,6 +6,8 @@ against. The program runs none of them.
   `qmatrix._hc_mul`, `_hc_star` and `_hc_norm`
 - `sphere_decompose(q)` - q = alpha + iota*beta with beta >= 0, the
   reference for `SliceFunction.values`
+- `fold(q)` - the upper-half-plane representative (Re q, |Im q|) of the
+  sphere S_q
 - `isclose`, `evaluate`, `matrix_of`, `basis_vector`, `function_json` - a
   tolerance comparison, f at one quaternion, a matrix from rows of
   quaternions, a standard basis vector, and the JSON document of a function
@@ -53,8 +55,14 @@ class ComplexifiedQuaternion:
     def norm(self) -> float:
         """C*-norm (|q|^2 + |p|^2 + 2|Im(p conj(q))|)^(1/2); equals the sup
         over iota in S of |q + iota*p|."""
+        w = self.p * self.q.conjugate()
         return math.sqrt(self.q.norm() ** 2 + self.p.norm() ** 2
-                         + 2.0 * (self.p * self.q.conjugate()).im_norm())
+                         + 2.0 * math.sqrt(w.b * w.b + w.c * w.c + w.d * w.d))
+
+
+def fold(q: Quaternion) -> tuple[float, float]:
+    """Upper-half-plane representative (Re q, |Im q|) of the sphere S_q."""
+    return (q.a, math.sqrt(q.b * q.b + q.c * q.c + q.d * q.d))
 
 
 def sphere_decompose(q: Quaternion) -> tuple[float, float, SpherePoint | None]:

@@ -7,7 +7,7 @@ one criterion.
 
 import numpy as np
 
-from oracles import ComplexifiedQuaternion, evaluate
+from oracles import ComplexifiedQuaternion, evaluate, fold
 from quatspec.calculus import (IOTA, KAPPA, alternate_kernel_J, build_context,
                                circular_calculus, cslice_calculus,
                                general_calculus, intrinsic_calculus,
@@ -15,8 +15,7 @@ from quatspec.calculus import (IOTA, KAPPA, alternate_kernel_J, build_context,
                                spectral_measure_weights)
 from quatspec.qmatrix import (QMatrix, chi_embed, op_norm, random_normal,
                               random_qmatrix, random_qvector, random_unitary)
-from quatspec.quaternion import (I, Quaternion, fold, random_sphere_point,
-                                 sphere_grid)
+from quatspec.quaternion import I, Quaternion, random_sphere_point, sphere_grid
 from quatspec.slicefn import (SliceFunction, decompose_components, hausdorff,
                               one_sided_hausdorff, slice_product, sup_norm)
 from quatspec.spectral import (delta_q, gelfand_check, resolvent_series,
@@ -285,10 +284,7 @@ def test_criterion_10_circular_calculus():
     report(10, "circular-constant-to-K", worst_const, 1e-12)
     report(10, "circular-spectral-containment", worst_contain, 1e-7)
     report(10, "circular-norm-bound", max(0.0, worst_bound), 1e-8)
-    # isometry is a soft check: warn, never fail (its proof lives elsewhere)
-    status = "PASS" if worst_isometry <= 1e-8 else "SOFT-WARN"
-    print(f"acceptance 10 circular-isometry(soft): {status} "
-          f"(worst residual {worst_isometry:.3e}, tolerance 1.0e-08)")
+    report(10, "circular-isometry", worst_isometry, 1e-8)
 
 
 def test_criterion_11_general_calculus():

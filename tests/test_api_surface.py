@@ -11,6 +11,11 @@ are matched by name only, so a method is reached by any attribute of the
 same name. No name is exempt: test oracles and fixtures live in
 `tests/oracles.py`.
 
+Since references are matched by name, a method that two or more classes
+define is checked once more by running the program: one short CLI session
+runs under `sys.setprofile`, and every class's method of that name must
+have run.
+
 A defaulted parameter counts as set when some call of that name in the same
 modules, outside the definition itself, passes it by keyword or passes at
 least as many positional arguments as reach its place (a starred argument
@@ -19,7 +24,15 @@ exercise; it belongs in a constant.
 """
 
 import ast
+import json
+import sys
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
+
+from quatspec.cli import main
+from quatspec.qmatrix import op_norm, random_normal, random_qmatrix
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "quatspec"
 
@@ -126,3 +139,69 @@ def test_every_public_name_is_reached_from_the_program():
 
 def test_every_default_is_set_by_the_program():
     assert unset_defaults() == []
+
+
+def shared_method_names() -> dict[str, dict[tuple[str, int], str]]:
+    """Each public method name that two or more classes define, with the
+    (file, first line) of each definition's code object, a decorated one's
+    at its first decorator, as Python 3.10 gives no `co_qualname`."""
+    methods = defaultdict(dict)
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node in _definitions(ast.parse(path.read_text())):
+            owner, _, name = qualname.rpartition(".")
+            if owner:
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                methods[name][(str(path), first)] = f"{path.name}: {qualname}"
+    return {name: where for name, where in methods.items() if len(where) > 1}
+
+
+def cli_session(tmp: Path, capsys) -> None:
+    """spectrum, decompose and resolvent; apply in all five modes, with a
+    builtin, a poly file and a builtin with a domain; verify on random
+    matrices with a JSON report and on a non-normal matrix file."""
+    rng = np.random.default_rng(5)
+    t = random_normal(4, rng)[0]
+    normal, other = tmp / "t.json", tmp / "m.json"
+    normal.write_text(json.dumps(t.to_json()))
+    other.write_text(json.dumps(random_qmatrix(3, rng).to_json()))
+    poly = tmp / "square.json"
+    poly.write_text(json.dumps({"kind": "poly", "Q1": [[2, 0, [1, 0, 0, 0]], [0, 2, [-1, 0, 0, 0]]],
+                                "Q2": [[1, 1, [2, 0, 0, 0]]]}))
+    assert main(["spectrum", "--input", str(normal), "--emit-plot", str(tmp / "s.svg")]) == 0
+    on_spectrum = tmp / "exp.json"
+    on_spectrum.write_text(json.dumps({"kind": "builtin", "name": "exp",
+                                       "domain": json.loads(capsys.readouterr().out)}))
+    q = f"{2.0 * op_norm(t) + 1.0},0,0,0"
+    for argv in (["decompose", "--out", str(tmp / "ctx.json")],
+                 ["resolvent", "--q", q],
+                 ["apply", "--mode", "intrinsic", "--fn", "builtin:square"],
+                 ["apply", "--mode", "cslice", "--fn", str(poly)],
+                 ["apply", "--mode", "circular", "--fn", "builtin:re"],
+                 ["apply", "--mode", "general", "--fn", str(on_spectrum)],
+                 ["apply", "--mode", "contour", "--fn", "builtin:exp", "--nodes", "64"]):
+        assert main([argv[0], "--input", str(normal), *argv[1:]]) == 0, argv
+    assert main(["verify", "--random", "4,5,7", "--json-out", str(tmp / "report.json")]) == 0
+    assert main(["verify", "--input", str(other)]) == 0
+
+
+def test_every_same_named_method_runs_in_a_cli_session(tmp_path, capsys):
+    """The name scan counts a method as reached when any method of its name
+    is: a `QVector.to_json` once passed on `QMatrix.to_json`'s references.
+    Here the method of every class must run, matched by its code object."""
+    shared = shared_method_names()
+    assert {"to_json", "from_json", "n", "norm", "components"} <= shared.keys()
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        cli_session(tmp_path, capsys)
+    finally:
+        sys.setprofile(None)
+    ran = {(str(Path(file).resolve()), line) for file, line in ran}
+    idle = sorted(qualname for where in shared.values()
+                  for key, qualname in where.items() if key not in ran)
+    assert idle == []

@@ -14,7 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import basis_vector, evaluate, matrix_of
+from oracles import basis_vector, evaluate, fold, matrix_of
 from quatspec.calculus import (IOTA, KAPPA, _SPLIT_MU, _split_schur,
                                alternate_kernel_J, build_context,
                                circular_calculus, cslice_calculus,
@@ -27,7 +27,7 @@ from quatspec.qmatrix import (QMatrix, chi_embed,
                               is_unitary, op_norm, polar_decompose,
                               random_normal, random_qmatrix, random_qvector,
                               random_unitary)
-from quatspec.quaternion import I, J, Quaternion, fold, random_sphere_point
+from quatspec.quaternion import I, J, Quaternion, random_sphere_point
 from quatspec.slicefn import (CircularSet, SliceFunction, decompose_components, hausdorff,
                               one_sided_hausdorff, slice_product, sup_norm)
 from quatspec.spectral import spherical_spectrum
@@ -623,6 +623,23 @@ def test_general_rejects_spectrum_outside_domain():
     ctx = build_context(t)
     with pytest.raises(PreconditionError):
         general_calculus(ctx, SliceFunction.builtin("sqrt"))
+
+
+SQRT = SliceFunction.builtin("sqrt")
+
+
+@pytest.mark.parametrize("f", [SQRT + SliceFunction.builtin("one"),
+                               slice_product(SQRT, SliceFunction.builtin("id")),
+                               decompose_components(SQRT, I, J)[0]],
+                         ids=["sum", "product", "component"])
+def test_derived_stem_keeps_its_operands_domains(f):
+    """These stems were once accepted on non-real spheres, where they
+    evaluated sqrt(max(alpha, 0)), while sqrt alone is refused there."""
+    ctx = build_context(random_normal(4, np.random.default_rng(3))[0])
+    assert f.kind == "derived"
+    for g in (f, SQRT):
+        with pytest.raises(PreconditionError, match="lies outside the function domain"):
+            general_calculus(ctx, g)
 
 
 def test_general_product_rules():

@@ -323,6 +323,37 @@ def test_exit_code_unknown_function_key(matrix_file, tmp_path, capsys, data, key
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+ON_SPECTRUM = {"reps": [[-1.0, 0.0], [1.0, 0.0]]}  # sigma_S of `matrix_file`
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 1, "rows": [[[1, 0, 0, 0]]], "N": 7},
+     "malformed matrix JSON in {path}: unknown key 'N' in a matrix; allowed: n, rows"),
+    ({"kind": "builtin", "name": "id", "domain": {**ON_SPECTRUM, "mults": [1, 1]}},
+     "malformed function JSON in {path}: unknown key 'mults' in a domain; "
+     "allowed: mult, radius, reps"),
+    ([[[1, 0, 0, 0]]], "malformed matrix JSON in {path}: a matrix must be a JSON object"),
+    ({"n": 1}, "malformed matrix JSON in {path}: missing key 'rows' in a matrix"),
+    ({"kind": "builtin", "name": "id", "domain": None},
+     "malformed function JSON in {path}: a domain must be a JSON object"),
+], ids=["matrix-unknown-key", "domain-unknown-key", "matrix-not-an-object",
+        "matrix-missing-key", "domain-not-an-object"])
+def test_exit_code_document_keys(matrix_file, tmp_path, capsys, doc, message):
+    """The matrix and the domain once ignored a misspelt key with exit 0, and
+    a document that was not an object or lacked a key was named by a raw
+    Python message ('rows', 'NoneType' object is not subscriptable, ...)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if "kind" in doc:
+        argv = ["apply", "--input", matrix_file, "--fn", str(path)]
+    else:
+        argv = ["spectrum", "--input", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(path=path)}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["spectrum", "--emit-plot"], ["decompose", "--out"],
                                   ["verify", "--suite", "spectral", "--json-out"]])
 def test_exit_code_unwritable_output(normal_file, tmp_path, capsys, argv):

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import matrix_of
+from oracles import fold, matrix_of
 from quatspec.calculus import build_context, intrinsic_calculus
 from quatspec.errors import PreconditionError
 from quatspec.qmatrix import (QMatrix, chi_embed, is_anti_self_adjoint,
                               is_normal, is_self_adjoint, is_unitary, op_norm,
                               random_normal, random_qmatrix, random_unitary)
-from quatspec.quaternion import I, J, K, Quaternion, fold, random_sphere_point
+from quatspec.quaternion import I, J, K, Quaternion, random_sphere_point
 from quatspec.slicefn import CircularSet, SliceFunction, hausdorff
 from quatspec.spectral import (delta_q, gelfand_check, resolvent_series,
                                spherical_spectrum)
